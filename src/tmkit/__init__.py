@@ -26,12 +26,8 @@ from .dsl import (
     parse,
 )
 from .dynamics import (
-    BehaviorEdge,
-    BehaviorGraph,
     Candidate,
     Conformance,
-    Event,
-    EventDecl,
     SimOptions,
     SimState,
     Trace,
@@ -47,7 +43,10 @@ from .dynamics import (
     step,
 )
 from .model import (
-    Digraph,
+    BehaviorEdge,
+    BehaviorGraph,
+    Event,
+    EventDecl,
     FlowEdge,
     Stage,
     StageKind,
@@ -58,7 +57,6 @@ from .model import (
     model_from_json,
     model_to_json,
     reachable,
-    stage_graph,
     try_build_model,
 )
 from .render import RenderOptions, from_json, to_dot, to_json

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import dynamics, render
-from .dsl import Document, ParseFailure, format_model, load
+from .dsl import ParseFailure, format_model, load
 from .diagnostics import ModelError
 from .model import model_to_dict
 from .transform import make_overlay, simplify
@@ -80,11 +80,6 @@ def _emit_json(payload: dict, output: str | None) -> None:
     _emit(json.dumps(payload, indent=2) + "\n", output)
 
 
-def _validated(doc: Document):
-    report, events = validate_document(doc.model, doc.events, doc.behavior)
-    return report, events
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -118,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(format_model(doc.model, doc.events, doc.behavior), args.output)
         return 0
 
-    report, events = _validated(doc)
+    report, events = validate_document(doc.model, doc.events, doc.behavior)
 
     if args.command == "validate":
         _emit_json(report.to_json_dict(), args.output)
@@ -160,7 +155,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             overlay = make_overlay(events) if args.overlay else None
             options = render.RenderOptions(
-                format=args.format,
                 cluster_thimacs=not args.flat,
                 overlay=overlay,
             )

@@ -35,9 +35,12 @@ from .diagnostics import (
     TmError,
     error,
 )
-from .dynamics import BehaviorEdge, BehaviorGraph, Event, EventDecl
 from .model import (
     KIND_BY_NAME,
+    BehaviorEdge,
+    BehaviorGraph,
+    Event,
+    EventDecl,
     FlowEdge,
     Stage,
     StageKind,

@@ -13,6 +13,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Sequence
 
 from .diagnostics import (
@@ -29,60 +30,10 @@ from .diagnostics import (
     error,
     warning,
 )
-from .model import StageKind, TmModel
+from .model import BehaviorEdge, BehaviorGraph, Event, EventDecl, StageKind, TmModel
 
 ELEMENTARY = "elementary"
 COMPOSITE = "composite"
-
-
-@dataclass(frozen=True)
-class EventDecl:
-    """An event as declared in source: a name and the stage ids of its region."""
-
-    name: str
-    region: tuple[str, ...]
-    span: Span | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class Event:
-    """A named region of the model at elementary or composite level."""
-
-    id: str
-    name: str
-    region: tuple[str, ...]
-    level: str
-    constituents: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "level": self.level,
-            "region": list(self.region),
-            "constituents": list(self.constituents),
-        }
-
-
-@dataclass(frozen=True)
-class BehaviorEdge:
-    """Chronology edge ``before -> after``; a repeat mark declares a loop back."""
-
-    before: str
-    after: str
-    repeat: bool = False
-
-
-@dataclass(frozen=True)
-class BehaviorGraph:
-    nodes: tuple[str, ...]
-    edges: tuple[BehaviorEdge, ...]
-
-    def to_json_list(self) -> list[dict]:
-        return [
-            {"before": e.before, "after": e.after, "repeat": e.repeat}
-            for e in self.edges
-        ]
 
 
 def _stage_elements(model: TmModel, region: Iterable[str]) -> tuple[str, ...]:
@@ -96,8 +47,7 @@ def _touched_stages(model: TmModel, region: Iterable[str]) -> tuple[str, ...]:
     Used for connectivity and path questions, where an edge in the region
     stands for its two ends.
     """
-    edge_by_id = {f.id: f for f in model.flows}
-    edge_by_id.update({t.id: t for t in model.triggers})
+    edge_by_id = model.index.edge_by_id
     out: list[str] = []
     seen: set[str] = set()
     for element in region:
@@ -113,14 +63,6 @@ def _touched_stages(model: TmModel, region: Iterable[str]) -> tuple[str, ...]:
                 seen.add(sid)
                 out.append(sid)
     return tuple(out)
-
-
-def _undirected_neighbors(model: TmModel) -> dict[str, set[str]]:
-    neighbors: dict[str, set[str]] = {s.id: set() for s in model.stages}
-    for edge in (*model.flows, *model.triggers):
-        neighbors[edge.source].add(edge.target)
-        neighbors[edge.target].add(edge.source)
-    return neighbors
 
 
 def elementary_events(model: TmModel) -> list[Event]:
@@ -163,33 +105,24 @@ def define_event(
     if not region:
         raise ModelError([error(REGION_EMPTY, f"event '{name}' has an empty region", name, span)])
 
-    known = set(model.element_ids())
     unresolved = [
         error(REF_UNRESOLVED, f"event '{name}' names unknown element '{element}'", element, span)
         for element in region
-        if element not in known
+        if not model.has_element(element)
     ]
     if unresolved:
         raise ModelError(unresolved)
 
+    index = model.index
     touched = _touched_stages(model, region)
     warnings: list[Diagnostic] = []
-    if len(touched) > 1:
-        neighbors = _undirected_neighbors(model)
-        component = {touched[0]}
-        frontier = [touched[0]]
-        while frontier:
-            for nxt in neighbors[frontier.pop()]:
-                if nxt not in component:
-                    component.add(nxt)
-                    frontier.append(nxt)
-        if not set(touched) <= component:
-            warnings.append(warning(
-                REGION_DISCONNECTED,
-                f"event '{name}' covers elements with no connecting flow or trigger",
-                name,
-                span,
-            ))
+    if len({index.component[sid] for sid in touched}) > 1:
+        warnings.append(warning(
+            REGION_DISCONNECTED,
+            f"event '{name}' covers elements with no connecting flow or trigger",
+            name,
+            span,
+        ))
 
     stages = _stage_elements(model, region)
     if constituents:
@@ -200,7 +133,7 @@ def define_event(
             level=COMPOSITE,
             constituents=tuple(c.id for c in constituents),
         )
-    elif len(stages) == 1 and set(touched) <= {stages[0]} | _incident(model, stages[0]):
+    elif len(stages) == 1 and set(touched) <= {stages[0]} | index.neighbors[stages[0]]:
         event = Event(id=name, name=name, region=region, level=ELEMENTARY)
     else:
         # Implicitly composed of the per-stage elementary events, whose ids
@@ -213,16 +146,6 @@ def define_event(
             constituents=stages,
         )
     return event, warnings
-
-
-def _incident(model: TmModel, stage_id: str) -> set[str]:
-    """Stages adjacent to ``stage_id`` through any flow or trigger edge."""
-    out: set[str] = set()
-    for f in (*model.flows_from(stage_id), *model.flows_into(stage_id)):
-        out.update((f.source, f.target))
-    for t in (*model.triggers_from(stage_id), *model.triggers_into(stage_id)):
-        out.update((t.source, t.target))
-    return out
 
 
 def build_events(
@@ -250,21 +173,21 @@ def build_events(
 
 # -- behavior-graph checking ----------------------------------------------
 
-def _directed_reach(model: TmModel, sources: Iterable[str]) -> set[str]:
-    """Stages reachable from any source along flow or trigger edges."""
+def _reaches(model: TmModel, sources: Iterable[str], goals: set[str]) -> bool:
+    """Whether a flow or trigger path (possibly empty) leads from a source
+    to a goal. Breadth first, so the walk stops at the nearest goal."""
     seen = set(sources)
+    if not seen.isdisjoint(goals):
+        return True
     frontier = list(seen)
-    while frontier:
-        current = frontier.pop()
-        for f in model.flows_from(current):
-            if f.target not in seen:
-                seen.add(f.target)
-                frontier.append(f.target)
-        for t in model.triggers_from(current):
-            if t.target not in seen:
-                seen.add(t.target)
-                frontier.append(t.target)
-    return seen
+    for current in frontier:  # grows while iterating: a queue
+        for edge in (*model.flows_from(current), *model.triggers_from(current)):
+            if edge.target in goals:
+                return True
+            if edge.target not in seen:
+                seen.add(edge.target)
+                frontier.append(edge.target)
+    return False
 
 
 def check_behavior(
@@ -293,26 +216,19 @@ def check_behavior(
             continue
         resolved.append(edge)
 
-    plain = [e for e in resolved if not e.repeat]
     succ: dict[str, list[str]] = {}
-    for e in plain:
-        succ.setdefault(e.before, []).append(e.after)
+    order = TopologicalSorter()
+    for e in resolved:
+        if not e.repeat:
+            succ.setdefault(e.before, []).append(e.after)
+            order.add(e.after, e.before)
 
     # Plain edges must form a DAG.
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def has_cycle(node: str) -> bool:
-        state[node] = 1
-        for nxt in succ.get(node, ()):
-            mark = state.get(nxt)
-            if mark == 1:
-                return True
-            if mark is None and has_cycle(nxt):
-                return True
-        state[node] = 2
-        return False
-
-    cyclic = any(state.get(e.before) is None and has_cycle(e.before) for e in plain)
+    try:
+        order.prepare()
+        cyclic = False
+    except CycleError:
+        cyclic = True
     if cyclic:
         diags.append(error(
             BEHAVIOR_INCONSISTENT,
@@ -344,7 +260,7 @@ def check_behavior(
             continue
         before_stages = _touched_stages(model, by_id[edge.before].region)
         after_stages = set(_touched_stages(model, by_id[edge.after].region))
-        if not (_directed_reach(model, before_stages) & after_stages):
+        if not _reaches(model, before_stages, after_stages):
             diags.append(error(
                 BEHAVIOR_INCONSISTENT,
                 f"no flow or trigger path from event '{edge.before}' to event '{edge.after}'",
@@ -442,7 +358,7 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(eq=False)
+@dataclass
 class SimState:
     """Mutable run state with a single owner; never shared between runs."""
 
@@ -454,27 +370,10 @@ class SimState:
     pending: deque = field(default_factory=deque)
     creations_used: dict[str, int] = field(default_factory=dict)
     coverage: dict[str, set[str]] = field(default_factory=dict)
-    firing: dict[str, frozenset[str]] = field(default_factory=dict)
-    flows_by_source: dict[str, tuple[tuple[int, str], ...]] = field(default_factory=dict)
+    firing: dict[str, frozenset[str]] = field(default_factory=dict, compare=False)
     step_count: int = 0
     next_token: int = 1
-    rng: random.Random = field(default_factory=random.Random)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimState):
-            return NotImplemented
-        return (
-            self.model == other.model
-            and self.options == other.options
-            and self.events == other.events
-            and self.tokens == other.tokens
-            and self.at == other.at
-            and tuple(self.pending) == tuple(other.pending)
-            and self.creations_used == other.creations_used
-            and self.coverage == other.coverage
-            and self.step_count == other.step_count
-            and self.next_token == other.next_token
-        )
+    rng: random.Random = field(default_factory=random.Random, compare=False)
 
 
 def init_state(
@@ -487,20 +386,7 @@ def init_state(
     state.rng.seed(options.seed)
     state.firing = {e.id: frozenset(_stage_elements(model, e.region)) for e in events}
     state.coverage = {e.id: set() for e in events}
-    per_source: dict[str, list[tuple[int, str]]] = {}
-    for idx, f in enumerate(model.flows):
-        per_source.setdefault(f.source, []).append((idx, f.target))
-    state.flows_by_source = {src: tuple(moves) for src, moves in per_source.items()}
     return state
-
-
-def _spontaneous_creates(model: TmModel) -> tuple[str, ...]:
-    """Create stages with no incoming trigger fire on their own, up to the cap."""
-    return tuple(
-        s.id
-        for s in model.stages
-        if s.kind is StageKind.CREATE and not model.triggers_into(s.id)
-    )
 
 
 def enabled(state: SimState) -> list[Candidate]:
@@ -512,17 +398,18 @@ def enabled(state: SimState) -> list[Candidate]:
     their cap. Queued work runs before new creations so each created thing
     plays out its chain before the next appears.
     """
+    index = state.model.index
     out: list[Candidate] = []
     if state.pending:
         out.append(Candidate(kind="trigger", stage=state.pending[0]))
     for stage in state.model.stages:
         for token_id in state.at.get(stage.id, ()):
             token = state.tokens[token_id]
-            for idx, _target in state.flows_by_source.get(stage.id, ()):
+            for idx in index.flow_indices_from.get(stage.id, ()):
                 if idx not in token.visited:
                     out.append(Candidate(kind="move", token=token_id, flow_index=idx))
     cap = state.options.creation_cap
-    for sid in _spontaneous_creates(state.model):
+    for sid in index.spontaneous_creates:
         if state.creations_used.get(sid, 0) < cap:
             out.append(Candidate(kind="create", stage=sid))
     return out

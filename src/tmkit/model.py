@@ -6,6 +6,10 @@ transfer, receive, with receive optionally refined into arrive + accept).
 Flows are solid arrows moving a thing between stages, triggers are dashed
 arrows activating a stage without passing a thing to it.
 
+Events name regions of the model and a behavior graph declares their
+expected chronology; their types live here too, so that every module
+can read a document without importing the simulator.
+
 A :class:`TmModel` is immutable once built and safe to share between
 readers; every other module of the toolchain works against the types
 defined here.
@@ -14,8 +18,9 @@ defined here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .diagnostics import (
@@ -24,6 +29,7 @@ from .diagnostics import (
     REF_UNRESOLVED,
     Diagnostic,
     ModelError,
+    Span,
     error,
 )
 
@@ -144,23 +150,17 @@ class TmModel:
         paths: dict[str, str] = {}
         for t in self.thimacs:
             paths[t.id] = t.name if t.parent is None else f"{paths[t.parent]}.{t.name}"
-        flows_from: dict[str, list[FlowEdge]] = {}
-        flows_into: dict[str, list[FlowEdge]] = {}
-        for f in self.flows:
-            flows_from.setdefault(f.source, []).append(f)
-            flows_into.setdefault(f.target, []).append(f)
-        triggers_from: dict[str, list[TriggerEdge]] = {}
-        triggers_into: dict[str, list[TriggerEdge]] = {}
-        for tr in self.triggers:
-            triggers_from.setdefault(tr.source, []).append(tr)
-            triggers_into.setdefault(tr.target, []).append(tr)
         object.__setattr__(self, "_thimac_by_id", thimac_by_id)
         object.__setattr__(self, "_stage_by_id", stage_by_id)
         object.__setattr__(self, "_paths", paths)
-        object.__setattr__(self, "_flows_from", flows_from)
-        object.__setattr__(self, "_flows_into", flows_into)
-        object.__setattr__(self, "_triggers_from", triggers_from)
-        object.__setattr__(self, "_triggers_into", triggers_into)
+
+    @cached_property
+    def index(self) -> ModelIndex:
+        """Adjacency, edge lookup and connectivity, built on first use.
+
+        Formatting never asks for it, so ``fmt`` does not pay for it.
+        """
+        return ModelIndex(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TmModel):
@@ -186,6 +186,10 @@ class TmModel:
     def has_stage(self, stage_id: str) -> bool:
         return stage_id in self._stage_by_id
 
+    def has_element(self, element_id: str) -> bool:
+        """Whether ``element_id`` names a stage, flow or trigger of this model."""
+        return element_id in self._stage_by_id or element_id in self.index.edge_by_id
+
     @property
     def root_thimacs(self) -> tuple[Thimac, ...]:
         return tuple(t for t in self.thimacs if t.parent is None)
@@ -199,16 +203,16 @@ class TmModel:
         return stage_ref_text(self.thimac_path(s.owner), s.kind, s.label)
 
     def flows_from(self, stage_id: str) -> tuple[FlowEdge, ...]:
-        return tuple(self._flows_from.get(stage_id, ()))
+        return self.index.flows_from.get(stage_id, ())
 
     def flows_into(self, stage_id: str) -> tuple[FlowEdge, ...]:
-        return tuple(self._flows_into.get(stage_id, ()))
+        return self.index.flows_into.get(stage_id, ())
 
     def triggers_from(self, stage_id: str) -> tuple[TriggerEdge, ...]:
-        return tuple(self._triggers_from.get(stage_id, ()))
+        return self.index.triggers_from.get(stage_id, ())
 
     def triggers_into(self, stage_id: str) -> tuple[TriggerEdge, ...]:
-        return tuple(self._triggers_into.get(stage_id, ()))
+        return self.index.triggers_into.get(stage_id, ())
 
     def element_ids(self) -> tuple[str, ...]:
         """Every addressable element: stages first, then flow and trigger edges."""
@@ -217,6 +221,58 @@ class TmModel:
             + tuple(f.id for f in self.flows)
             + tuple(tr.id for tr in self.triggers)
         )
+
+
+def _grouped(edges: Iterable, end: str) -> dict[str, tuple]:
+    """Edges keyed by the stage at ``end`` ("source" or "target"), in declaration order."""
+    out: dict[str, list] = {}
+    for edge in edges:
+        out.setdefault(getattr(edge, end), []).append(edge)
+    return {stage_id: tuple(group) for stage_id, group in out.items()}
+
+
+class ModelIndex:
+    """Lookups derived from one model, built together and never changed.
+
+    ``neighbors`` ignores arrow direction and counts flows and triggers
+    alike; ``component`` labels every stage with the first stage, in
+    declaration order, of its connected component in that undirected
+    graph. ``flow_indices_from`` gives, per stage, the positions in
+    ``model.flows`` of the flows leaving it. ``spontaneous_creates`` are
+    the create stages no trigger points at, which fire on their own.
+    """
+
+    def __init__(self, model: TmModel) -> None:
+        self.flows_from: dict[str, tuple[FlowEdge, ...]] = _grouped(model.flows, "source")
+        self.flows_into: dict[str, tuple[FlowEdge, ...]] = _grouped(model.flows, "target")
+        self.triggers_from: dict[str, tuple[TriggerEdge, ...]] = _grouped(model.triggers, "source")
+        self.triggers_into: dict[str, tuple[TriggerEdge, ...]] = _grouped(model.triggers, "target")
+        indices: dict[str, list[int]] = {}
+        for i, f in enumerate(model.flows):
+            indices.setdefault(f.source, []).append(i)
+        self.flow_indices_from = {src: tuple(group) for src, group in indices.items()}
+
+        self.edge_by_id: dict[str, FlowEdge | TriggerEdge] = {
+            edge.id: edge for edge in (*model.flows, *model.triggers)}
+        self.neighbors: dict[str, set[str]] = {s.id: set() for s in model.stages}
+        for edge in (*model.flows, *model.triggers):
+            self.neighbors[edge.source].add(edge.target)
+            self.neighbors[edge.target].add(edge.source)
+        self.component: dict[str, str] = {}
+        for s in model.stages:
+            if s.id in self.component:
+                continue
+            self.component[s.id] = s.id
+            frontier = [s.id]
+            while frontier:
+                for nxt in self.neighbors[frontier.pop()]:
+                    if nxt not in self.component:
+                        self.component[nxt] = s.id
+                        frontier.append(nxt)
+
+        self.spontaneous_creates = tuple(
+            s.id for s in model.stages
+            if s.kind is StageKind.CREATE and s.id not in self.triggers_into)
 
 
 def try_build_model(
@@ -366,25 +422,6 @@ def build_model(
     return model
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """A small ordered digraph view used for graph queries and oracles."""
-
-    nodes: tuple[str, ...]
-    arcs: tuple[tuple[str, str], ...]
-
-    def successors(self, node: str) -> tuple[str, ...]:
-        return tuple(dst for src, dst in self.arcs if src == node)
-
-
-def stage_graph(model: TmModel) -> Digraph:
-    """Directed graph over stage ids with one arc per flow edge, in declaration order."""
-    return Digraph(
-        nodes=tuple(s.id for s in model.stages),
-        arcs=tuple((f.source, f.target) for f in model.flows),
-    )
-
-
 def reachable(model: TmModel, start: str) -> set[str]:
     """Stages reachable from ``start`` along flow edges, including ``start`` itself.
 
@@ -401,6 +438,58 @@ def reachable(model: TmModel, start: str) -> set[str]:
                 seen.add(f.target)
                 frontier.append(f.target)
     return seen
+
+
+# -- events and chronologies --------------------------------------------------
+
+@dataclass(frozen=True)
+class EventDecl:
+    """An event as declared in source: a name and the stage ids of its region."""
+
+    name: str
+    region: tuple[str, ...]
+    span: Span | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class Event:
+    """A named region of the model at elementary or composite level."""
+
+    id: str
+    name: str
+    region: tuple[str, ...]
+    level: str
+    constituents: tuple[str, ...] = ()
+
+    def to_json_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "name": self.name,
+            "level": self.level,
+            "region": list(self.region),
+            "constituents": list(self.constituents),
+        }
+
+
+@dataclass(frozen=True)
+class BehaviorEdge:
+    """Chronology edge ``before -> after``; a repeat mark declares a loop back."""
+
+    before: str
+    after: str
+    repeat: bool = False
+
+
+@dataclass(frozen=True)
+class BehaviorGraph:
+    nodes: tuple[str, ...]
+    edges: tuple[BehaviorEdge, ...]
+
+    def to_json_list(self) -> list[dict]:
+        return [
+            {"before": e.before, "after": e.after, "repeat": e.repeat}
+            for e in self.edges
+        ]
 
 
 # -- canonical JSON ------------------------------------------------------

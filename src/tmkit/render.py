@@ -13,8 +13,15 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dynamics import BehaviorEdge, BehaviorGraph, Event
-from .model import TmModel, Thimac, model_from_dict, model_to_dict
+from .model import (
+    BehaviorEdge,
+    BehaviorGraph,
+    Event,
+    Thimac,
+    TmModel,
+    model_from_dict,
+    model_to_dict,
+)
 from .transform import OverlaySpec, apply_overlay
 
 DOT = "dot"
@@ -23,7 +30,6 @@ JSON = "json"
 
 @dataclass(frozen=True)
 class RenderOptions:
-    format: str = DOT
     show_labels: bool = True
     cluster_thimacs: bool = True
     overlay: OverlaySpec | None = None

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .diagnostics import REF_UNRESOLVED, ModelError, error
-from .dynamics import Event
 from .model import (
+    Event,
     FlowEdge,
     Stage,
     StageKind,
@@ -186,12 +186,6 @@ class OverlaySpec:
 
     assignments: tuple[tuple[str, str], ...]
 
-    def color_of(self, event_id: str) -> str | None:
-        for eid, color in self.assignments:
-            if eid == event_id:
-                return color
-        return None
-
 
 def make_overlay(events: Iterable[Event], palette: tuple[str, ...] = PALETTE) -> OverlaySpec:
     """Assign palette colors to events, cycling in declaration order."""
@@ -218,10 +212,9 @@ def apply_overlay(
             error(REF_UNRESOLVED, f"overlay names unknown event '{eid}'", eid)
             for eid in unknown
         ])
-    known_elements = set(model.element_ids())
     colors: dict[str, list[str]] = {}
     for event_id, color in spec.assignments:
         for element in by_id[event_id].region:
-            if element in known_elements:
+            if model.has_element(element):
                 colors.setdefault(element, []).append(color)
     return {element: tuple(cs) for element, cs in colors.items()}

@@ -22,11 +22,14 @@ from .diagnostics import (
     error,
     warning,
 )
-from .dynamics import BehaviorGraph, Event, EventDecl, build_events, check_behavior
+from .dynamics import build_events, check_behavior
 from .model import (
     LEGAL_FLOWS_ACROSS,
     LEGAL_FLOWS_WITHIN,
     TRIGGER_TARGET_KINDS,
+    BehaviorGraph,
+    Event,
+    EventDecl,
     StageKind,
     TmModel,
 )
@@ -126,7 +129,7 @@ def validate_document(
     Returns the report together with the events that could be built, so
     callers can go straight on to simulation or rendering.
     """
-    diags = check_flow_legality(model) + check_connectivity(model)
+    diags = list(validate(model).diagnostics)
     events, event_diags = build_events(model, event_decls)
     diags.extend(event_diags)
     if behavior is not None:

@@ -155,6 +155,15 @@ def all_linear_extensions(
     return out
 
 
+def region_stages(model: TmModel, region: tuple[str, ...]) -> set[str]:
+    """Stages a region touches: its stages, plus both ends of its edges."""
+    out = set()
+    for element in region:
+        ends = [(e.source, e.target) for e in (*model.flows, *model.triggers) if e.id == element]
+        out.update(ends[0] if ends else (element,))
+    return out
+
+
 def undirected_components(nodes: set[str], edges: list[tuple[str, str]]) -> list[set[str]]:
     """Connected components ignoring direction, by repeated sweeps."""
     remaining = set(nodes)

@@ -9,6 +9,7 @@ import pytest
 from conftest import FIXTURES
 from tmkit.cli import corpus, main
 from tmkit.dsl import lower, parse
+from tmkit.validator import validate_document
 
 
 @pytest.fixture()
@@ -60,6 +61,21 @@ def test_validation_errors_exit_one_with_report(run_cli):
     payload = json.loads(out)
     assert payload["ok"] is False
     assert payload["diagnostics"][0]["code"] == "FLOW_ILLEGAL"
+
+
+def test_long_chronology_chain_validates(run_cli, tmp_path):
+    n = 1500
+    events = "\n".join(f"event E{i} {{ A.create; A.process; }}" for i in range(n + 1))
+    chain = "\n".join(f"    E{i} -> E{i + 1};" for i in range(n))
+    text = ("thimac A { create; process; }\nflow A.create -> A.process;\n"
+            f"{events}\nbehavior {{\n{chain}\n}}\n")
+    doc = lower(parse(text))
+    report, built = validate_document(doc.model, doc.events, doc.behavior)
+    assert report.ok and len(built) == n + 1
+    path = tmp_path / "chain.tm"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli("validate", str(path))
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_simulate_dough_fires_events_in_order(run_cli, corpus_paths):

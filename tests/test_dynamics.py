@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from conftest import all_linear_extensions, random_model, undirected_components
+from conftest import (
+    all_linear_extensions,
+    closure_pairs,
+    random_model,
+    region_stages,
+    undirected_components,
+)
 from tmkit.diagnostics import (
     BEHAVIOR_INCONSISTENT,
     REF_UNRESOLVED,
@@ -122,12 +129,25 @@ def test_disconnected_region_warns_and_matches_brute_force():
     thimac B { create; }
     flow A.create -> A.process;
     """)
-    event, warns = define_event(model, "E", ("A.create", "B.create"))
+    _, warns = define_event(model, "E", ("A.create", "B.create"))
     assert [w.code for w in warns] == [REGION_DISCONNECTED]
-    edges = [(f.source, f.target) for f in model.flows]
-    edges += [(t.source, t.target) for t in model.triggers]
-    components = undirected_components({s.id for s in model.stages}, edges)
-    assert not any(set(event.region) <= c for c in components)
+
+    cases = [(model, ("A.create", "B.create")), (model, ("A.create", "A.process"))]
+    rng = random.Random(11)
+    for _ in range(40):
+        model = random_model(rng)
+        elements = model.element_ids()
+        for _ in range(5):
+            cases.append((model, tuple(rng.sample(elements, rng.randint(1, min(4, len(elements)))))))
+    verdicts = set()
+    for model, region in cases:
+        _, warns = define_event(model, "E", region)
+        edges = [(e.source, e.target) for e in (*model.flows, *model.triggers)]
+        components = undirected_components({s.id for s in model.stages}, edges)
+        split = not any(region_stages(model, region) <= c for c in components)
+        assert [w.code for w in warns] == ([REGION_DISCONNECTED] if split else [])
+        verdicts.add(split)
+    assert verdicts == {True, False}
 
 
 def test_connected_region_through_outside_stages_is_fine(corpus_docs):
@@ -190,6 +210,38 @@ def test_repeat_edge_in_heating_water_is_consistent(corpus_docs):
     doc = corpus_docs["heating_water"]
     events = events_of(doc)
     assert check_behavior(doc.model, events, doc.behavior).ok
+
+
+def test_path_verdicts_match_closure_on_random_models():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(30):
+        model = random_model(rng)
+        elements = model.element_ids()
+        events = [
+            define_event(model, f"E{i}", rng.sample(elements, rng.randint(1, min(3, len(elements)))))[0]
+            for i in range(5)
+        ]
+        # Only forward edges, so the chronology stays acyclic and every
+        # diagnostic is a path verdict.
+        edges = tuple(BehaviorEdge(a.id, b.id)
+                      for a, b in itertools.combinations(events, 2) if rng.random() < 0.5)
+        report = check_behavior(model, events, BehaviorGraph(tuple(e.id for e in events), edges))
+        flagged = {d.element for d in report.diagnostics}
+        pairs = closure_pairs(
+            [s.id for s in model.stages],
+            [(e.source, e.target) for e in (*model.flows, *model.triggers)],
+        )
+        by_id = {e.id: e for e in events}
+        for edge in edges:
+            backed = any(
+                (u, v) in pairs
+                for u in region_stages(model, by_id[edge.before].region)
+                for v in region_stages(model, by_id[edge.after].region)
+            )
+            assert (f"{edge.before}->{edge.after}" not in flagged) == backed
+            verdicts.add(backed)
+    assert verdicts == {True, False}
 
 
 def test_unknown_event_in_edge_is_unresolved(corpus_docs):

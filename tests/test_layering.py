@@ -1,0 +1,35 @@
+"""Module layering: the metamodel depends on nothing but diagnostics, and
+the text, transform and render layers never reach into the simulator."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import tmkit
+
+SOURCES = Path(tmkit.__file__).parent
+
+
+def tmkit_imports(module: str) -> set[str]:
+    """The tmkit modules that ``tmkit/<module>.py`` imports, by short name."""
+    tree = ast.parse((SOURCES / f"{module}.py").read_text(encoding="utf-8"))
+    modules: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: inside the tmkit package
+                base = f"tmkit.{base}" if base else "tmkit"
+            modules += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in modules if name.startswith("tmkit.")}
+
+
+def test_model_imports_only_diagnostics():
+    assert tmkit_imports("model") == {"diagnostics"}
+
+
+def test_text_transform_and_render_do_not_import_the_simulator():
+    for module in ("dsl", "transform", "render"):
+        assert "dynamics" not in tmkit_imports(module), module

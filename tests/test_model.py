@@ -15,7 +15,6 @@ from tmkit.model import (
     Thimac,
     build_model,
     reachable,
-    stage_graph,
     try_build_model,
 )
 
@@ -153,23 +152,6 @@ def test_referential_integrity_of_corpus_models(corpus_docs):
             assert s.owner in thimac_ids
         for e in (*model.flows, *model.triggers):
             assert e.source in stage_ids and e.target in stage_ids
-
-
-# -- stage_graph --------------------------------------------------------------
-
-def test_stage_graph_of_empty_model_is_empty():
-    graph = stage_graph(build_model([], [], [], []))
-    assert graph.nodes == () and graph.arcs == ()
-
-
-def test_stage_graph_counts_for_heating_water(corpus_docs):
-    graph = stage_graph(corpus_docs["heating_water"].model)
-    assert len(graph.nodes) == 8
-
-
-def test_stage_graph_arcs_for_dough(corpus_docs):
-    graph = stage_graph(corpus_docs["dough_cookie"].model)
-    assert ("Dough.create", "Dough.release") in graph.arcs
 
 
 # -- reachable ----------------------------------------------------------------
