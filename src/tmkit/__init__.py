@@ -54,8 +54,6 @@ from .model import (
     TmModel,
     TriggerEdge,
     build_model,
-    model_from_json,
-    model_to_json,
     reachable,
     try_build_model,
 )

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .diagnostics import (
+    DUP_NAME,
     REF_UNRESOLVED,
     Diagnostic,
     ModelError,
@@ -489,15 +490,24 @@ def lower(ast: Ast) -> Document:
     saw_behavior = False
     declared_events = {d.name for d in ast.declarations if isinstance(d, EventNode)}
 
+    edge_ids: set[str] = set()
+
+    def add_edge(edges: list, edge: FlowEdge | TriggerEdge, span: Span) -> None:
+        if edge.id in edge_ids:
+            diags.append(error(DUP_NAME, f"edge '{edge.id}' is declared twice", edge.id, span))
+        else:
+            edge_ids.add(edge.id)
+            edges.append(edge)
+
     for decl in ast.declarations:
         if isinstance(decl, FlowNode):
             src, dst = resolve(decl.source), resolve(decl.target)
             if src is not None and dst is not None:
-                flows.append(FlowEdge(src, dst))
+                add_edge(flows, FlowEdge(src, dst), decl.span)
         elif isinstance(decl, TriggerNode):
             src, dst = resolve(decl.source), resolve(decl.target)
             if src is not None and dst is not None:
-                triggers.append(TriggerEdge(src, dst))
+                add_edge(triggers, TriggerEdge(src, dst), decl.span)
         elif isinstance(decl, EventNode):
             region = tuple(sid for sid in (resolve(ref) for ref in decl.refs) if sid is not None)
             event_decls.append(EventDecl(decl.name, region, decl.span))

@@ -291,23 +291,6 @@ class SimOptions:
     reject_accept: frozenset[str] = frozenset()
 
 
-@dataclass
-class Token:
-    """A simulated thing instance sitting in a stage.
-
-    ``thing`` identifies what flows: the owning thimac's path plus the
-    stage label at the mint point. ``visited`` holds indices of flow edges
-    already traversed, because a thing never takes the same passage twice
-    within one run; that is what lets a single transfer port serve both
-    the inbound and the outbound leg without looping forever.
-    """
-
-    id: int
-    thing: tuple[str, str | None]
-    location: str
-    visited: set[int] = field(default_factory=set)
-
-
 @dataclass(frozen=True)
 class Candidate:
     """One firing choice: a spontaneous creation, the pending trigger
@@ -360,17 +343,26 @@ class Trace:
 
 @dataclass
 class SimState:
-    """Mutable run state with a single owner; never shared between runs."""
+    """Mutable run state with a single owner; never shared between runs.
+
+    ``tokens`` maps each live token to the indices of the flows it has
+    already taken, because a thing never takes the same passage twice
+    within one run; that is what lets a single transfer port serve both
+    the inbound and the outbound leg without looping forever. ``at`` is
+    the only record of where a token sits: per stage, its tokens in
+    arrival order. ``firing`` maps a stage to the events that name it, in
+    declaration order, each with the stages it needs to fire.
+    """
 
     model: TmModel
     options: SimOptions
-    events: tuple[Event, ...]
-    tokens: dict[int, Token] = field(default_factory=dict)
+    tokens: dict[int, set[int]] = field(default_factory=dict)
     at: dict[str, list[int]] = field(default_factory=dict)
     pending: deque = field(default_factory=deque)
     creations_used: dict[str, int] = field(default_factory=dict)
     coverage: dict[str, set[str]] = field(default_factory=dict)
-    firing: dict[str, frozenset[str]] = field(default_factory=dict, compare=False)
+    firing: dict[str, list[tuple[str, frozenset[str]]]] = field(
+        default_factory=dict, compare=False)
     step_count: int = 0
     next_token: int = 1
     rng: random.Random = field(default_factory=random.Random, compare=False)
@@ -382,9 +374,12 @@ def init_state(
     events: Iterable[Event] = (),
 ) -> SimState:
     events = tuple(events)
-    state = SimState(model=model, options=options, events=events)
+    state = SimState(model=model, options=options)
     state.rng.seed(options.seed)
-    state.firing = {e.id: frozenset(_stage_elements(model, e.region)) for e in events}
+    needed = {e.id: frozenset(_stage_elements(model, e.region)) for e in events}
+    for e in events:
+        for stage_id in needed[e.id]:
+            state.firing.setdefault(stage_id, []).append((e.id, needed[e.id]))
     state.coverage = {e.id: set() for e in events}
     return state
 
@@ -404,9 +399,9 @@ def enabled(state: SimState) -> list[Candidate]:
         out.append(Candidate(kind="trigger", stage=state.pending[0]))
     for stage in state.model.stages:
         for token_id in state.at.get(stage.id, ()):
-            token = state.tokens[token_id]
+            visited = state.tokens[token_id]
             for idx in index.flow_indices_from.get(stage.id, ()):
-                if idx not in token.visited:
+                if idx not in visited:
                     out.append(Candidate(kind="move", token=token_id, flow_index=idx))
     cap = state.options.creation_cap
     for sid in index.spontaneous_creates:
@@ -415,17 +410,12 @@ def enabled(state: SimState) -> list[Candidate]:
     return out
 
 
-def _mint(state: SimState, stage_id: str) -> Token:
-    stage = state.model.stage(stage_id)
-    token = Token(
-        id=state.next_token,
-        thing=(state.model.thimac_path(stage.owner), stage.label),
-        location=stage_id,
-    )
+def _mint(state: SimState, stage_id: str) -> int:
+    token_id = state.next_token
     state.next_token += 1
-    state.tokens[token.id] = token
-    state.at.setdefault(stage_id, []).append(token.id)
-    return token
+    state.tokens[token_id] = set()
+    state.at.setdefault(stage_id, []).append(token_id)
+    return token_id
 
 
 def _execute_stage(state: SimState, stage_id: str, token_id: int) -> list[TraceRecord]:
@@ -436,49 +426,43 @@ def _execute_stage(state: SimState, stage_id: str, token_id: int) -> list[TraceR
     records.append(TraceRecord(state.step_count, STAGE_EXECUTED, stage_id, (token_id,)))
     for trigger in state.model.triggers_from(stage_id):
         state.pending.append(trigger.target)
-    for event in state.events:
-        needed = state.firing[event.id]
-        if stage_id not in needed:
-            continue
-        covered = state.coverage[event.id]
+    for event_id, needed in state.firing.get(stage_id, ()):
+        covered = state.coverage[event_id]
         covered.add(stage_id)
         if covered >= needed:
             state.step_count += 1
-            records.append(TraceRecord(state.step_count, EVENT_FIRED, event.id, (token_id,)))
+            records.append(TraceRecord(state.step_count, EVENT_FIRED, event_id, (token_id,)))
             covered.clear()
     return records
+
+
+def _fire(state: SimState, candidate: Candidate) -> list[TraceRecord]:
+    """Apply the effects of a candidate that is enabled in ``state``."""
+    if candidate.kind == "create":
+        state.creations_used[candidate.stage] = state.creations_used.get(candidate.stage, 0) + 1
+        return _execute_stage(state, candidate.stage, _mint(state, candidate.stage))
+
+    if candidate.kind == "trigger":
+        target = state.pending.popleft()
+        return _execute_stage(state, target, _mint(state, target))
+
+    flow = state.model.flows[candidate.flow_index]
+    state.at[flow.source].remove(candidate.token)
+    if (flow.target in state.options.reject_accept
+            and state.model.stage(flow.target).kind is StageKind.ACCEPT):
+        del state.tokens[candidate.token]
+        state.step_count += 1
+        return [TraceRecord(state.step_count, TOKEN_REJECTED, flow.target, (candidate.token,))]
+    state.tokens[candidate.token].add(candidate.flow_index)
+    state.at.setdefault(flow.target, []).append(candidate.token)
+    return _execute_stage(state, flow.target, candidate.token)
 
 
 def step(state: SimState, candidate: Candidate) -> tuple[SimState, list[TraceRecord]]:
     """Execute one candidate, mutating and returning the state plus new records."""
     if candidate not in enabled(state):
         raise NotEnabledError(f"candidate {candidate} is not currently enabled")
-
-    if candidate.kind == "create":
-        assert candidate.stage is not None
-        state.creations_used[candidate.stage] = state.creations_used.get(candidate.stage, 0) + 1
-        token = _mint(state, candidate.stage)
-        return state, _execute_stage(state, candidate.stage, token.id)
-
-    if candidate.kind == "trigger":
-        target = state.pending.popleft()
-        token = _mint(state, target)
-        return state, _execute_stage(state, target, token.id)
-
-    assert candidate.kind == "move"
-    assert candidate.token is not None and candidate.flow_index is not None
-    flow = state.model.flows[candidate.flow_index]
-    token = state.tokens[candidate.token]
-    state.at[token.location].remove(token.id)
-    token.visited.add(candidate.flow_index)
-    target = state.model.stage(flow.target)
-    if target.kind is StageKind.ACCEPT and flow.target in state.options.reject_accept:
-        del state.tokens[token.id]
-        state.step_count += 1
-        return state, [TraceRecord(state.step_count, TOKEN_REJECTED, flow.target, (token.id,))]
-    token.location = flow.target
-    state.at.setdefault(flow.target, []).append(token.id)
-    return state, _execute_stage(state, flow.target, token.id)
+    return state, _fire(state, candidate)
 
 
 def run(model: TmModel, events: Iterable[Event] = (), options: SimOptions = SimOptions()) -> Trace:
@@ -502,8 +486,7 @@ def run(model: TmModel, events: Iterable[Event] = (), options: SimOptions = SimO
             candidate = candidates[state.rng.randrange(len(candidates))]
         else:
             candidate = candidates[0]
-        _, recs = step(state, candidate)
-        records.extend(recs)
+        records.extend(_fire(state, candidate))
     return Trace(tuple(records), truncated)
 
 

@@ -17,7 +17,6 @@ defined here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -129,7 +128,7 @@ def stage_ref_text(owner_path: str, kind: StageKind, label: str | None) -> str:
     return f"{ref}({label})" if label else ref
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TmModel:
     """An immutable, index-accelerated model.
 
@@ -161,19 +160,6 @@ class TmModel:
         Formatting never asks for it, so ``fmt`` does not pay for it.
         """
         return ModelIndex(self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TmModel):
-            return NotImplemented
-        return (
-            self.thimacs == other.thimacs
-            and self.stages == other.stages
-            and self.flows == other.flows
-            and self.triggers == other.triggers
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.thimacs, self.stages, self.flows, self.triggers))
 
     # -- lookups ---------------------------------------------------------
 
@@ -535,11 +521,3 @@ def model_from_dict(data: dict) -> TmModel:
         flows=[FlowEdge(f["source"], f["target"]) for f in data.get("flows", [])],
         triggers=[TriggerEdge(t["source"], t["target"]) for t in data.get("triggers", [])],
     )
-
-
-def model_to_json(model: TmModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
-
-
-def model_from_json(text: str) -> TmModel:
-    return model_from_dict(json.loads(text))

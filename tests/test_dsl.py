@@ -145,6 +145,26 @@ def test_duplicate_sibling_thimacs_flagged():
     assert DUP_NAME in exc.value.codes()
 
 
+def test_repeated_edge_declarations_flagged_once_per_repeat():
+    text = MINIMAL_HEAT + """
+    thimac Pot { create; process; }
+    flow Heat.create -> Heat.release;
+    flow Heat.create -> Heat.release;
+    trigger Heat.transfer ~> Pot.create;
+    flow Heat.create -> Heat.release;
+    trigger Heat.transfer ~> Pot.create;
+    flow Pot.create -> Pot.process;
+    """
+    with pytest.raises(ModelError) as exc:
+        lower(parse(text))
+    diags = exc.value.diagnostics
+    assert [(d.code, d.element, d.span.line) for d in diags] == [
+        (DUP_NAME, "flow:Heat.create->Heat.release", 4),
+        (DUP_NAME, "flow:Heat.create->Heat.release", 6),
+        (DUP_NAME, "trigger:Heat.transfer~>Pot.create", 7),
+    ]
+
+
 def test_lowering_collects_every_unresolved_reference():
     text = MINIMAL_HEAT + "\nflow Heat.create -> Heat.process;\nflow Heat.receive -> Heat.release;"
     with pytest.raises(ModelError) as exc:

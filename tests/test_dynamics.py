@@ -296,6 +296,51 @@ def test_stale_candidate_raises_not_enabled(corpus_docs):
         step(state, candidate)  # the creation cap is spent
 
 
+def _step_until(state, kind):
+    """Take fifo steps until a candidate of ``kind`` is enabled, and return it."""
+    while True:
+        candidates = enabled(state)
+        chosen = next((c for c in candidates if c.kind == kind), None)
+        if chosen is not None:
+            return chosen
+        step(state, candidates[0])
+
+
+def test_rerun_move_and_drained_trigger_raise_not_enabled(corpus_docs):
+    doc = corpus_docs["heating_water"]
+    state = init_state(doc.model, SimOptions(), events_of(doc))
+    move = _step_until(state, "move")
+    step(state, move)
+    with pytest.raises(NotEnabledError):
+        step(state, move)  # the token has left the flow's source
+    trigger = _step_until(state, "trigger")
+    step(state, trigger)
+    assert not state.pending
+    with pytest.raises(NotEnabledError):
+        step(state, trigger)
+
+
+def test_move_by_rejected_token_raises_not_enabled():
+    model = model_of("""
+    thimac A { create; release; transfer; }
+    thimac B { transfer; arrive; accept; process; }
+    flow A.create -> A.release;
+    flow A.release -> A.transfer;
+    flow A.transfer -> B.transfer;
+    flow B.transfer -> B.arrive;
+    flow B.arrive -> B.accept;
+    flow B.accept -> B.process;
+    """)
+    state = init_state(model, SimOptions(reject_accept=frozenset({"B.accept"})))
+    records = []
+    while not records or records[-1].kind != TOKEN_REJECTED:
+        records = step(state, enabled(state)[0])[1]
+    (token,) = records[-1].tokens
+    onward = [f.source for f in model.flows].index("B.accept")
+    with pytest.raises(NotEnabledError):
+        step(state, Candidate(kind="move", token=token, flow_index=onward))
+
+
 def test_token_count_changes_by_zero_or_one_per_step(corpus_docs):
     doc = corpus_docs["tendering"]
     state = init_state(doc.model, SimOptions(), events_of(doc))
