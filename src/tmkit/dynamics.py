@@ -341,6 +341,39 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
+class _Fenwick:
+    """Counts at positions 0..n-1 under point updates, with the position
+    that holds the k-th unit of their running sum, both in O(log n)
+    (Fenwick, *Softw. Pract. Exper.* 1994). Counts never go negative."""
+
+    def __init__(self, size: int) -> None:
+        self.tree = [0] * (size + 1)  # 1-based partial sums
+        self.top = 1 << size.bit_length() >> 1  # highest power of two <= size
+        self.total = 0
+
+    def add(self, position: int, delta: int) -> None:
+        self.total += delta
+        tree = self.tree
+        i = position + 1
+        while i < len(tree):
+            tree[i] += delta
+            i += i & -i
+
+    def find(self, k: int) -> tuple[int, int]:
+        """For ``0 <= k < total``: the position whose count covers unit k of
+        the running sum, and k's offset within that count."""
+        tree = self.tree
+        position = 0
+        step = self.top
+        while step:
+            nxt = position + step
+            if nxt < len(tree) and tree[nxt] <= k:
+                position = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return position, k
+
+
 @dataclass
 class SimState:
     """Mutable run state with a single owner; never shared between runs.
@@ -348,19 +381,34 @@ class SimState:
     ``tokens`` maps each live token to the indices of the flows it has
     already taken, because a thing never takes the same passage twice
     within one run; that is what lets a single transfer port serve both
-    the inbound and the outbound leg without looping forever. ``at`` is
-    the only record of where a token sits: per stage, its tokens in
-    arrival order. ``firing`` maps a stage to the events that name it, in
-    declaration order, each with the stages it needs to fire.
+    the inbound and the outbound leg without looping forever.
+
+    The candidate frontier is kept up to date by every step rather than
+    rebuilt. ``frontier`` maps a stage's declaration position to the
+    tokens there that still have an untaken outgoing flow, in arrival
+    order, each with the indices of those flows in declaration order; a
+    token stays at one stage until it moves, so the list is fixed while
+    it waits. A token whose flows out are all taken can never move again:
+    it stays in ``tokens`` but leaves the frontier, and no step looks at
+    it again. ``counts`` is a Fenwick tree over the number of moves
+    waiting at each stage position, followed by one unit for each
+    spontaneous create still under its cap (at position ``create_slot``),
+    so the k-th candidate of :func:`enabled` is found without listing the
+    others. ``position`` maps a stage id to its declaration position, and
+    ``firing`` maps a stage to the events that name it, in declaration
+    order, each with the stages it needs to fire.
     """
 
     model: TmModel
     options: SimOptions
     tokens: dict[int, set[int]] = field(default_factory=dict)
-    at: dict[str, list[int]] = field(default_factory=dict)
+    frontier: dict[int, dict[int, tuple[int, ...]]] = field(default_factory=dict)
     pending: deque = field(default_factory=deque)
     creations_used: dict[str, int] = field(default_factory=dict)
     coverage: dict[str, set[str]] = field(default_factory=dict)
+    counts: _Fenwick = field(default_factory=lambda: _Fenwick(0), compare=False)
+    position: dict[str, int] = field(default_factory=dict, compare=False)
+    create_slot: dict[str, int] = field(default_factory=dict, compare=False)
     firing: dict[str, list[tuple[str, frozenset[str]]]] = field(
         default_factory=dict, compare=False)
     step_count: int = 0
@@ -381,6 +429,14 @@ def init_state(
         for stage_id in needed[e.id]:
             state.firing.setdefault(stage_id, []).append((e.id, needed[e.id]))
     state.coverage = {e.id: set() for e in events}
+    stages = len(model.stages)
+    creates = model.index.spontaneous_creates
+    state.position = {s.id: i for i, s in enumerate(model.stages)}
+    state.create_slot = {sid: stages + j for j, sid in enumerate(creates)}
+    state.counts = _Fenwick(stages + len(creates))
+    if options.creation_cap > 0:
+        for slot in state.create_slot.values():
+            state.counts.add(slot, 1)
     return state
 
 
@@ -391,30 +447,75 @@ def enabled(state: SimState) -> list[Candidate]:
     moves (stage declaration order, arrival order within a stage, flow
     declaration order per token), then spontaneous creations still under
     their cap. Queued work runs before new creations so each created thing
-    plays out its chain before the next appears.
+    plays out its chain before the next appears. The moves are read from
+    the frontier kept in ``state``, so a token parked where its flows run
+    out costs nothing here.
     """
-    index = state.model.index
     out: list[Candidate] = []
     if state.pending:
         out.append(Candidate(kind="trigger", stage=state.pending[0]))
-    for stage in state.model.stages:
-        for token_id in state.at.get(stage.id, ()):
-            visited = state.tokens[token_id]
-            for idx in index.flow_indices_from.get(stage.id, ()):
-                if idx not in visited:
-                    out.append(Candidate(kind="move", token=token_id, flow_index=idx))
+    for position in sorted(state.frontier):
+        for token_id, untaken in state.frontier[position].items():
+            out.extend(Candidate(kind="move", token=token_id, flow_index=i) for i in untaken)
     cap = state.options.creation_cap
-    for sid in index.spontaneous_creates:
+    for sid in state.model.index.spontaneous_creates:
         if state.creations_used.get(sid, 0) < cap:
             out.append(Candidate(kind="create", stage=sid))
     return out
+
+
+def _candidate(state: SimState, k: int) -> Candidate:
+    """``enabled(state)[k]`` without listing the rest: O(log n) through the
+    Fenwick tree, plus a walk over the tokens waiting at the one stage."""
+    if state.pending:
+        if k == 0:
+            return Candidate(kind="trigger", stage=state.pending[0])
+        k -= 1
+    position, k = state.counts.find(k)
+    stages = len(state.model.stages)
+    if position >= stages:
+        return Candidate(kind="create", stage=state.model.index.spontaneous_creates[position - stages])
+    for token_id, untaken in state.frontier[position].items():
+        if k < len(untaken):
+            break
+        k -= len(untaken)
+    return Candidate(kind="move", token=token_id, flow_index=untaken[k])
+
+
+def _is_enabled(state: SimState, c: Candidate) -> bool:
+    """Whether ``c`` is in ``enabled(state)``, checked in O(1) for its kind."""
+    if c.kind == "trigger":
+        return bool(state.pending) and c == Candidate(kind="trigger", stage=state.pending[0])
+    if c.kind == "create":
+        return (c == Candidate(kind="create", stage=c.stage) and isinstance(c.stage, str)
+                and c.stage in state.create_slot
+                and state.creations_used.get(c.stage, 0) < state.options.creation_cap)
+    flows = state.model.flows
+    if (c.kind != "move" or c.stage is not None
+            or not isinstance(c.token, int) or not isinstance(c.flow_index, int)
+            or not 0 <= c.flow_index < len(flows)):
+        return False
+    waiting = state.frontier.get(state.position[flows[c.flow_index].source], {})
+    return c.flow_index in waiting.get(c.token, ())
+
+
+def _arrive(state: SimState, stage_id: str, token_id: int) -> None:
+    """Put a token that reached (or was minted in) a stage on the frontier,
+    unless it has already taken every flow out of that stage."""
+    taken = state.tokens[token_id]
+    untaken = tuple(
+        i for i in state.model.index.flow_indices_from.get(stage_id, ()) if i not in taken)
+    if untaken:
+        position = state.position[stage_id]
+        state.frontier.setdefault(position, {})[token_id] = untaken
+        state.counts.add(position, len(untaken))
 
 
 def _mint(state: SimState, stage_id: str) -> int:
     token_id = state.next_token
     state.next_token += 1
     state.tokens[token_id] = set()
-    state.at.setdefault(stage_id, []).append(token_id)
+    _arrive(state, stage_id, token_id)
     return token_id
 
 
@@ -439,7 +540,10 @@ def _execute_stage(state: SimState, stage_id: str, token_id: int) -> list[TraceR
 def _fire(state: SimState, candidate: Candidate) -> list[TraceRecord]:
     """Apply the effects of a candidate that is enabled in ``state``."""
     if candidate.kind == "create":
-        state.creations_used[candidate.stage] = state.creations_used.get(candidate.stage, 0) + 1
+        used = state.creations_used.get(candidate.stage, 0) + 1
+        state.creations_used[candidate.stage] = used
+        if used == state.options.creation_cap:
+            state.counts.add(state.create_slot[candidate.stage], -1)
         return _execute_stage(state, candidate.stage, _mint(state, candidate.stage))
 
     if candidate.kind == "trigger":
@@ -447,20 +551,24 @@ def _fire(state: SimState, candidate: Candidate) -> list[TraceRecord]:
         return _execute_stage(state, target, _mint(state, target))
 
     flow = state.model.flows[candidate.flow_index]
-    state.at[flow.source].remove(candidate.token)
+    position = state.position[flow.source]
+    waiting = state.frontier[position]
+    state.counts.add(position, -len(waiting.pop(candidate.token)))
+    if not waiting:
+        del state.frontier[position]
     if (flow.target in state.options.reject_accept
             and state.model.stage(flow.target).kind is StageKind.ACCEPT):
         del state.tokens[candidate.token]
         state.step_count += 1
         return [TraceRecord(state.step_count, TOKEN_REJECTED, flow.target, (candidate.token,))]
     state.tokens[candidate.token].add(candidate.flow_index)
-    state.at.setdefault(flow.target, []).append(candidate.token)
+    _arrive(state, flow.target, candidate.token)
     return _execute_stage(state, flow.target, candidate.token)
 
 
 def step(state: SimState, candidate: Candidate) -> tuple[SimState, list[TraceRecord]]:
     """Execute one candidate, mutating and returning the state plus new records."""
-    if candidate not in enabled(state):
+    if not _is_enabled(state, candidate):
         raise NotEnabledError(f"candidate {candidate} is not currently enabled")
     return state, _fire(state, candidate)
 
@@ -479,14 +587,11 @@ def run(model: TmModel, events: Iterable[Event] = (), options: SimOptions = SimO
         if state.step_count >= options.max_steps:
             truncated = True
             break
-        candidates = enabled(state)
-        if not candidates:
+        total = bool(state.pending) + state.counts.total  # len(enabled(state))
+        if not total:
             break
-        if options.policy == RANDOM:
-            candidate = candidates[state.rng.randrange(len(candidates))]
-        else:
-            candidate = candidates[0]
-        records.extend(_fire(state, candidate))
+        k = state.rng.randrange(total) if options.policy == RANDOM else 0
+        records.extend(_fire(state, _candidate(state, k)))
     return Trace(tuple(records), truncated)
 
 

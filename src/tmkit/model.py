@@ -501,23 +501,3 @@ def model_to_dict(model: TmModel) -> dict:
         "flows": [{"source": f.source, "target": f.target} for f in model.flows],
         "triggers": [{"source": t.source, "target": t.target} for t in model.triggers],
     }
-
-
-def model_from_dict(data: dict) -> TmModel:
-    return build_model(
-        thimacs=[
-            Thimac(id=t["id"], name=t["name"], parent=t.get("parent"))
-            for t in data.get("thimacs", [])
-        ],
-        stages=[
-            Stage(
-                id=s["id"],
-                kind=KIND_BY_NAME[s["kind"]],
-                owner=s["owner"],
-                label=s.get("label"),
-            )
-            for s in data.get("stages", [])
-        ],
-        flows=[FlowEdge(f["source"], f["target"]) for f in data.get("flows", [])],
-        triggers=[TriggerEdge(t["source"], t["target"]) for t in data.get("triggers", [])],
-    )

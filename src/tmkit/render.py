@@ -13,14 +13,19 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
+from .diagnostics import DUP_NAME, REF_UNRESOLVED, Diagnostic, ModelError, error
 from .model import (
+    KIND_BY_NAME,
     BehaviorEdge,
     BehaviorGraph,
     Event,
+    FlowEdge,
+    Stage,
     Thimac,
     TmModel,
-    model_from_dict,
+    TriggerEdge,
     model_to_dict,
+    try_build_model,
 )
 from .transform import OverlaySpec, apply_overlay
 
@@ -119,25 +124,109 @@ def to_json(
     return json.dumps(document_to_dict(model, events, behavior), indent=2) + "\n"
 
 
+class _Reader:
+    """Reads fields of a parsed JSON document, collecting one REF_UNRESOLVED
+    diagnostic per value of the wrong shape instead of raising."""
+
+    def __init__(self) -> None:
+        self.diags: list[Diagnostic] = []
+
+    def bad(self, where: str, expected: str) -> None:
+        self.diags.append(error(REF_UNRESOLVED, f"JSON {where}: expected {expected}", where))
+
+    def entries(self, data: dict, section: str) -> list[tuple[str, dict]]:
+        """The objects listed under ``section`` (absent means none), each
+        with its path for messages."""
+        items = data.get(section, [])
+        if not isinstance(items, list):
+            self.bad(section, "a list")
+            return []
+        out = []
+        for i, item in enumerate(items):
+            if isinstance(item, dict):
+                out.append((f"{section}[{i}]", item))
+            else:
+                self.bad(f"{section}[{i}]", "an object")
+        return out
+
+    def text(self, where: str, entry: dict, key: str, optional: bool = False) -> str | None:
+        value = entry.get(key)
+        if isinstance(value, str) or (optional and value is None):
+            return value
+        self.bad(f"{where}.{key}", "a string or null" if optional else "a string")
+        return None
+
+    def texts(self, where: str, entry: dict, key: str, optional: bool = False) -> tuple[str, ...]:
+        value = entry.get(key, [] if optional else None)
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+        self.bad(f"{where}.{key}", "a list of strings")
+        return ()
+
+    def flag(self, where: str, entry: dict, key: str) -> bool:
+        value = entry.get(key, False)
+        if isinstance(value, bool):
+            return value
+        self.bad(f"{where}.{key}", "true or false")
+        return False
+
+
 def from_json(text: str) -> tuple[TmModel, tuple[Event, ...], BehaviorGraph]:
-    """Inverse of :func:`to_json`; serializing the result again is byte-identical."""
+    """Inverse of :func:`to_json`; serializing the result again is byte-identical.
+
+    Text that is not JSON raises :class:`json.JSONDecodeError`. JSON of the
+    wrong shape (a value of the wrong type, a missing key, an unknown
+    stage kind) raises :class:`ModelError` with REF_UNRESOLVED, a repeated
+    flow or trigger with DUP_NAME, and a model that does not build with
+    the diagnostics of :func:`try_build_model`.
+    """
     data = json.loads(text)
-    model = model_from_dict(data)
+    if not isinstance(data, dict):
+        raise ModelError([error(REF_UNRESOLVED, "JSON document: expected an object")])
+    r = _Reader()
+    thimacs = [
+        Thimac(id=r.text(w, t, "id"), name=r.text(w, t, "name"),
+               parent=r.text(w, t, "parent", optional=True))
+        for w, t in r.entries(data, "thimacs")
+    ]
+    stages = []
+    for w, s in r.entries(data, "stages"):
+        kind = r.text(w, s, "kind")
+        if kind is not None and kind not in KIND_BY_NAME:
+            r.bad(f"{w}.kind", f"a stage kind, not '{kind}'")
+        stages.append(Stage(id=r.text(w, s, "id"), kind=KIND_BY_NAME.get(kind),
+                            owner=r.text(w, s, "owner"), label=r.text(w, s, "label", optional=True)))
+    seen: set[str] = set()
+    repeated: list[Diagnostic] = []
+
+    def edges(section: str, make: type) -> list:
+        out = []
+        for w, e in r.entries(data, section):
+            edge = make(r.text(w, e, "source"), r.text(w, e, "target"))
+            if edge.id in seen:
+                repeated.append(error(DUP_NAME, f"edge '{edge.id}' is declared twice", edge.id))
+            else:
+                seen.add(edge.id)
+                out.append(edge)
+        return out
+
+    flows, triggers = edges("flows", FlowEdge), edges("triggers", TriggerEdge)
     events = tuple(
-        Event(
-            id=e["id"],
-            name=e["name"],
-            region=tuple(e["region"]),
-            level=e["level"],
-            constituents=tuple(e.get("constituents", ())),
-        )
-        for e in data.get("events", [])
+        Event(id=r.text(w, e, "id"), name=r.text(w, e, "name"), region=r.texts(w, e, "region"),
+              level=r.text(w, e, "level"),
+              constituents=r.texts(w, e, "constituents", optional=True))
+        for w, e in r.entries(data, "events")
     )
     behavior = BehaviorGraph(
         nodes=tuple(e.id for e in events),
         edges=tuple(
-            BehaviorEdge(b["before"], b["after"], bool(b.get("repeat", False)))
-            for b in data.get("behavior", [])
+            BehaviorEdge(r.text(w, b, "before"), r.text(w, b, "after"), r.flag(w, b, "repeat"))
+            for w, b in r.entries(data, "behavior")
         ),
     )
+    if r.diags:
+        raise ModelError(r.diags)
+    model, diags = try_build_model(thimacs, stages, flows, triggers)
+    if diags or repeated:
+        raise ModelError(diags + repeated)
     return model, events, behavior

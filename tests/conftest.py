@@ -13,6 +13,7 @@ import pytest
 from tmkit.cli import corpus
 from tmkit.diagnostics import Diagnostic, ModelError
 from tmkit.dsl import Document, load
+from tmkit.dynamics import STAGE_EXECUTED, TOKEN_REJECTED, Candidate, SimState
 from tmkit.model import (
     FlowEdge,
     Stage,
@@ -184,3 +185,41 @@ def undirected_components(nodes: set[str], edges: list[tuple[str, str]]) -> list
                     changed = True
         components.append(component)
     return components
+
+
+def track_arrivals(at: dict[str, list[int]], records) -> None:
+    """Follow where tokens sit from the records of one step: an executed
+    stage moves its token to the end of that stage's arrival list, and a
+    rejection removes the token."""
+    for record in records:
+        if record.kind not in (STAGE_EXECUTED, TOKEN_REJECTED):
+            continue
+        (token,) = record.tokens
+        for parked in at.values():
+            if token in parked:
+                parked.remove(token)
+        if record.kind == STAGE_EXECUTED:
+            at.setdefault(record.element, []).append(token)
+
+
+def scan_candidates(state: SimState, at: dict[str, list[int]]) -> list[Candidate]:
+    """Firing candidates by a full scan: the pending trigger at the queue
+    head, then every stage in declaration order, every token in arrival
+    order there (``at``, kept by :func:`track_arrivals`) and every flow
+    from the stage it has not taken, then every create stage no trigger
+    targets that is still under the creation cap."""
+    model = state.model
+    out = []
+    if state.pending:
+        out.append(Candidate(kind="trigger", stage=state.pending[0]))
+    for stage in model.stages:
+        for token in at.get(stage.id, ()):
+            for i, flow in enumerate(model.flows):
+                if flow.source == stage.id and i not in state.tokens[token]:
+                    out.append(Candidate(kind="move", token=token, flow_index=i))
+    triggered = {t.target for t in model.triggers}
+    for stage in model.stages:
+        if (stage.kind is StageKind.CREATE and stage.id not in triggered
+                and state.creations_used.get(stage.id, 0) < state.options.creation_cap):
+            out.append(Candidate(kind="create", stage=stage.id))
+    return out

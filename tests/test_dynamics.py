@@ -12,6 +12,8 @@ from conftest import (
     closure_pairs,
     random_model,
     region_stages,
+    scan_candidates,
+    track_arrivals,
     undirected_components,
 )
 from tmkit.diagnostics import (
@@ -27,6 +29,8 @@ from tmkit.dynamics import (
     COMPOSITE,
     ELEMENTARY,
     EVENT_FIRED,
+    FIFO,
+    RANDOM,
     STAGE_EXECUTED,
     TOKEN_REJECTED,
     BehaviorEdge,
@@ -442,6 +446,64 @@ def test_rejecting_accept_discards_the_token():
     assert "B.process" not in trace.stage_executions()
     accepted = run(model, (), SimOptions())
     assert "B.process" in accepted.stage_executions()
+
+
+def _replay(model, events, options: SimOptions) -> Trace:
+    """Run through init_state/enabled/step, choosing as ``run`` does. Before
+    every step, check ``enabled`` against the full-scan oracle, and check
+    that ``step`` refuses each candidate of the step before that is gone."""
+    state = init_state(model, options, events)
+    at: dict[str, list[int]] = {}
+    records = []
+    candidates = []
+    while state.step_count < options.max_steps:
+        expected = scan_candidates(state, at)
+        stale = [c for c in candidates if c not in expected]
+        candidates = enabled(state)
+        assert candidates == expected, state.step_count
+        for candidate in stale:
+            with pytest.raises(NotEnabledError):
+                step(state, candidate)
+        if not candidates:
+            return Trace(tuple(records), False)
+        if options.policy == RANDOM:
+            chosen = candidates[state.rng.randrange(len(candidates))]
+        else:
+            chosen = candidates[0]
+        new = step(state, chosen)[1]
+        track_arrivals(at, new)
+        records.extend(new)
+    return Trace(tuple(records), True)
+
+
+def test_enabled_matches_full_scan_and_replay_matches_run(corpus_docs):
+    looping = model_of("""
+    thimac A { create; release; transfer; }
+    thimac B { transfer; arrive; accept; process; }
+    thimac L { create(t); process(t); }
+    flow A.create -> A.release;
+    flow A.release -> A.transfer;
+    flow A.transfer -> B.transfer;
+    flow B.transfer -> B.arrive;
+    flow B.arrive -> B.accept;
+    flow B.accept -> B.process;
+    flow L.create(t) -> L.process(t);
+    trigger B.process ~> L.create(t);
+    trigger L.process(t) ~> L.create(t);
+    """)
+    cases = [(doc.model, events_of(doc)) for doc in corpus_docs.values()]
+    cases.append((looping, elementary_events(looping)))
+    rng = random.Random(31)
+    for _ in range(40):
+        model = random_model(rng)
+        cases.append((model, elementary_events(model)))
+    for n, (model, events) in enumerate(cases):
+        for policy, seed in itertools.product((FIFO, RANDOM), range(3)):
+            options = SimOptions(
+                seed=seed, max_steps=(60, 400)[n % 2], creation_cap=1 + seed % 2,
+                policy=policy, reject_accept=frozenset({"B.accept"}) if seed == 2 else frozenset())
+            assert (_replay(model, events, options).to_ndjson()
+                    == run(model, events, options).to_ndjson()), (n, options)
 
 
 # -- soundness properties -------------------------------------------------------------

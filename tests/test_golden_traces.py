@@ -3,11 +3,13 @@
 
 Every simulator change must keep these traces byte-identical. The cases
 are the corpus models with their declared events, ``random_model`` draws
-with their elementary events plus one event over every stage, and a small
+with their elementary events plus one event over every stage, a small
 refined-input model that loops until the step bound unless its accept
-stage rejects. Each runs under both policies, seeds 0-4 and creation caps
-1 and 2; models with accept stages also run once with every accept stage
-rejecting.
+stage rejects, five independent producer/consumer pairs (a wide
+candidate frontier), and five pairs relayed round a ring by triggers,
+which loops to the step bound while parked tokens pile up. Each runs
+under both policies, seeds 0-4 and creation caps 1 and 2; models with
+accept stages also run once with every accept stage rejecting.
 
 To record the digests again after an intended change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden_traces.py``.
@@ -58,10 +60,33 @@ event Tick { Loop.create(tick); Loop.process(tick); }
 """
 
 
+def _pairs(n: int, ring: bool) -> str:
+    """n producer/consumer pairs joined at their transfer ports, one event
+    per pair. With ``ring``, each consumer's process triggers the next
+    producer's create and a starter holds the only spontaneous create."""
+    lines = ["thimac Starter { create; }", "trigger Starter.create ~> P0.create;"] if ring else []
+    for i in range(n):
+        walk = [f"P{i}.create", f"P{i}.process", f"P{i}.release", f"P{i}.transfer",
+                f"C{i}.transfer", f"C{i}.receive", f"C{i}.process"]
+        lines.append(f"thimac P{i} {{ create; process; release; transfer; }}")
+        lines.append(f"thimac C{i} {{ transfer; receive; process; }}")
+        lines.extend(f"flow {a} -> {b};" for a, b in zip(walk, walk[1:]))
+        lines.append(f"event E{i} {{ {walk[0]}; {walk[-1]}; }}")
+        if ring:
+            lines.append(f"trigger {walk[-1]} ~> P{(i + 1) % n}.create;")
+    return "\n".join(lines) + "\n"
+
+
+INLINE = {
+    "looping_accept": LOOPING_ACCEPT,
+    "fanout": _pairs(5, ring=False),
+    "relay_ring": _pairs(5, ring=True),
+}
+
 CASES = (
     *(f"corpus/{name}" for name in CORPUS_NAMES),
     *(f"random/{seed}" for seed in RANDOM_SEEDS),
-    "inline/looping_accept",
+    *(f"inline/{name}" for name in INLINE),
 )
 
 
@@ -72,7 +97,7 @@ def _case(name: str):
         model = random_model(random.Random(int(key)))
         whole, _ = define_event(model, "All", [s.id for s in model.stages])
         return model, [*elementary_events(model), whole]
-    doc = load(corpus()[key]) if group == "corpus" else lower(parse(LOOPING_ACCEPT))
+    doc = load(corpus()[key]) if group == "corpus" else lower(parse(INLINE[key]))
     events, _ = build_events(doc.model, doc.events)
     return doc.model, events
 

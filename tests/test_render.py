@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
+
+from tmkit.diagnostics import DUP_NAME, REF_UNRESOLVED, ModelError
 from tmkit.dsl import lower, parse
 from tmkit.dynamics import build_events
 from tmkit.model import build_model
@@ -200,3 +203,52 @@ def test_json_output_is_deterministic(corpus_docs):
     doc = corpus_docs["tendering"]
     events = events_of(doc)
     assert to_json(doc.model, events, doc.behavior) == to_json(doc.model, events, doc.behavior)
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    "3",
+    '{"thimacs": 3}',
+    '{"thimacs": [3]}',
+    '{"thimacs": [{"name": "A"}]}',
+    '{"thimacs": [{"id": "A", "name": "A", "parent": 7}]}',
+    '{"stages": [{"id": "A.create", "kind": "explode", "owner": "A"}]}',
+    '{"flows": [{"source": ["A.create"], "target": "A.process"}]}',
+    '{"events": [{"id": "E", "name": "E", "level": "elementary", "region": "A.create"}]}',
+    '{"behavior": [{"before": "E", "after": "F", "repeat": "yes"}]}',
+])
+def test_wrong_shaped_json_is_unresolved(text):
+    with pytest.raises(ModelError) as info:
+        from_json(text)
+    assert set(info.value.codes()) == {REF_UNRESOLVED}
+
+
+def test_json_with_any_value_replaced_or_removed_loads_or_is_a_model_error(corpus_docs):
+    """Every key of every first entry, dropped or given a number: the
+    reader either builds a model or raises ModelError, nothing else."""
+    doc = corpus_docs["dough_cookie"]
+    data = json.loads(to_json(doc.model, events_of(doc), doc.behavior))
+    failures = 0
+    for section, entries in data.items():
+        for key in entries[0]:
+            for mutate in (lambda e, k: e.pop(k), lambda e, k: e.__setitem__(k, 3)):
+                broken = json.loads(json.dumps(data))
+                mutate(broken[section][0], key)
+                try:
+                    from_json(json.dumps(broken))
+                except ModelError:
+                    failures += 1
+    assert failures > 0
+
+
+@pytest.mark.parametrize("section", ["flows", "triggers"])
+def test_repeated_edge_in_json_is_a_duplicate(corpus_docs, section):
+    doc = corpus_docs["dough_cookie"]
+    data = json.loads(to_json(doc.model))
+    edge = data[section][0]
+    data[section].append(dict(edge))
+    with pytest.raises(ModelError) as info:
+        from_json(json.dumps(data))
+    kind, arrow = ("flow", "->") if section == "flows" else ("trigger", "~>")
+    assert [(d.code, d.element) for d in info.value.diagnostics] == [
+        (DUP_NAME, f"{kind}:{edge['source']}{arrow}{edge['target']}")]
