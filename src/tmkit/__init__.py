@@ -19,7 +19,6 @@ from .dsl import (
     Document,
     ParseError,
     ParseFailure,
-    SourceFile,
     format_model,
     load,
     lower,

@@ -23,9 +23,10 @@ extension and hold one model each.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .diagnostics import (
     DUP_NAME,
@@ -53,17 +54,6 @@ from .model import (
 )
 
 KEYWORDS = frozenset({"thimac", "flow", "trigger", "event", "behavior", "repeat"})
-_PUNCT = {"{", "}", "(", ")", ";", "."}
-
-
-@dataclass(frozen=True)
-class SourceFile:
-    path: str
-    text: str
-
-    @classmethod
-    def read(cls, path: str | Path) -> "SourceFile":
-        return cls(str(path), Path(path).read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
@@ -169,8 +159,7 @@ class Ast:
 
 # -- tokenizer ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str
     text: str
     line: int
@@ -183,59 +172,43 @@ class _Token:
         return Span(self.line, self.column, self.start, self.end)
 
 
+# One alternative per lexical class; the first that matches wins. A word
+# starts with a letter or '_': ``[^\W\d]`` also admits numerals that are
+# not decimal digits (such as '²'), which _tokenize reports one by one.
+_SCAN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<punct>->|~>|[{}();.])
+  | (?P<word>[^\W\d]\w*)
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+_WORD_TYPES = {**{word: word for word in KEYWORDS}, **{word: "kind" for word in KIND_BY_NAME}}
+
+
 def _tokenize(text: str) -> tuple[list[_Token], list[ParseError]]:
     tokens: list[_Token] = []
     errors: list[ParseError] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start, pos, n = 1, 0, 0, len(text)
+    m = None
+    while pos < n:
+        m = _SCAN.match(text, pos)
+        start, pos = m.span()
+        kind, word = m.lastgroup, m[0]
+        column = start - line_start + 1
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("->", "->", line, col, i, i + 2))
-            i += 2
-            col += 2
-            continue
-        if c == "~" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("~>", "~>", line, col, i, i + 2))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(c, c, line, col, i, i + 1))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            start, start_col = i, col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            word = text[start:i]
-            if word in KIND_BY_NAME:
-                ttype = "kind"
-            elif word in KEYWORDS:
-                ttype = word
-            else:
-                ttype = "name"
-            tokens.append(_Token(ttype, word, line, start_col, start, i))
-            continue
-        errors.append(ParseError(line, col, ("a declaration",), repr(c)))
-        i += 1
-        col += 1
-    tokens.append(_Token("eof", "", line, col, i, i))
+            line_start = pos
+        elif kind == "punct":
+            tokens.append(_Token(word, word, line, column, start, pos))
+        elif kind == "word" and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(_Token(_WORD_TYPES.get(word, "name"), word, line, column, start, pos))
+        elif kind in ("word", "other"):
+            errors.append(ParseError(line, column, ("a declaration",), repr(text[start])))
+            pos = start + 1
+    # A comment ending the input leaves the end-of-input column at its '#'.
+    end = m.start() if m is not None and m.lastgroup == "comment" else pos
+    tokens.append(_Token("eof", "", line, end - line_start + 1, pos, pos))
     return tokens, errors
 
 
@@ -318,22 +291,25 @@ class _Parser:
         return Ast(tuple(decls))
 
     def thimac(self) -> ThimacNode:
-        first = self.expect("thimac")
-        name = self.expect("name", "a thimac name")
-        self.expect("{")
-        body: list[ThimacNode | StageNode] = []
+        # The open thimacs, innermost last: first token, name, body so far.
+        open_: list[tuple[_Token, str, list[ThimacNode | StageNode]]] = []
         while True:
             tok = self.peek()
-            if tok.type == "}":
-                last = self.advance()
-                break
-            if tok.type == "thimac":
-                body.append(self.thimac())
+            if tok.type == "thimac" or not open_:
+                first = self.expect("thimac")
+                name = self.expect("name", "a thimac name")
+                self.expect("{")
+                open_.append((first, name.text, []))
             elif tok.type == "kind":
-                body.append(self.stage())
+                open_[-1][2].append(self.stage())
+            elif tok.type == "}":
+                first, name, body = open_.pop()
+                node = ThimacNode(name, tuple(body), _span(first, self.advance()))
+                if not open_:
+                    return node
+                open_[-1][2].append(node)
             else:
                 raise self.unexpected(("a stage", "'thimac'", "'}'"))
-        return ThimacNode(name.text, tuple(body), _span(first, last))
 
     def stage(self) -> StageNode:
         kind_tok = self.expect("kind")
@@ -420,14 +396,13 @@ def _span(first: _Token, last: _Token) -> Span:
     return Span(first.line, first.column, first.start, last.end)
 
 
-def parse(source: str | SourceFile) -> Ast:
+def parse(text: str) -> Ast:
     """Parse model text into an AST.
 
     Parsing recovers at declaration boundaries so one bad declaration does
     not hide later ones; if anything failed, a :class:`ParseFailure`
     carrying every error is raised at the end.
     """
-    text = source.text if isinstance(source, SourceFile) else source
     tokens, errors = _tokenize(text)
     parser = _Parser(tokens)
     ast = parser.parse_model()
@@ -458,19 +433,18 @@ def lower(ast: Ast) -> Document:
     thimacs: list[Thimac] = []
     stages: list[Stage] = []
 
-    def walk(node: ThimacNode, parent: str | None) -> None:
+    # Depth first in document order; a stage is paired with its owner's path.
+    pending: list[tuple[ThimacNode | StageNode, str | None]] = [
+        (decl, None) for decl in reversed(ast.declarations) if isinstance(decl, ThimacNode)]
+    while pending:
+        node, parent = pending.pop()
+        if isinstance(node, StageNode):
+            sid = stage_ref_text(parent, node.kind, node.label)
+            stages.append(Stage(id=sid, kind=node.kind, owner=parent, label=node.label))
+            continue
         path = node.name if parent is None else f"{parent}.{node.name}"
         thimacs.append(Thimac(id=path, name=node.name, parent=parent))
-        for item in node.body:
-            if isinstance(item, StageNode):
-                sid = stage_ref_text(path, item.kind, item.label)
-                stages.append(Stage(id=sid, kind=item.kind, owner=path, label=item.label))
-            else:
-                walk(item, path)
-
-    for decl in ast.declarations:
-        if isinstance(decl, ThimacNode):
-            walk(decl, None)
+        pending.extend((item, path) for item in reversed(node.body))
 
     stage_ids = {s.id for s in stages}
     diags: list[Diagnostic] = []
@@ -541,7 +515,7 @@ def lower(ast: Ast) -> Document:
 
 def load(path: str | Path) -> Document:
     """Read, parse, and lower one ``.tm`` file."""
-    return lower(parse(SourceFile.read(path)))
+    return lower(parse(Path(path).read_text(encoding="utf-8")))
 
 
 # -- formatter ----------------------------------------------------------------
@@ -558,22 +532,20 @@ def format_model(
     indented, one declaration per line. Formatting then re-parsing yields a
     structurally equal document, and formatting is idempotent.
     """
-    def emit_thimac(thimac: Thimac, depth: int, out: list[str]) -> None:
+    sections: list[list[str]] = []
+    for depth, thimac in model.nesting():
         pad = _INDENT * depth
-        out.append(f"{pad}thimac {thimac.name} {{")
+        if thimac is None:
+            sections[-1].append(f"{pad}}}")
+            continue
+        if depth == 0:
+            sections.append([])
+        block = sections[-1]
+        block.append(f"{pad}thimac {thimac.name} {{")
         for sid in thimac.stages:
             stage = model.stage(sid)
             label = f"({stage.label})" if stage.label else ""
-            out.append(f"{pad}{_INDENT}{stage.kind.value}{label};")
-        for child_id in thimac.children:
-            emit_thimac(model.thimac(child_id), depth + 1, out)
-        out.append(f"{pad}}}")
-
-    sections: list[list[str]] = []
-    for root in model.root_thimacs:
-        block: list[str] = []
-        emit_thimac(root, 0, block)
-        sections.append(block)
+            block.append(f"{pad}{_INDENT}{stage.kind.value}{label};")
 
     if model.flows:
         sections.append([

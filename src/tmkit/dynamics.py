@@ -190,6 +190,18 @@ def _reaches(model: TmModel, sources: Iterable[str], goals: set[str]) -> bool:
     return False
 
 
+def _descendants(succ: dict[str, Iterable[str]], start: str) -> set[str]:
+    """``start`` and every node a path of ``succ`` arcs leads to from it."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in succ.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def check_behavior(
     model: TmModel, events: Iterable[Event], graph: BehaviorGraph
 ) -> ValidationReport:
@@ -236,22 +248,9 @@ def check_behavior(
             None,
         ))
 
-    def dag_reaches(start: str, goal: str) -> bool:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            if node == goal:
-                return True
-            for nxt in succ.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
-
     for edge in resolved:
         if edge.repeat:
-            if not cyclic and not dag_reaches(edge.after, edge.before):
+            if not cyclic and edge.before not in _descendants(succ, edge.after):
                 diags.append(error(
                     BEHAVIOR_INCONSISTENT,
                     f"repeat edge {edge.before} -> {edge.after} does not loop back over the chronology",
@@ -630,17 +629,7 @@ def conforms(trace: Trace, graph: BehaviorGraph) -> Conformance:
         succ.setdefault(before, set()).add(after)
         preds.setdefault(after, []).append(before)
 
-    def descendants(node: str) -> set[str]:
-        seen = {node}
-        frontier = [node]
-        while frontier:
-            for nxt in succ.get(frontier.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
-
-    closure = {name: descendants(name) for name in fired}
+    closure = {name: _descendants(succ, name) for name in fired}
 
     done: set[str] = set()
     for at_step, name in firings:

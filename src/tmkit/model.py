@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .diagnostics import (
     DUP_NAME,
@@ -179,6 +179,22 @@ class TmModel:
     @property
     def root_thimacs(self) -> tuple[Thimac, ...]:
         return tuple(t for t in self.thimacs if t.parent is None)
+
+    def nesting(self) -> Iterator[tuple[int, Thimac | None]]:
+        """Walk the containment forest without recursion: ``(depth, thimac)``
+        where a thimac opens and ``(depth, None)`` where the innermost open
+        one closes. Roots have depth 0. ``thimacs`` is already in
+        containment pre-order, so one pass over it suffices."""
+        open_ids: list[str] = []
+        for t in self.thimacs:
+            while open_ids and open_ids[-1] != t.parent:
+                open_ids.pop()
+                yield len(open_ids), None
+            yield len(open_ids), t
+            open_ids.append(t.id)
+        while open_ids:
+            open_ids.pop()
+            yield len(open_ids), None
 
     def thimac_path(self, thimac_id: str) -> str:
         """Dotted path of thimac names from the root down."""

@@ -74,21 +74,17 @@ def to_dot(
         return f"{pad}{_quote(model.stage_ref(stage_id))} [{', '.join(attrs)}];"
 
     if options.cluster_thimacs:
-        counter = [0]
-
-        def emit_cluster(thimac: Thimac, depth: int) -> None:
-            pad = "    " * depth
-            lines.append(f"{pad}subgraph cluster_{counter[0]} {{")
-            counter[0] += 1
+        clusters = 0
+        for depth, thimac in model.nesting():
+            pad = "    " * (depth + 1)
+            if thimac is None:
+                lines.append(f"{pad}}}")
+                continue
+            lines.append(f"{pad}subgraph cluster_{clusters} {{")
+            clusters += 1
             lines.append(f"{pad}    label={_quote(thimac.name)};")
             for sid in thimac.stages:
                 lines.append(node_line(sid, pad + "    "))
-            for child_id in thimac.children:
-                emit_cluster(model.thimac(child_id), depth + 1)
-            lines.append(f"{pad}}}")
-
-        for root in model.root_thimacs:
-            emit_cluster(root, 1)
     else:
         for stage in model.stages:
             lines.append(node_line(stage.id, "    "))

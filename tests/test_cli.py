@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -76,6 +77,35 @@ def test_long_chronology_chain_validates(run_cli, tmp_path):
     path.write_text(text, encoding="utf-8")
     code, out = run_cli("validate", str(path))
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+DEPTH = 1200
+EVERY_COMMAND = (
+    ("validate",), ("events",), ("simulate",), ("simplify",),
+    ("render",), ("render", "--format", "json"), ("fmt",),
+)
+
+
+def _nested(depth: int, closed: int) -> str:
+    """``depth`` thimacs named ``a``, each inside the last, the innermost
+    with a create flowing into a process; ``closed`` of them are closed."""
+    path = ".".join(["a"] * depth)
+    return ("thimac a {\n" * depth + "create; process;\n" + "}\n" * closed
+            + f"flow {path}.create -> {path}.process;\n")
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=" ".join)
+def test_deep_nesting_runs_every_command(run_cli, tmp_path, command):
+    assert sys.getrecursionlimit() < DEPTH
+    path = tmp_path / "deep.tm"
+    path.write_text(_nested(DEPTH, DEPTH), encoding="utf-8")
+    code, out = run_cli(*command, str(path))
+    assert code == 0
+    if command == ("fmt",):
+        assert out.count("thimac a {") == DEPTH
+    path.write_text(_nested(DEPTH, DEPTH - 1), encoding="utf-8")
+    code, out = run_cli(*command, str(path))
+    assert code == 2 and json.loads(out)["parse_errors"]
 
 
 def test_simulate_dough_fires_events_in_order(run_cli, corpus_paths):

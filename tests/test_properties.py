@@ -1,0 +1,110 @@
+"""Property tests of the text front end, with Hypothesis.
+
+Any text built from token fragments, well formed or not, parses to an
+``Ast`` or fails with ``ParseFailure``, and an ``Ast`` lowers to a
+``Document`` or fails with ``ModelError``; nothing else escapes. The
+canonical text is a fixed point: formatting, re-parsing and formatting
+again gives the same text, and the re-parsed document equals the first. The settings are derandomized and bounded so
+every run draws the same examples.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tmkit.diagnostics import ModelError
+from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, format_model, lower, parse
+from tmkit.model import KIND_BY_NAME
+
+
+def fixed(examples: int) -> settings:
+    return settings(derandomize=True, max_examples=examples, deadline=None, database=None)
+
+
+FRAGMENTS = (
+    *sorted(KEYWORDS), *KIND_BY_NAME, "A", "b", "x1", "_", "{", "}", "(", ")", ";",
+    ".", "->", "~>", "-", "~", ">", "#", "# note\n", "\t", "\r", "é", "²", "½", "9", "@",
+)
+SEPARATORS = ("", " ", "\n", "\r\n", "\t", " # c\n")
+
+fragment_texts = st.lists(
+    st.tuples(st.sampled_from(FRAGMENTS), st.sampled_from(SEPARATORS)), max_size=80,
+).map(lambda pieces: "".join(fragment + sep for fragment, sep in pieces))
+
+
+@fixed(300)
+@given(fragment_texts)
+def test_fragment_text_parses_or_fails_cleanly(text):
+    try:
+        ast = parse(text)
+    except ParseFailure as exc:
+        assert exc.errors
+        return
+    assert isinstance(ast, Ast)
+    try:
+        assert isinstance(lower(ast), Document)
+    except ModelError as exc:
+        assert exc.diagnostics
+
+
+stages = st.lists(
+    st.tuples(st.sampled_from(sorted(KIND_BY_NAME)), st.sampled_from((None, "x", "y"))),
+    unique=True, max_size=4,
+)
+trees = st.recursive(
+    st.tuples(stages, st.just([])),
+    lambda children: st.tuples(stages, st.lists(children, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def documents(draw) -> str:
+    """Model text with unique thimac names, stage slots and edges, so that
+    it always lowers; layout and comments vary."""
+    sep = draw(st.sampled_from(SEPARATORS[1:]))
+    lines: list[str] = []
+    refs: list[str] = []
+    pending = [(tree, f"T{i}", 0) for i, tree in
+               reversed(list(enumerate(draw(st.lists(trees, min_size=1, max_size=3)))))]
+    closes: list[int] = []
+    while pending:
+        (body, children), path, depth = pending.pop()
+        while closes and closes[-1] >= depth:
+            lines.append("}")
+            closes.pop()
+        lines.append(f"thimac {path.rsplit('.', 1)[-1]} {{")
+        for kind, label in body:
+            lines.append(f"{kind}({label});" if label else f"{kind};")
+            refs.append(f"{path}.{kind}({label})" if label else f"{path}.{kind}")
+        closes.append(depth)
+        pending.extend((child, f"{path}.C{i}", depth + 1)
+                       for i, child in reversed(list(enumerate(children))))
+    lines.extend("}" for _ in closes)
+    if refs:
+        pairs = st.lists(st.tuples(st.sampled_from(refs), st.sampled_from(refs)),
+                         unique=True, max_size=5)
+        lines.extend(f"flow {a} -> {b};" for a, b in draw(pairs))
+        lines.extend(f"trigger {a} ~> {b};" for a, b in draw(pairs))
+        regions = draw(st.lists(st.lists(st.sampled_from(refs), min_size=1, max_size=3),
+                                max_size=3))
+        for i, region in enumerate(regions):
+            lines.append(f"event E{i} {{ {' '.join(ref + ';' for ref in region)} }}")
+        if regions:
+            names = st.sampled_from([f"E{i}" for i in range(len(regions))])
+            edges = draw(st.lists(st.tuples(names, names, st.booleans()), max_size=4))
+            lines.append("behavior {")
+            lines.extend(f"{a} -> {b}{' repeat' if repeat else ''};" for a, b, repeat in edges)
+            lines.append("}")
+    return sep.join(lines) + "\n"
+
+
+@fixed(100)
+@given(documents())
+def test_format_parse_format_is_stable(text):
+    doc = lower(parse(text))
+    first = format_model(doc.model, doc.events, doc.behavior)
+    again = lower(parse(first))
+    assert format_model(again.model, again.events, again.behavior) == first
+    assert (again.model, again.events, again.behavior) == (doc.model, doc.events, doc.behavior)
