@@ -31,11 +31,7 @@ from .dynamics import (
     SimState,
     Trace,
     TraceRecord,
-    build_events,
-    check_behavior,
     conforms,
-    define_event,
-    elementary_events,
     enabled,
     init_state,
     run,
@@ -65,8 +61,12 @@ from .transform import (
     simplify,
 )
 from .validator import (
+    build_events,
+    check_behavior,
     check_connectivity,
     check_flow_legality,
+    define_event,
+    elementary_events,
     validate,
     validate_document,
 )

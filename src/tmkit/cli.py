@@ -4,7 +4,8 @@ Subcommands tie the pipeline together: ``validate`` a model file,
 ``events`` to enumerate its events, ``simulate`` a run, ``simplify`` the
 transport stages away, ``render`` to dot or JSON, and ``fmt`` to the
 canonical text. Exit codes: 0 success, 1 validation errors (the report is
-still emitted), 2 usage or parse failure.
+still emitted), 2 usage or parse failure, or an input or output file that
+cannot be read or written.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from importlib import resources
 from pathlib import Path
 
 from . import dynamics, render
-from .dsl import ParseFailure, format_model, load
+from .dsl import Document, ParseFailure, format_model, load
 from .diagnostics import ModelError
 from .model import model_to_dict
 from .transform import make_overlay, simplify
-from .validator import validate_document
+from .validator import elementary_events, validate_document
 
 
 def corpus() -> dict[str, Path]:
@@ -69,15 +70,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+def _command(args: argparse.Namespace, doc: Document) -> tuple[str, int]:
+    """The output text and exit code of a command on a loaded document."""
+    if args.command == "fmt":
+        return format_model(doc.model, doc.events, doc.behavior), 0
+
+    report, events = validate_document(doc.model, doc.events, doc.behavior)
+    if args.command == "validate" or not report.ok:
+        return _json(report.to_json_dict()), 0 if report.ok else 1
+
+    if args.command == "events":
+        return _json({
+            "elementary": [e.to_json_dict() for e in elementary_events(doc.model)],
+            "declared": [e.to_json_dict() for e in events],
+        }), 0
+
+    if args.command == "simulate":
+        options = dynamics.SimOptions(
+            seed=args.seed,
+            max_steps=args.steps,
+            creation_cap=args.cap,
+            policy=args.policy,
+        )
+        return dynamics.run(doc.model, events, options).to_ndjson(), 0
+
+    if args.command == "simplify":
+        simplified, sreport = simplify(doc.model)
+        return _json({
+            "model": model_to_dict(simplified),
+            "report": sreport.to_json_dict(),
+        }), 0
+
+    if args.command == "render":
+        if args.format == render.JSON:
+            return render.to_json(doc.model, events, doc.behavior), 0
+        overlay = make_overlay(events) if args.overlay else None
+        options = render.RenderOptions(
+            cluster_thimacs=not args.flat,
+            overlay=overlay,
+        )
+        return render.to_dot(doc.model, options, events), 0
+
+    raise AssertionError(f"unhandled command {args.command}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,72 +135,27 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     except ParseFailure as exc:
-        _emit_json({
+        text, code = _json({
             "ok": False,
             "parse_errors": [e.to_json_dict() for e in exc.errors],
-        }, args.output)
-        return 2
+        }), 2
     except ModelError as exc:
-        _emit_json({
+        text, code = _json({
             "ok": False,
             "diagnostics": [d.to_json_dict() for d in exc.diagnostics],
-        }, args.output)
-        return 1
+        }), 1
+    else:
+        text, code = _command(args, doc)
 
-    if args.command == "fmt":
-        _emit(format_model(doc.model, doc.events, doc.behavior), args.output)
-        return 0
-
-    report, events = validate_document(doc.model, doc.events, doc.behavior)
-
-    if args.command == "validate":
-        _emit_json(report.to_json_dict(), args.output)
-        return 0 if report.ok else 1
-
-    if not report.ok:
-        _emit_json(report.to_json_dict(), args.output)
-        return 1
-
-    if args.command == "events":
-        _emit_json({
-            "elementary": [e.to_json_dict() for e in dynamics.elementary_events(doc.model)],
-            "declared": [e.to_json_dict() for e in events],
-        }, args.output)
-        return 0
-
-    if args.command == "simulate":
-        options = dynamics.SimOptions(
-            seed=args.seed,
-            max_steps=args.steps,
-            creation_cap=args.cap,
-            policy=args.policy,
-        )
-        trace = dynamics.run(doc.model, events, options)
-        _emit(trace.to_ndjson(), args.output)
-        return 0
-
-    if args.command == "simplify":
-        simplified, sreport = simplify(doc.model)
-        _emit_json({
-            "model": model_to_dict(simplified),
-            "report": sreport.to_json_dict(),
-        }, args.output)
-        return 0
-
-    if args.command == "render":
-        if args.format == render.JSON:
-            text = render.to_json(doc.model, events, doc.behavior)
-        else:
-            overlay = make_overlay(events) if args.overlay else None
-            options = render.RenderOptions(
-                cluster_thimacs=not args.flat,
-                overlay=overlay,
-            )
-            text = render.to_dot(doc.model, options, events)
-        _emit(text, args.output)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
+        Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

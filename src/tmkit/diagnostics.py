@@ -22,20 +22,6 @@ REGION_EMPTY = "REGION_EMPTY"
 REGION_DISCONNECTED = "REGION_DISCONNECTED"
 BEHAVIOR_INCONSISTENT = "BEHAVIOR_INCONSISTENT"
 
-ALL_CODES = frozenset({
-    REF_UNRESOLVED,
-    NEST_CYCLE,
-    DUP_NAME,
-    FLOW_ILLEGAL,
-    TRIGGER_ILLEGAL,
-    STAGE_ORPHAN,
-    SINK_RELEASE,
-    TRANSFER_UNPAIRED,
-    REGION_EMPTY,
-    REGION_DISCONNECTED,
-    BEHAVIOR_INCONSISTENT,
-})
-
 ERROR = "error"
 WARNING = "warning"
 
@@ -95,9 +81,6 @@ class ValidationReport:
 
     def errors(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == ERROR)
-
-    def warnings(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == WARNING)
 
     def codes(self) -> tuple[str, ...]:
         return tuple(d.code for d in self.diagnostics)

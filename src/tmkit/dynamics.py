@@ -1,10 +1,9 @@
-"""Events, behavior graphs, and the deterministic token-flow simulator.
+"""The deterministic token-flow simulator and trace conformance.
 
-An event is a region of the static model (stages plus optionally edges)
-that fires during execution; a behavior graph declares the expected
-chronology of events. The simulator moves tokens along flows, activates
-triggers, fires events, and records everything in a trace that can be
-checked against a behavior graph.
+The simulator moves tokens along flows, activates triggers, fires the
+events built by :mod:`tmkit.validator`, and records everything in a
+trace. :func:`conforms` checks a trace against a declared chronology
+(behavior graph).
 """
 
 from __future__ import annotations
@@ -13,260 +12,13 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .diagnostics import (
-    BEHAVIOR_INCONSISTENT,
-    DUP_NAME,
-    REF_UNRESOLVED,
-    REGION_DISCONNECTED,
-    REGION_EMPTY,
-    Diagnostic,
-    ModelError,
-    NotEnabledError,
-    Span,
-    ValidationReport,
-    error,
-    warning,
-)
-from .model import BehaviorEdge, BehaviorGraph, Event, EventDecl, StageKind, TmModel
-
-ELEMENTARY = "elementary"
-COMPOSITE = "composite"
-
-
-def _stage_elements(model: TmModel, region: Iterable[str]) -> tuple[str, ...]:
-    """The stage ids named directly in a region; these drive event firing."""
-    return tuple(e for e in region if model.has_stage(e))
-
-
-def _touched_stages(model: TmModel, region: Iterable[str]) -> tuple[str, ...]:
-    """Stage ids a region touches: stage elements plus edge endpoints.
-
-    Used for connectivity and path questions, where an edge in the region
-    stands for its two ends.
-    """
-    edge_by_id = model.index.edge_by_id
-    out: list[str] = []
-    seen: set[str] = set()
-    for element in region:
-        if model.has_stage(element):
-            candidates = (element,)
-        elif element in edge_by_id:
-            edge = edge_by_id[element]
-            candidates = (edge.source, edge.target)
-        else:
-            candidates = ()
-        for sid in candidates:
-            if sid not in seen:
-                seen.add(sid)
-                out.append(sid)
-    return tuple(out)
-
-
-def elementary_events(model: TmModel) -> list[Event]:
-    """One event per stage, in declaration order; its region is that stage alone."""
-    return [
-        Event(id=s.id, name=model.stage_ref(s.id), region=(s.id,), level=ELEMENTARY)
-        for s in model.stages
-    ]
-
-
-def define_event(
-    model: TmModel,
-    name: str,
-    region: Iterable[str],
-    constituents: Sequence[Event] | None = None,
-    span: Span | None = None,
-) -> tuple[Event, list[Diagnostic]]:
-    """Validate a region and produce an event, plus any warnings.
-
-    Raises :class:`ModelError` for empty regions and unresolved element
-    ids. A region whose elements do not hang together in the flow +
-    trigger graph (ignoring arrow direction) earns a REGION_DISCONNECTED
-    warning. When ``constituents`` are given the event is composite and
-    its region is the union of theirs.
-    """
-    region = tuple(region)
-    if constituents:
-        derived: list[str] = []
-        seen: set[str] = set()
-        for c in constituents:
-            for element in c.region:
-                if element not in seen:
-                    seen.add(element)
-                    derived.append(element)
-        if region and set(region) != set(derived):
-            raise ValueError(
-                f"event '{name}': region does not match the union of its constituents")
-        region = tuple(derived)
-
-    if not region:
-        raise ModelError([error(REGION_EMPTY, f"event '{name}' has an empty region", name, span)])
-
-    unresolved = [
-        error(REF_UNRESOLVED, f"event '{name}' names unknown element '{element}'", element, span)
-        for element in region
-        if not model.has_element(element)
-    ]
-    if unresolved:
-        raise ModelError(unresolved)
-
-    index = model.index
-    touched = _touched_stages(model, region)
-    warnings: list[Diagnostic] = []
-    if len({index.component[sid] for sid in touched}) > 1:
-        warnings.append(warning(
-            REGION_DISCONNECTED,
-            f"event '{name}' covers elements with no connecting flow or trigger",
-            name,
-            span,
-        ))
-
-    stages = _stage_elements(model, region)
-    if constituents:
-        event = Event(
-            id=name,
-            name=name,
-            region=region,
-            level=COMPOSITE,
-            constituents=tuple(c.id for c in constituents),
-        )
-    elif len(stages) == 1 and set(touched) <= {stages[0]} | index.neighbors[stages[0]]:
-        event = Event(id=name, name=name, region=region, level=ELEMENTARY)
-    else:
-        # Implicitly composed of the per-stage elementary events, whose ids
-        # are the stage ids themselves.
-        event = Event(
-            id=name,
-            name=name,
-            region=region,
-            level=COMPOSITE,
-            constituents=stages,
-        )
-    return event, warnings
-
-
-def build_events(
-    model: TmModel, decls: Iterable[EventDecl]
-) -> tuple[list[Event], list[Diagnostic]]:
-    """Turn declarations into events, accumulating diagnostics instead of raising."""
-    events: list[Event] = []
-    diags: list[Diagnostic] = []
-    seen: set[str] = set()
-    for decl in decls:
-        if decl.name in seen:
-            diags.append(error(
-                DUP_NAME, f"event '{decl.name}' is declared twice", decl.name, decl.span))
-            continue
-        seen.add(decl.name)
-        try:
-            event, warns = define_event(model, decl.name, decl.region, span=decl.span)
-        except ModelError as exc:
-            diags.extend(exc.diagnostics)
-            continue
-        events.append(event)
-        diags.extend(warns)
-    return events, diags
-
-
-# -- behavior-graph checking ----------------------------------------------
-
-def _reaches(model: TmModel, sources: Iterable[str], goals: set[str]) -> bool:
-    """Whether a flow or trigger path (possibly empty) leads from a source
-    to a goal. Breadth first, so the walk stops at the nearest goal."""
-    seen = set(sources)
-    if not seen.isdisjoint(goals):
-        return True
-    frontier = list(seen)
-    for current in frontier:  # grows while iterating: a queue
-        for edge in (*model.flows_from(current), *model.triggers_from(current)):
-            if edge.target in goals:
-                return True
-            if edge.target not in seen:
-                seen.add(edge.target)
-                frontier.append(edge.target)
-    return False
-
-
-def _descendants(succ: dict[str, Iterable[str]], start: str) -> set[str]:
-    """``start`` and every node a path of ``succ`` arcs leads to from it."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for nxt in succ.get(frontier.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def check_behavior(
-    model: TmModel, events: Iterable[Event], graph: BehaviorGraph
-) -> ValidationReport:
-    """Check a declared chronology against the static model.
-
-    Every plain edge A -> B must be backed by a flow/trigger path from A's
-    region to B's region, the plain edges must be acyclic, and every
-    repeat edge must close a loop over plain edges. Repeat edges declare
-    re-iteration, not precedence, so they are exempt from the path rule.
-    """
-    diags: list[Diagnostic] = []
-    by_id = {e.id: e for e in events}
-
-    resolved: list[BehaviorEdge] = []
-    for edge in graph.edges:
-        missing = [e for e in (edge.before, edge.after) if e not in by_id]
-        if missing:
-            for name in missing:
-                diags.append(error(
-                    REF_UNRESOLVED,
-                    f"chronology edge names undeclared event '{name}'",
-                    name,
-                ))
-            continue
-        resolved.append(edge)
-
-    succ: dict[str, list[str]] = {}
-    order = TopologicalSorter()
-    for e in resolved:
-        if not e.repeat:
-            succ.setdefault(e.before, []).append(e.after)
-            order.add(e.after, e.before)
-
-    # Plain edges must form a DAG.
-    try:
-        order.prepare()
-        cyclic = False
-    except CycleError:
-        cyclic = True
-    if cyclic:
-        diags.append(error(
-            BEHAVIOR_INCONSISTENT,
-            "chronology edges form a cycle with no repeat mark",
-            None,
-        ))
-
-    for edge in resolved:
-        if edge.repeat:
-            if not cyclic and edge.before not in _descendants(succ, edge.after):
-                diags.append(error(
-                    BEHAVIOR_INCONSISTENT,
-                    f"repeat edge {edge.before} -> {edge.after} does not loop back over the chronology",
-                    f"{edge.before}->{edge.after}",
-                ))
-            continue
-        before_stages = _touched_stages(model, by_id[edge.before].region)
-        after_stages = set(_touched_stages(model, by_id[edge.after].region))
-        if not _reaches(model, before_stages, after_stages):
-            diags.append(error(
-                BEHAVIOR_INCONSISTENT,
-                f"no flow or trigger path from event '{edge.before}' to event '{edge.after}'",
-                f"{edge.before}->{edge.after}",
-            ))
-    return ValidationReport(tuple(diags))
-
+from .diagnostics import NotEnabledError
+from .model import BehaviorEdge, BehaviorGraph, Event, StageKind, TmModel, descendants
+# Events and chronology checks are static and live in the validator; they
+# (and ``BehaviorEdge``) stay importable from here for existing callers.
+from .validator import build_events, check_behavior, define_event, elementary_events
 
 # -- simulation ------------------------------------------------------------
 
@@ -423,7 +175,7 @@ def init_state(
     events = tuple(events)
     state = SimState(model=model, options=options)
     state.rng.seed(options.seed)
-    needed = {e.id: frozenset(_stage_elements(model, e.region)) for e in events}
+    needed = {e.id: frozenset(filter(model.has_stage, e.region)) for e in events}
     for e in events:
         for stage_id in needed[e.id]:
             state.firing.setdefault(stage_id, []).append((e.id, needed[e.id]))
@@ -623,27 +375,25 @@ def conforms(trace: Trace, graph: BehaviorGraph) -> Conformance:
     repeats = [(e.before, e.after) for e in graph.edges
                if e.repeat and e.before in fired and e.after in fired]
 
-    succ: dict[str, set[str]] = {}
+    succ: dict[str, list[str]] = {}
     preds: dict[str, list[str]] = {}
     for before, after in plain:
-        succ.setdefault(before, set()).add(after)
+        succ.setdefault(before, []).append(after)
         preds.setdefault(after, []).append(before)
 
-    closure = {name: _descendants(succ, name) for name in fired}
+    # The body of a loop closed by a repeat edge tail -> head: every event
+    # on a plain path from head to tail.
+    loops = [(tail, descendants(succ, head) & descendants(preds, tail))
+             for tail, head in repeats]
 
     done: set[str] = set()
     for at_step, name in firings:
         if name in done:
-            reset = False
-            for tail, head in repeats:
-                if tail not in done:
-                    continue
-                body = {x for x in closure.get(head, ()) if tail in closure.get(x, ())}
-                if name in body:
+            for tail, body in loops:
+                if tail in done and name in body:
                     done -= body
-                    reset = True
                     break
-            if not reset:
+            else:
                 return Conformance(False, (name, name), at_step)
         for before in preds.get(name, ()):
             if before not in done:

@@ -442,6 +442,18 @@ def reachable(model: TmModel, start: str) -> set[str]:
     return seen
 
 
+def descendants(succ: dict[str, Iterable[str]], start: str) -> set[str]:
+    """``start`` and every node a path of ``succ`` arcs leads to from it."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in succ.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 # -- events and chronologies --------------------------------------------------
 
 @dataclass(frozen=True)

@@ -170,13 +170,17 @@ class _Reader:
 def from_json(text: str) -> tuple[TmModel, tuple[Event, ...], BehaviorGraph]:
     """Inverse of :func:`to_json`; serializing the result again is byte-identical.
 
-    Text that is not JSON raises :class:`json.JSONDecodeError`. JSON of the
-    wrong shape (a value of the wrong type, a missing key, an unknown
-    stage kind) raises :class:`ModelError` with REF_UNRESOLVED, a repeated
-    flow or trigger with DUP_NAME, and a model that does not build with
-    the diagnostics of :func:`try_build_model`.
+    Text that is not JSON raises :class:`json.JSONDecodeError`. Text nested
+    too deeply for the decoder's recursion, and JSON of the wrong shape (a
+    value of the wrong type, a missing key, an unknown stage kind), raise
+    :class:`ModelError` with REF_UNRESOLVED; a repeated flow or trigger
+    raises it with DUP_NAME, and a model that does not build with the
+    diagnostics of :func:`try_build_model`.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ModelError([error(REF_UNRESOLVED, "JSON document: nested too deeply")]) from None
     if not isinstance(data, dict):
         raise ModelError([error(REF_UNRESOLVED, "JSON document: expected an object")])
     r = _Reader()

@@ -1,38 +1,55 @@
-"""Semantic validation of built models.
+"""Static checks of built models, their events and their chronology.
 
 Structural integrity is already guaranteed by ``build_model``; the checks
 here apply the five-stage machine rules on top: which kinds may flow into
 which, what triggers may point at, and whether the wiring hangs together.
 Wiring gaps are warnings (abbreviated diagrams are tolerated); illegal
 flows and triggers are errors.
+
+An event is a region of the static model (stages plus optionally edges);
+this module builds events from their declarations and checks a declared
+chronology (behavior graph) against the flow and trigger paths of the
+model. Nothing here runs the model: that is the simulator's job.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from graphlib import CycleError, TopologicalSorter
+from typing import Iterable, Sequence
 
 from .diagnostics import (
+    BEHAVIOR_INCONSISTENT,
+    DUP_NAME,
     FLOW_ILLEGAL,
+    REF_UNRESOLVED,
+    REGION_DISCONNECTED,
+    REGION_EMPTY,
     SINK_RELEASE,
     STAGE_ORPHAN,
     TRANSFER_UNPAIRED,
     TRIGGER_ILLEGAL,
     Diagnostic,
+    ModelError,
+    Span,
     ValidationReport,
     error,
     warning,
 )
-from .dynamics import build_events, check_behavior
 from .model import (
     LEGAL_FLOWS_ACROSS,
     LEGAL_FLOWS_WITHIN,
     TRIGGER_TARGET_KINDS,
+    BehaviorEdge,
     BehaviorGraph,
     Event,
     EventDecl,
     StageKind,
     TmModel,
+    descendants,
 )
+
+ELEMENTARY = "elementary"
+COMPOSITE = "composite"
 
 
 def check_flow_legality(model: TmModel) -> list[Diagnostic]:
@@ -117,6 +134,218 @@ def validate(model: TmModel) -> ValidationReport:
     """All model checks in fixed order: flow legality, then connectivity."""
     return ValidationReport(tuple(check_flow_legality(model) + check_connectivity(model)))
 
+
+# -- events -------------------------------------------------------------------
+
+def _touched_stages(model: TmModel, region: Iterable[str]) -> set[str]:
+    """Stage ids a region touches: stage elements plus edge endpoints.
+
+    Used for connectivity and path questions, where an edge in the region
+    stands for its two ends.
+    """
+    edge_by_id = model.index.edge_by_id
+    out: set[str] = set()
+    for element in region:
+        if model.has_stage(element):
+            out.add(element)
+        elif element in edge_by_id:
+            edge = edge_by_id[element]
+            out.update((edge.source, edge.target))
+    return out
+
+
+def elementary_events(model: TmModel) -> list[Event]:
+    """One event per stage, in declaration order; its region is that stage alone."""
+    return [
+        Event(id=s.id, name=model.stage_ref(s.id), region=(s.id,), level=ELEMENTARY)
+        for s in model.stages
+    ]
+
+
+def define_event(
+    model: TmModel,
+    name: str,
+    region: Iterable[str],
+    constituents: Sequence[Event] | None = None,
+    span: Span | None = None,
+) -> tuple[Event, list[Diagnostic]]:
+    """Validate a region and produce an event, plus any warnings.
+
+    Raises :class:`ModelError` for empty regions and unresolved element
+    ids. A region whose elements do not hang together in the flow +
+    trigger graph (ignoring arrow direction) earns a REGION_DISCONNECTED
+    warning. When ``constituents`` are given the event is composite and
+    its region is the union of theirs.
+    """
+    region = tuple(region)
+    if constituents:
+        derived: list[str] = []
+        seen: set[str] = set()
+        for c in constituents:
+            for element in c.region:
+                if element not in seen:
+                    seen.add(element)
+                    derived.append(element)
+        if region and set(region) != set(derived):
+            raise ValueError(
+                f"event '{name}': region does not match the union of its constituents")
+        region = tuple(derived)
+
+    if not region:
+        raise ModelError([error(REGION_EMPTY, f"event '{name}' has an empty region", name, span)])
+
+    unresolved = [
+        error(REF_UNRESOLVED, f"event '{name}' names unknown element '{element}'", element, span)
+        for element in region
+        if not model.has_element(element)
+    ]
+    if unresolved:
+        raise ModelError(unresolved)
+
+    index = model.index
+    touched = _touched_stages(model, region)
+    warnings: list[Diagnostic] = []
+    if len({index.component[sid] for sid in touched}) > 1:
+        warnings.append(warning(
+            REGION_DISCONNECTED,
+            f"event '{name}' covers elements with no connecting flow or trigger",
+            name,
+            span,
+        ))
+
+    stages = tuple(filter(model.has_stage, region))
+    if constituents:
+        event = Event(
+            id=name,
+            name=name,
+            region=region,
+            level=COMPOSITE,
+            constituents=tuple(c.id for c in constituents),
+        )
+    elif len(stages) == 1 and touched <= {stages[0]} | index.neighbors[stages[0]]:
+        event = Event(id=name, name=name, region=region, level=ELEMENTARY)
+    else:
+        # Implicitly composed of the per-stage elementary events, whose ids
+        # are the stage ids themselves.
+        event = Event(
+            id=name,
+            name=name,
+            region=region,
+            level=COMPOSITE,
+            constituents=stages,
+        )
+    return event, warnings
+
+
+def build_events(
+    model: TmModel, decls: Iterable[EventDecl]
+) -> tuple[list[Event], list[Diagnostic]]:
+    """Turn declarations into events, accumulating diagnostics instead of raising."""
+    events: list[Event] = []
+    diags: list[Diagnostic] = []
+    seen: set[str] = set()
+    for decl in decls:
+        if decl.name in seen:
+            diags.append(error(
+                DUP_NAME, f"event '{decl.name}' is declared twice", decl.name, decl.span))
+            continue
+        seen.add(decl.name)
+        try:
+            event, warns = define_event(model, decl.name, decl.region, span=decl.span)
+        except ModelError as exc:
+            diags.extend(exc.diagnostics)
+            continue
+        events.append(event)
+        diags.extend(warns)
+    return events, diags
+
+
+# -- chronology checks -----------------------------------------------------
+
+def _reaches(model: TmModel, sources: Iterable[str], goals: set[str]) -> bool:
+    """Whether a flow or trigger path (possibly empty) leads from a source
+    to a goal. Breadth first, so the walk stops at the nearest goal."""
+    seen = set(sources)
+    if not seen.isdisjoint(goals):
+        return True
+    frontier = list(seen)
+    for current in frontier:  # grows while iterating: a queue
+        for edge in (*model.flows_from(current), *model.triggers_from(current)):
+            if edge.target in goals:
+                return True
+            if edge.target not in seen:
+                seen.add(edge.target)
+                frontier.append(edge.target)
+    return False
+
+
+def check_behavior(
+    model: TmModel, events: Iterable[Event], graph: BehaviorGraph
+) -> ValidationReport:
+    """Check a declared chronology against the static model.
+
+    Every plain edge A -> B must be backed by a flow/trigger path from A's
+    region to B's region, the plain edges must be acyclic, and every
+    repeat edge must close a loop over plain edges. Repeat edges declare
+    re-iteration, not precedence, so they are exempt from the path rule.
+    """
+    diags: list[Diagnostic] = []
+    by_id = {e.id: e for e in events}
+
+    resolved: list[BehaviorEdge] = []
+    for edge in graph.edges:
+        missing = [e for e in (edge.before, edge.after) if e not in by_id]
+        if missing:
+            for name in missing:
+                diags.append(error(
+                    REF_UNRESOLVED,
+                    f"chronology edge names undeclared event '{name}'",
+                    name,
+                ))
+            continue
+        resolved.append(edge)
+
+    succ: dict[str, list[str]] = {}
+    order = TopologicalSorter()
+    for e in resolved:
+        if not e.repeat:
+            succ.setdefault(e.before, []).append(e.after)
+            order.add(e.after, e.before)
+
+    # Plain edges must form a DAG.
+    try:
+        order.prepare()
+        cyclic = False
+    except CycleError:
+        cyclic = True
+    if cyclic:
+        diags.append(error(
+            BEHAVIOR_INCONSISTENT,
+            "chronology edges form a cycle with no repeat mark",
+            None,
+        ))
+
+    for edge in resolved:
+        if edge.repeat:
+            if not cyclic and edge.before not in descendants(succ, edge.after):
+                diags.append(error(
+                    BEHAVIOR_INCONSISTENT,
+                    f"repeat edge {edge.before} -> {edge.after} does not loop back over the chronology",
+                    f"{edge.before}->{edge.after}",
+                ))
+            continue
+        before_stages = _touched_stages(model, by_id[edge.before].region)
+        after_stages = _touched_stages(model, by_id[edge.after].region)
+        if not _reaches(model, before_stages, after_stages):
+            diags.append(error(
+                BEHAVIOR_INCONSISTENT,
+                f"no flow or trigger path from event '{edge.before}' to event '{edge.after}'",
+                f"{edge.before}->{edge.after}",
+            ))
+    return ValidationReport(tuple(diags))
+
+
+# -- whole documents ----------------------------------------------------------
 
 def validate_document(
     model: TmModel,

@@ -188,6 +188,17 @@ def test_output_flag_writes_the_file(run_cli, corpus_paths, tmp_path):
     assert json.loads(target.read_text(encoding="utf-8"))["ok"] is True
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_unwritable_output_is_reported_and_exits_two(capsys, corpus_paths, tmp_path, command):
+    target = tmp_path / "no_such_dir" / "x.json"
+    code = main([command, str(corpus_paths["dough_cookie"]), "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_corpus_bundles_exactly_the_four_models():
     assert sorted(corpus()) == [
         "dough_cookie", "heating_water", "reservation", "tendering"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -26,8 +27,6 @@ from tmkit.diagnostics import (
 )
 from tmkit.dsl import lower, parse
 from tmkit.dynamics import (
-    COMPOSITE,
-    ELEMENTARY,
     EVENT_FIRED,
     FIFO,
     RANDOM,
@@ -50,6 +49,7 @@ from tmkit.dynamics import (
     step,
 )
 from tmkit.model import build_model
+from tmkit.validator import COMPOSITE, ELEMENTARY
 
 
 def model_of(text: str):
@@ -624,3 +624,55 @@ def test_partial_traces_only_constrain_fired_events():
     # transitively free of each other under this graph's edge set.
     assert conforms(fired_trace(["A", "C"]), graph).ok
     assert conforms(fired_trace(["C", "A"]), graph).ok
+
+
+# ``(ok, violation, step)`` of every draw below, hashed in order; recorded
+# before ``conforms`` computed each loop body once.
+CONFORMS_DIGEST = "c3b83fabc392b5bbae95c3d418095aaa63f4308ec1453af2e569d9d1659c894b"
+
+
+def _random_chronology(rng: random.Random) -> tuple[BehaviorGraph, list[str]]:
+    """A behavior graph over up to seven events and a firing sequence that
+    repeats some of them. Most plain edges follow one hidden order and most
+    repeat edges run against it; the rest give self-loops and cycles. The
+    firings walk that order, re-run stretches of it (often a loop body
+    between a repeat edge's head and tail), and are sometimes thinned out
+    or have two neighbours swapped."""
+    names = "ABCDEFG"[:rng.randint(1, 7)]
+    order = list(names)
+    rng.shuffle(order)
+    edges = []
+    for _ in range(rng.randint(0, 2 * len(names))):
+        a, b = rng.choice(names), rng.choice(names)
+        repeat = rng.random() < 0.3
+        if rng.random() < 0.7:
+            a, b = sorted((a, b), key=order.index, reverse=repeat)
+        edges.append(BehaviorEdge(a, b, repeat))
+    firings = list(order)
+    for _ in range(rng.randint(0, 3)):
+        loops = [(order.index(e.after), order.index(e.before)) for e in edges if e.repeat]
+        if loops and rng.random() < 0.7:
+            i, j = rng.choice(loops)
+        else:
+            i = rng.randrange(len(order))
+            j = rng.randrange(i, len(order))
+        firings += order[i:j + 1]
+    if rng.random() < 0.5:
+        firings = [name for name in firings if rng.random() < 0.8]
+    if rng.random() < 0.3 and len(firings) > 1:
+        k = rng.randrange(len(firings) - 1)
+        firings[k], firings[k + 1] = firings[k + 1], firings[k]
+    return BehaviorGraph(tuple(names), tuple(edges)), firings
+
+
+def test_conforms_verdicts_on_random_chronologies_match_the_recorded_digest():
+    rng = random.Random(61)
+    digest = hashlib.sha256()
+    refired_ok = 0
+    for _ in range(3000):
+        graph, firings = _random_chronology(rng)
+        verdict = conforms(fired_trace(firings), graph)
+        digest.update(repr((verdict.ok, verdict.violation, verdict.step)).encode())
+        refired_ok += verdict.ok and len(set(firings)) < len(firings)
+    assert refired_ok >= 100  # the draws do exercise repeat edges
+    assert digest.hexdigest() == CONFORMS_DIGEST

@@ -1,5 +1,7 @@
-"""Module layering: the metamodel depends on nothing but diagnostics, and
-the text, transform and render layers never reach into the simulator."""
+"""Module layering: the metamodel depends on nothing but diagnostics, the
+validator (static events and chronology checks included) on nothing but
+the metamodel and diagnostics, and the text, transform and render layers
+never reach into the simulator."""
 
 from __future__ import annotations
 
@@ -28,6 +30,10 @@ def tmkit_imports(module: str) -> set[str]:
 
 def test_model_imports_only_diagnostics():
     assert tmkit_imports("model") == {"diagnostics"}
+
+
+def test_validator_imports_only_model_and_diagnostics():
+    assert tmkit_imports("validator") <= {"model", "diagnostics"}
 
 
 def test_text_transform_and_render_do_not_import_the_simulator():

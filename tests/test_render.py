@@ -223,6 +223,14 @@ def test_wrong_shaped_json_is_unresolved(text):
     assert set(info.value.codes()) == {REF_UNRESOLVED}
 
 
+@pytest.mark.parametrize("text", ["[" * 100000, "[" * 5000 + "]" * 5000],
+                         ids=["unbalanced", "balanced"])
+def test_deeply_nested_json_is_unresolved(text):
+    with pytest.raises(ModelError) as info:
+        from_json(text)
+    assert set(info.value.codes()) == {REF_UNRESOLVED}
+
+
 def test_json_with_any_value_replaced_or_removed_loads_or_is_a_model_error(corpus_docs):
     """Every key of every first entry, dropped or given a number: the
     reader either builds a model or raises ModelError, nothing else."""
