@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .diagnostics import NotEnabledError
-from .model import BehaviorEdge, BehaviorGraph, Event, StageKind, TmModel, descendants
+from .model import BehaviorEdge, BehaviorGraph, Event, StageKind, TmModel, walk
 # Events and chronology checks are static and live in the validator; they
 # (and ``BehaviorEdge``) stay importable from here for existing callers.
 from .validator import build_events, check_behavior, define_event, elementary_events
@@ -375,15 +375,15 @@ def conforms(trace: Trace, graph: BehaviorGraph) -> Conformance:
     repeats = [(e.before, e.after) for e in graph.edges
                if e.repeat and e.before in fired and e.after in fired]
 
-    succ: dict[str, list[str]] = {}
-    preds: dict[str, list[str]] = {}
+    succ: dict[str, list[str]] = {name: [] for name in fired}
+    preds: dict[str, list[str]] = {name: [] for name in fired}
     for before, after in plain:
-        succ.setdefault(before, []).append(after)
-        preds.setdefault(after, []).append(before)
+        succ[before].append(after)
+        preds[after].append(before)
 
     # The body of a loop closed by a repeat edge tail -> head: every event
     # on a plain path from head to tail.
-    loops = [(tail, descendants(succ, head) & descendants(preds, tail))
+    loops = [(tail, set(walk(succ.__getitem__, [head])) & set(walk(preds.__getitem__, [tail])))
              for tail, head in repeats]
 
     done: set[str] = set()
@@ -395,7 +395,7 @@ def conforms(trace: Trace, graph: BehaviorGraph) -> Conformance:
                     break
             else:
                 return Conformance(False, (name, name), at_step)
-        for before in preds.get(name, ()):
+        for before in preds[name]:
             if before not in done:
                 return Conformance(False, (before, name), at_step)
         done.add(name)

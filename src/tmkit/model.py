@@ -12,7 +12,8 @@ can read a document without importing the simulator.
 
 A :class:`TmModel` is immutable once built and safe to share between
 readers; every other module of the toolchain works against the types
-defined here.
+defined here. :func:`walk` is the one graph search: reachability,
+connected components, chronology paths and simplification all use it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .diagnostics import (
     DUP_NAME,
@@ -262,15 +263,9 @@ class ModelIndex:
             self.neighbors[edge.target].add(edge.source)
         self.component: dict[str, str] = {}
         for s in model.stages:
-            if s.id in self.component:
-                continue
-            self.component[s.id] = s.id
-            frontier = [s.id]
-            while frontier:
-                for nxt in self.neighbors[frontier.pop()]:
-                    if nxt not in self.component:
-                        self.component[nxt] = s.id
-                        frontier.append(nxt)
+            if s.id not in self.component:
+                self.component.update(
+                    dict.fromkeys(walk(self.neighbors.__getitem__, [s.id]), s.id))
 
         self.spontaneous_creates = tuple(
             s.id for s in model.stages
@@ -424,6 +419,25 @@ def build_model(
     return model
 
 
+def walk(succ: Callable[[str], Iterable[str]], starts: Iterable[str]) -> Iterator[str]:
+    """The one graph search: yield the ``starts`` (duplicates dropped, in
+    order), then every node a path of ``succ`` arcs leads to from them,
+    each once, breadth first in the order it is first reached.
+
+    Nodes are yielded as they are reached, so a caller looking for one
+    node stops the search there.
+    """
+    queue = list(dict.fromkeys(starts))
+    seen = set(queue)
+    yield from queue
+    for node in queue:  # grows while iterating
+        for nxt in succ(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+                yield nxt
+
+
 def reachable(model: TmModel, start: str) -> set[str]:
     """Stages reachable from ``start`` along flow edges, including ``start`` itself.
 
@@ -431,27 +445,7 @@ def reachable(model: TmModel, start: str) -> set[str]:
     """
     if not model.has_stage(start):
         raise ModelError([error(REF_UNRESOLVED, f"unknown stage '{start}'", start)])
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for f in model.flows_from(current):
-            if f.target not in seen:
-                seen.add(f.target)
-                frontier.append(f.target)
-    return seen
-
-
-def descendants(succ: dict[str, Iterable[str]], start: str) -> set[str]:
-    """``start`` and every node a path of ``succ`` arcs leads to from it."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for nxt in succ.get(frontier.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    return set(walk(lambda stage: (f.target for f in model.flows_from(stage)), [start]))
 
 
 # -- events and chronologies --------------------------------------------------

@@ -9,7 +9,7 @@ paints event regions onto model elements for rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .diagnostics import REF_UNRESOLVED, ModelError, error
 from .model import (
@@ -21,6 +21,7 @@ from .model import (
     TmModel,
     TriggerEdge,
     build_model,
+    walk,
 )
 
 REMOVED_KINDS = (
@@ -73,50 +74,33 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     retained = [s for s in model.stages if s.id not in removable]
     retained_ids = {s.id for s in retained}
 
-    # Collapse: breadth-first from each retained stage through removable
-    # interiors only; discovery order keeps the output deterministic.
-    new_flows: list[FlowEdge] = []
-    seen_flows: set[tuple[str, str]] = set()
-    for stage in retained:
-        frontier = [stage.id]
-        visited = {stage.id}
-        while frontier:
-            nxt: list[str] = []
-            for current in frontier:
-                for flow in model.flows_from(current):
-                    target = flow.target
-                    if target in retained_ids:
-                        pair = (stage.id, target)
-                        if pair not in seen_flows:
-                            seen_flows.add(pair)
-                            new_flows.append(FlowEdge(stage.id, target))
-                    elif target not in visited:
-                        visited.add(target)
-                        nxt.append(target)
-            frontier = nxt
+    def downstream(stage: str) -> Iterator[str]:
+        return (f.target for f in model.flows_from(stage))
+
+    def upstream(stage: str) -> Iterator[str]:
+        return (f.source for f in model.flows_into(stage))
+
+    def through_removable(stage: str) -> Iterable[str]:
+        return downstream(stage) if stage in removable else ()
+
+    # Collapse: walk from each retained stage's flow targets through
+    # removable interiors only; a path back to the stage itself yields a
+    # self-loop. Discovery order keeps the output deterministic.
+    new_flows = [
+        FlowEdge(stage.id, reached)
+        for stage in retained
+        for reached in walk(through_removable, downstream(stage.id))
+        if reached in retained_ids
+    ]
 
     direct_before = {(f.source, f.target) for f in model.flows
                      if f.source in retained_ids and f.target in retained_ids}
     rewired = sum(1 for f in new_flows if (f.source, f.target) not in direct_before)
 
-    def nearest_retained(start: str, forward: bool) -> str | None:
-        """Closest retained stage along (or against) the flow, breadth first;
-        ties resolve by flow declaration order."""
-        frontier = [start]
-        visited = {start}
-        while frontier:
-            nxt: list[str] = []
-            for current in frontier:
-                edges = model.flows_from(current) if forward else model.flows_into(current)
-                for edge in edges:
-                    neighbor = edge.target if forward else edge.source
-                    if neighbor in retained_ids:
-                        return neighbor
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        nxt.append(neighbor)
-            frontier = nxt
-        return None
+    def nearest_retained(start: str, succ: Callable[[str], Iterable[str]]) -> str | None:
+        """Closest retained stage along ``succ``, breadth first; ties
+        resolve by flow declaration order."""
+        return next((n for n in walk(succ, [start]) if n in retained_ids), None)
 
     new_triggers: list[TriggerEdge] = []
     seen_triggers: set[tuple[str, str]] = set()
@@ -124,10 +108,10 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     for trigger in model.triggers:
         source = trigger.source
         if source in removable:
-            source = nearest_retained(trigger.source, forward=False)
+            source = nearest_retained(trigger.source, upstream)
         target = trigger.target
         if target in removable:
-            target = nearest_retained(trigger.target, forward=True)
+            target = nearest_retained(trigger.target, downstream)
         if source is None:
             dropped.append(DroppedTrigger(
                 trigger.source, trigger.target,

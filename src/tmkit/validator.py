@@ -45,7 +45,7 @@ from .model import (
     EventDecl,
     StageKind,
     TmModel,
-    descendants,
+    walk,
 )
 
 ELEMENTARY = "elementary"
@@ -171,36 +171,36 @@ def define_event(
 ) -> tuple[Event, list[Diagnostic]]:
     """Validate a region and produce an event, plus any warnings.
 
-    Raises :class:`ModelError` for empty regions and unresolved element
-    ids. A region whose elements do not hang together in the flow +
-    trigger graph (ignoring arrow direction) earns a REGION_DISCONNECTED
-    warning. When ``constituents`` are given the event is composite and
-    its region is the union of theirs.
+    Raises :class:`ModelError` for empty regions, unresolved element ids
+    and elements named more than once (``DUP_NAME``). A region whose
+    elements do not hang together in the flow + trigger graph (ignoring
+    arrow direction) earns a REGION_DISCONNECTED warning. When
+    ``constituents`` are given the event is composite and its region is
+    the union of theirs.
     """
     region = tuple(region)
     if constituents:
-        derived: list[str] = []
-        seen: set[str] = set()
-        for c in constituents:
-            for element in c.region:
-                if element not in seen:
-                    seen.add(element)
-                    derived.append(element)
+        derived = tuple(dict.fromkeys(element for c in constituents for element in c.region))
         if region and set(region) != set(derived):
             raise ValueError(
                 f"event '{name}': region does not match the union of its constituents")
-        region = tuple(derived)
+        region = derived
 
     if not region:
         raise ModelError([error(REGION_EMPTY, f"event '{name}' has an empty region", name, span)])
 
-    unresolved = [
-        error(REF_UNRESOLVED, f"event '{name}' names unknown element '{element}'", element, span)
-        for element in region
-        if not model.has_element(element)
-    ]
-    if unresolved:
-        raise ModelError(unresolved)
+    problems: list[Diagnostic] = []
+    seen: set[str] = set()
+    for element in region:
+        if element in seen:
+            problems.append(error(
+                DUP_NAME, f"event '{name}' names '{element}' more than once", element, span))
+        elif not model.has_element(element):
+            problems.append(error(
+                REF_UNRESOLVED, f"event '{name}' names unknown element '{element}'", element, span))
+        seen.add(element)
+    if problems:
+        raise ModelError(problems)
 
     index = model.index
     touched = _touched_stages(model, region)
@@ -262,23 +262,6 @@ def build_events(
 
 # -- chronology checks -----------------------------------------------------
 
-def _reaches(model: TmModel, sources: Iterable[str], goals: set[str]) -> bool:
-    """Whether a flow or trigger path (possibly empty) leads from a source
-    to a goal. Breadth first, so the walk stops at the nearest goal."""
-    seen = set(sources)
-    if not seen.isdisjoint(goals):
-        return True
-    frontier = list(seen)
-    for current in frontier:  # grows while iterating: a queue
-        for edge in (*model.flows_from(current), *model.triggers_from(current)):
-            if edge.target in goals:
-                return True
-            if edge.target not in seen:
-                seen.add(edge.target)
-                frontier.append(edge.target)
-    return False
-
-
 def check_behavior(
     model: TmModel, events: Iterable[Event], graph: BehaviorGraph
 ) -> ValidationReport:
@@ -305,11 +288,11 @@ def check_behavior(
             continue
         resolved.append(edge)
 
-    succ: dict[str, list[str]] = {}
+    succ: dict[str, list[str]] = {name: [] for name in by_id}
     order = TopologicalSorter()
     for e in resolved:
         if not e.repeat:
-            succ.setdefault(e.before, []).append(e.after)
+            succ[e.before].append(e.after)
             order.add(e.after, e.before)
 
     # Plain edges must form a DAG.
@@ -325,9 +308,12 @@ def check_behavior(
             None,
         ))
 
+    def targets(stage: str) -> list[str]:
+        return [edge.target for edge in (*model.flows_from(stage), *model.triggers_from(stage))]
+
     for edge in resolved:
         if edge.repeat:
-            if not cyclic and edge.before not in descendants(succ, edge.after):
+            if not cyclic and edge.before not in walk(succ.__getitem__, [edge.after]):
                 diags.append(error(
                     BEHAVIOR_INCONSISTENT,
                     f"repeat edge {edge.before} -> {edge.after} does not loop back over the chronology",
@@ -336,7 +322,7 @@ def check_behavior(
             continue
         before_stages = _touched_stages(model, by_id[edge.before].region)
         after_stages = _touched_stages(model, by_id[edge.after].region)
-        if not _reaches(model, before_stages, after_stages):
+        if after_stages.isdisjoint(walk(targets, before_stages)):
             diags.append(error(
                 BEHAVIOR_INCONSISTENT,
                 f"no flow or trigger path from event '{edge.before}' to event '{edge.after}'",

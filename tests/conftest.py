@@ -123,6 +123,30 @@ def random_model(rng: random.Random, max_stages: int = 30) -> TmModel:
     return build_model(thimacs, stages, flows, triggers)
 
 
+def arbitrary_model(rng: random.Random, max_stages: int = 12) -> TmModel:
+    """A structurally valid model with no semantic guarantees: stages of
+    every kind, nested thimacs, and flows and triggers between any two
+    stages, so illegal wiring, self-loops, repeated edges and cycles
+    through transport stages all occur."""
+    thimacs: list[Thimac] = []
+    for i in range(rng.randint(1, 4)):
+        parent = rng.choice(thimacs).id if thimacs and rng.random() < 0.4 else None
+        tid = f"T{i}" if parent is None else f"{parent}.T{i}"
+        thimacs.append(Thimac(id=tid, name=f"T{i}", parent=parent))
+    # Sorted, because a set's order is not reproducible across runs.
+    slots = sorted({(rng.choice(thimacs).id, rng.choice(list(StageKind)),
+                     rng.choice((None, "a", "b"))) for _ in range(rng.randint(1, max_stages))},
+                   key=lambda slot: (slot[0], slot[1].value, slot[2] or ""))
+    stages = [Stage(id=stage_ref_text(owner, kind, label), kind=kind, owner=owner, label=label)
+              for owner, kind, label in slots]
+    ids = [s.id for s in stages]
+    flows = [FlowEdge(rng.choice(ids), rng.choice(ids))
+             for _ in range(rng.randint(0, 2 * len(ids)))]
+    triggers = [TriggerEdge(rng.choice(ids), rng.choice(ids))
+                for _ in range(rng.randint(0, len(ids)))]
+    return build_model(thimacs, stages, flows, triggers)
+
+
 # -- oracles ----------------------------------------------------------------
 
 def closure_pairs(nodes: list[str], edges: list[tuple[str, str]]) -> set[tuple[str, str]]:

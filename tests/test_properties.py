@@ -1,18 +1,26 @@
-"""Property tests of the text front end, with Hypothesis.
+"""Property tests of the text front end and the command line, with Hypothesis.
 
 Any text built from token fragments, well formed or not, parses to an
 ``Ast`` or fails with ``ParseFailure``, and an ``Ast`` lowers to a
 ``Document`` or fails with ``ModelError``; nothing else escapes. The
 canonical text is a fixed point: formatting, re-parsing and formatting
-again gives the same text, and the re-parsed document equals the first. The settings are derandomized and bounded so
+again gives the same text, and the re-parsed document equals the first.
+``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
+or 2 and never raises. The settings are derandomized and bounded so
 every run draws the same examples.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmkit.cli import main
 from tmkit.diagnostics import ModelError
 from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, format_model, lower, parse
 from tmkit.model import KIND_BY_NAME
@@ -108,3 +116,39 @@ def test_format_parse_format_is_stable(text):
     again = lower(parse(first))
     assert format_model(again.model, again.events, again.behavior) == first
     assert (again.model, again.events, again.behavior) == (doc.model, doc.events, doc.behavior)
+
+
+COMMANDS = (
+    ("validate",), ("events",), ("simulate",), ("simplify",),
+    ("render", "--format", "dot"), ("render", "--format", "json"), ("fmt",),
+)
+# Small enough that a model looping to the step bound stays cheap.
+NUMBERS = ("0", "1", "2", "7", "-1", "+3", "007", "1_0", "\u0663", "1.5", "1e3", "0x10", "", "x")
+OUTPUTS = ("{tmp}/out.txt", "{tmp}/missing/out.txt", "{tmp}", "")
+flags = st.one_of(
+    st.tuples(st.sampled_from(("--steps", "--cap")), st.sampled_from(NUMBERS)),
+    st.tuples(st.just("--seed"), st.sampled_from((*NUMBERS, "99999999999999999999"))),
+    st.tuples(st.just("--policy"), st.sampled_from(("fifo", "random", "lifo", ""))),
+    st.tuples(st.just("--format"), st.sampled_from(("dot", "json", "svg"))),
+    st.tuples(st.just("--output"), st.sampled_from(OUTPUTS)),
+    st.tuples(st.sampled_from(("--overlay", "--flat", "--help", "--bogus", "extra", "--"))),
+)
+
+
+@fixed(150)
+@given(
+    command=st.sampled_from(COMMANDS),
+    options=st.lists(flags, max_size=2),
+    text=st.one_of(fragment_texts, documents(), documents()),  # most get past the parser
+    source=st.sampled_from(("file",) * 5 + ("bad utf-8", "missing", "directory")),
+)
+def test_cli_ends_with_an_exit_code_on_fuzzed_input(command, options, text, source):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.tm"
+        if source != "missing":
+            path.write_bytes(text.encode() + (b"\xff" if source == "bad utf-8" else b""))
+        argv = [*command, tmp if source == "directory" else str(path)]
+        argv += [part.format(tmp=tmp) for option in options for part in option]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import closure_pairs, random_model
+from conftest import arbitrary_model, closure_pairs, random_model
 from tmkit.diagnostics import REF_UNRESOLVED, ModelError
 from tmkit.dsl import lower, parse
 from tmkit.dynamics import build_events
@@ -78,6 +78,7 @@ def test_reachability_is_preserved_exactly(corpus_docs):
     rng = random.Random(13)
     models = [doc.model for doc in corpus_docs.values()]
     models += [random_model(rng) for _ in range(20)]
+    models += [arbitrary_model(rng) for _ in range(300)]
     for model in models:
         simplified, _ = simplify(model)
         assert retained_reachability(model) == retained_reachability(simplified)
@@ -87,6 +88,7 @@ def test_simplify_is_idempotent(corpus_docs):
     rng = random.Random(29)
     models = [doc.model for doc in corpus_docs.values()]
     models += [random_model(rng) for _ in range(10)]
+    models += [arbitrary_model(rng) for _ in range(300)]
     for model in models:
         once, _ = simplify(model)
         twice, report = simplify(once)

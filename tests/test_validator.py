@@ -263,3 +263,16 @@ def test_region_empty_fixture(corpus_docs):
     with pytest.raises(ModelError) as exc:
         define_event(model, "E", ())
     assert set(exc.value.codes()) == {REGION_EMPTY}
+
+
+def test_event_naming_a_stage_twice_is_a_duplicate():
+    doc = lower(parse("""
+    thimac A { create; process; }
+    flow A.create -> A.process;
+    event E { A.create; A.create; }
+    event F { A.process; }
+    """))
+    report, events = validate_document(doc.model, doc.events)
+    (diag,) = report.diagnostics
+    assert (diag.code, diag.element, diag.span) == (DUP_NAME, "A.create", doc.events[0].span)
+    assert [e.id for e in events] == ["F"]
