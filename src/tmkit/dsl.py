@@ -3,11 +3,11 @@
 Grammar (whitespace is free; comments run from '#' to end of line):
 
     model     := decl*
-    decl      := thimac | flow | trigger | event | behavior
+    decl      := thimac | edge | event | behavior
     thimac    := "thimac" NAME "{" (stage | thimac)* "}"
     stage     := KIND ("(" NAME ")")? ";"
-    flow      := "flow" stageRef "->" stageRef ";"
-    trigger   := "trigger" stageRef "~>" stageRef ";"
+    edge      := "flow" stageRef "->" stageRef ";"
+               | "trigger" stageRef "~>" stageRef ";"
     event     := "event" NAME "{" (stageRef ";")+ "}"
     behavior  := "behavior" "{" (NAME "->" NAME ("repeat")? ";")* "}"
     stageRef  := NAME ("." NAME)* "." KIND ("(" NAME ")")?
@@ -15,7 +15,10 @@ Grammar (whitespace is free; comments run from '#' to end of line):
                | "receive" | "arrive" | "accept"
 
 Solid arrows ("->") declare flows and dashed arrows ("~>") declare
-triggers, matching the two arrow styles of the diagrams. The optional
+triggers, matching the two arrow styles of the diagrams. The two differ
+only in keyword and arrow, so they share one grammar rule, one table
+(``EDGES``) that the parser and the formatter read, and one branch of
+lowering. The optional
 "repeat" mark on a chronology edge declares a permitted loop back to an
 earlier event rather than a precedence constraint. Files use the ".tm"
 extension and hold one model each.
@@ -28,19 +31,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Union
 
-from .diagnostics import (
-    DUP_NAME,
-    REF_UNRESOLVED,
-    Diagnostic,
-    ModelError,
-    Span,
-    TmError,
-    error,
-)
+from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, Span, TmError, error
 from .model import (
     KIND_BY_NAME,
     BehaviorEdge,
     BehaviorGraph,
+    EdgeSet,
     Event,
     EventDecl,
     FlowEdge,
@@ -151,6 +147,9 @@ class BehaviorNode:
 
 Declaration = Union[ThimacNode, FlowNode, TriggerNode, EventNode, BehaviorNode]
 
+# Edge keyword -> the AST node it declares and the arrow it is written with.
+EDGES = {"flow": (FlowNode, "->"), "trigger": (TriggerNode, "~>")}
+
 
 @dataclass(frozen=True)
 class Ast:
@@ -166,10 +165,6 @@ class _Token(NamedTuple):
     column: int
     start: int
     end: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.column, self.start, self.end)
 
 
 # One alternative per lexical class; the first that matches wins. A word
@@ -219,9 +214,6 @@ class _Syntax(Exception):
         self.err = err
 
 
-_TOP_KEYWORDS = ("thimac", "flow", "trigger", "event", "behavior")
-
-
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -256,7 +248,7 @@ class _Parser:
             tok = self.peek()
             if tok.type == "eof":
                 return
-            if depth == 0 and tok.type in _TOP_KEYWORDS:
+            if depth == 0 and tok.type in self.RULES:
                 return
             self.advance()
             if tok.type == "{":
@@ -272,19 +264,10 @@ class _Parser:
         decls: list[Declaration] = []
         while self.peek().type != "eof":
             try:
-                tok = self.peek()
-                if tok.type == "thimac":
-                    decls.append(self.thimac())
-                elif tok.type == "flow":
-                    decls.append(self.flow())
-                elif tok.type == "trigger":
-                    decls.append(self.trigger())
-                elif tok.type == "event":
-                    decls.append(self.event())
-                elif tok.type == "behavior":
-                    decls.append(self.behavior())
-                else:
+                rule = self.RULES.get(self.peek().type)
+                if rule is None:
                     raise self.unexpected(("a declaration",))
+                decls.append(rule(self))
             except _Syntax as exc:
                 self.errors.append(exc.err)
                 self.recover()
@@ -346,21 +329,14 @@ class _Parser:
             last = self.tokens[self.pos - 1]
         return StageRef(tuple(path), kind, label, _span(first, last))
 
-    def flow(self) -> FlowNode:
-        first = self.expect("flow")
+    def edge(self) -> FlowNode | TriggerNode:
+        first = self.advance()
+        node, arrow = EDGES[first.type]
         source = self.stage_ref()
-        self.expect("->", "'->'")
+        self.expect(arrow, f"'{arrow}'")
         target = self.stage_ref()
         last = self.expect(";")
-        return FlowNode(source, target, _span(first, last))
-
-    def trigger(self) -> TriggerNode:
-        first = self.expect("trigger")
-        source = self.stage_ref()
-        self.expect("~>", "'~>'")
-        target = self.stage_ref()
-        last = self.expect(";")
-        return TriggerNode(source, target, _span(first, last))
+        return node(source, target, _span(first, last))
 
     def event(self) -> EventNode:
         first = self.expect("event")
@@ -390,6 +366,11 @@ class _Parser:
             edges.append(BehaviorEdgeNode(before.text, after.text, repeat, _span(before, semi)))
         last = self.advance()
         return BehaviorNode(tuple(edges), _span(first, last))
+
+    # Declaration keyword -> rule; recover() also stops at each keyword.
+    # Plain functions, not bound methods: a table of bound methods on the
+    # instance would keep the parser and its tokens alive in a cycle.
+    RULES = {"thimac": thimac, **dict.fromkeys(EDGES, edge), "event": event, "behavior": behavior}
 
 
 def _span(first: _Token, last: _Token) -> Span:
@@ -457,31 +438,18 @@ def lower(ast: Ast) -> Document:
             return None
         return sid
 
-    flows: list[FlowEdge] = []
-    triggers: list[TriggerEdge] = []
+    edges = EdgeSet()
     event_decls: list[EventDecl] = []
     behavior_edges: list[BehaviorEdge] = []
     saw_behavior = False
     declared_events = {d.name for d in ast.declarations if isinstance(d, EventNode)}
 
-    edge_ids: set[str] = set()
-
-    def add_edge(edges: list, edge: FlowEdge | TriggerEdge, span: Span) -> None:
-        if edge.id in edge_ids:
-            diags.append(error(DUP_NAME, f"edge '{edge.id}' is declared twice", edge.id, span))
-        else:
-            edge_ids.add(edge.id)
-            edges.append(edge)
-
     for decl in ast.declarations:
-        if isinstance(decl, FlowNode):
+        if isinstance(decl, (FlowNode, TriggerNode)):
             src, dst = resolve(decl.source), resolve(decl.target)
             if src is not None and dst is not None:
-                add_edge(flows, FlowEdge(src, dst), decl.span)
-        elif isinstance(decl, TriggerNode):
-            src, dst = resolve(decl.source), resolve(decl.target)
-            if src is not None and dst is not None:
-                add_edge(triggers, TriggerEdge(src, dst), decl.span)
+                make = FlowEdge if isinstance(decl, FlowNode) else TriggerEdge
+                diags += edges.add(make(src, dst), decl.span)
         elif isinstance(decl, EventNode):
             region = tuple(sid for sid in (resolve(ref) for ref in decl.refs) if sid is not None)
             event_decls.append(EventDecl(decl.name, region, decl.span))
@@ -499,7 +467,7 @@ def lower(ast: Ast) -> Document:
                 if not missing:
                     behavior_edges.append(BehaviorEdge(edge.before, edge.after, edge.repeat))
 
-    model, build_diags = try_build_model(thimacs, stages, flows, triggers)
+    model, build_diags = try_build_model(thimacs, stages, edges.flows, edges.triggers)
     all_diags = build_diags + diags
     if all_diags:
         raise ModelError(all_diags)
@@ -547,16 +515,13 @@ def format_model(
             label = f"({stage.label})" if stage.label else ""
             block.append(f"{pad}{_INDENT}{stage.kind.value}{label};")
 
-    if model.flows:
-        sections.append([
-            f"flow {model.stage_ref(f.source)} -> {model.stage_ref(f.target)};"
-            for f in model.flows
-        ])
-    if model.triggers:
-        sections.append([
-            f"trigger {model.stage_ref(t.source)} ~> {model.stage_ref(t.target)};"
-            for t in model.triggers
-        ])
+    for keyword, edges in (("flow", model.flows), ("trigger", model.triggers)):
+        arrow = EDGES[keyword][1]
+        if edges:
+            sections.append([
+                f"{keyword} {model.stage_ref(e.source)} {arrow} {model.stage_ref(e.target)};"
+                for e in edges
+            ])
 
     for event in events:
         body = [f"event {event.name} {{"]

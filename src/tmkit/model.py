@@ -14,6 +14,8 @@ A :class:`TmModel` is immutable once built and safe to share between
 readers; every other module of the toolchain works against the types
 defined here. :func:`walk` is the one graph search: reachability,
 connected components, chronology paths and simplification all use it.
+:class:`EdgeSet` is the one rule that an edge is declared once, shared
+by the text and JSON readers.
 """
 
 from __future__ import annotations
@@ -121,6 +123,25 @@ class TriggerEdge:
     @property
     def id(self) -> str:
         return f"trigger:{self.source}~>{self.target}"
+
+
+class EdgeSet:
+    """The rule that an edge is declared once: keeps the first flow or
+    trigger of each id, in declaration order, sorted into ``flows`` and
+    ``triggers``."""
+
+    def __init__(self) -> None:
+        self.flows: list[FlowEdge] = []
+        self.triggers: list[TriggerEdge] = []
+        self._ids: set[str] = set()
+
+    def add(self, edge: FlowEdge | TriggerEdge, span: Span | None = None) -> list[Diagnostic]:
+        """Keep ``edge``, or return the DUP_NAME its repeat earns."""
+        if edge.id in self._ids:
+            return [error(DUP_NAME, f"edge '{edge.id}' is declared twice", edge.id, span)]
+        self._ids.add(edge.id)
+        (self.flows if isinstance(edge, FlowEdge) else self.triggers).append(edge)
+        return []
 
 
 def stage_ref_text(owner_path: str, kind: StageKind, label: str | None) -> str:
@@ -304,27 +325,19 @@ def try_build_model(
             diags.append(error(
                 REF_UNRESOLVED, f"thimac '{t.id}' names unknown parent '{t.parent}'", t.id))
 
-    # Containment must be a forest: follow parent chains, memoizing nodes
-    # already known to reach a root.
-    safe: set[str] = set()
-    reported_cycles: set[frozenset[str]] = set()
+    # Containment must be a forest: follow each parent chain until it
+    # meets a thimac an earlier chain visited. A chain that meets itself
+    # closes a cycle, reported once where it closed.
+    visited: set[str] = set()
     for t in thimac_by_id.values():
         chain: list[str] = []
-        on_chain: set[str] = set()
         cur: str | None = t.id
-        while cur is not None and cur in thimac_by_id and cur not in safe:
-            if cur in on_chain:
-                cycle = frozenset(chain[chain.index(cur):])
-                if cycle not in reported_cycles:
-                    reported_cycles.add(cycle)
-                    diags.append(error(
-                        NEST_CYCLE, f"thimac containment cycle through '{cur}'", cur))
-                break
+        while cur in thimac_by_id and cur not in visited:
+            visited.add(cur)
             chain.append(cur)
-            on_chain.add(cur)
             cur = thimac_by_id[cur].parent
-        else:
-            safe.update(chain)
+        if cur in chain:
+            diags.append(error(NEST_CYCLE, f"thimac containment cycle through '{cur}'", cur))
 
     # Sibling names must be unique (the implicit grand-thimac root owns the
     # parentless ones).

@@ -13,11 +13,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .diagnostics import DUP_NAME, REF_UNRESOLVED, Diagnostic, ModelError, error
+from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, error
 from .model import (
     KIND_BY_NAME,
     BehaviorEdge,
     BehaviorGraph,
+    EdgeSet,
     Event,
     FlowEdge,
     Stage,
@@ -196,21 +197,10 @@ def from_json(text: str) -> tuple[TmModel, tuple[Event, ...], BehaviorGraph]:
             r.bad(f"{w}.kind", f"a stage kind, not '{kind}'")
         stages.append(Stage(id=r.text(w, s, "id"), kind=KIND_BY_NAME.get(kind),
                             owner=r.text(w, s, "owner"), label=r.text(w, s, "label", optional=True)))
-    seen: set[str] = set()
-    repeated: list[Diagnostic] = []
-
-    def edges(section: str, make: type) -> list:
-        out = []
+    edges, repeated = EdgeSet(), []
+    for section, make in (("flows", FlowEdge), ("triggers", TriggerEdge)):
         for w, e in r.entries(data, section):
-            edge = make(r.text(w, e, "source"), r.text(w, e, "target"))
-            if edge.id in seen:
-                repeated.append(error(DUP_NAME, f"edge '{edge.id}' is declared twice", edge.id))
-            else:
-                seen.add(edge.id)
-                out.append(edge)
-        return out
-
-    flows, triggers = edges("flows", FlowEdge), edges("triggers", TriggerEdge)
+            repeated += edges.add(make(r.text(w, e, "source"), r.text(w, e, "target")))
     events = tuple(
         Event(id=r.text(w, e, "id"), name=r.text(w, e, "name"), region=r.texts(w, e, "region"),
               level=r.text(w, e, "level"),
@@ -226,7 +216,7 @@ def from_json(text: str) -> tuple[TmModel, tuple[Event, ...], BehaviorGraph]:
     )
     if r.diags:
         raise ModelError(r.diags)
-    model, diags = try_build_model(thimacs, stages, flows, triggers)
+    model, diags = try_build_model(thimacs, stages, edges.flows, edges.triggers)
     if diags or repeated:
         raise ModelError(diags + repeated)
     return model, events, behavior

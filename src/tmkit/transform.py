@@ -15,9 +15,7 @@ from .diagnostics import REF_UNRESOLVED, ModelError, error
 from .model import (
     Event,
     FlowEdge,
-    Stage,
     StageKind,
-    Thimac,
     TmModel,
     TriggerEdge,
     build_model,
@@ -131,12 +129,9 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
             seen_triggers.add((source, target))
             new_triggers.append(TriggerEdge(source, target))
 
-    simplified = build_model(
-        thimacs=[Thimac(id=t.id, name=t.name, parent=t.parent) for t in model.thimacs],
-        stages=[Stage(id=s.id, kind=s.kind, owner=s.owner, label=s.label) for s in retained],
-        flows=new_flows,
-        triggers=new_triggers,
-    )
+    # build_model derives children and stages of each thimac afresh, so
+    # the input's thimacs and retained stages pass through as they are.
+    simplified = build_model(model.thimacs, retained, new_flows, new_triggers)
     removed_counts = {kind.value: 0 for kind in REMOVED_KINDS}
     for sid in removable:
         removed_counts[model.stage(sid).kind.value] += 1
@@ -171,10 +166,10 @@ class OverlaySpec:
     assignments: tuple[tuple[str, str], ...]
 
 
-def make_overlay(events: Iterable[Event], palette: tuple[str, ...] = PALETTE) -> OverlaySpec:
-    """Assign palette colors to events, cycling in declaration order."""
+def make_overlay(events: Iterable[Event]) -> OverlaySpec:
+    """Assign :data:`PALETTE` colors to events, cycling in declaration order."""
     return OverlaySpec(tuple(
-        (event.id, palette[i % len(palette)]) for i, event in enumerate(events)
+        (event.id, PALETTE[i % len(PALETTE)]) for i, event in enumerate(events)
     ))
 
 

@@ -1,7 +1,8 @@
 """Module layering: the metamodel depends on nothing but diagnostics, the
 validator (static events and chronology checks included) on nothing but
 the metamodel and diagnostics, and the text, transform and render layers
-never reach into the simulator."""
+never reach into the simulator. ``LAYERS`` pins the one-way order for
+every module below the command line."""
 
 from __future__ import annotations
 
@@ -11,6 +12,19 @@ from pathlib import Path
 import tmkit
 
 SOURCES = Path(tmkit.__file__).parent
+
+# The tmkit modules each module may import. Only the entry points, the
+# package itself and ``cli``, stand above the table and import freely.
+LAYERS = {
+    "diagnostics": set(),
+    "model": {"diagnostics"},
+    "dsl": {"model", "diagnostics"},
+    "validator": {"model", "diagnostics"},
+    "transform": {"model", "diagnostics"},
+    "dynamics": {"model", "diagnostics", "validator"},
+    "render": {"model", "diagnostics", "transform"},
+}
+ENTRY_POINTS = {"__init__", "cli"}
 
 
 def tmkit_imports(module: str) -> set[str]:
@@ -39,3 +53,9 @@ def test_validator_imports_only_model_and_diagnostics():
 def test_text_transform_and_render_do_not_import_the_simulator():
     for module in ("dsl", "transform", "render"):
         assert "dynamics" not in tmkit_imports(module), module
+
+
+def test_every_module_imports_only_from_the_layers_below_it():
+    assert {p.stem for p in SOURCES.glob("*.py")} == set(LAYERS) | ENTRY_POINTS
+    for module, allowed in LAYERS.items():
+        assert tmkit_imports(module) <= allowed, module
