@@ -4,8 +4,11 @@ they check."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,17 @@ from tmkit.validator import validate_document
 FIXTURES = Path(__file__).parent / "fixtures"
 
 CORPUS_NAMES = ("heating_water", "reservation", "dough_cookie", "tendering")
+SHAPES_PY = Path(__file__).parent.parent / "perfbench" / "shapes.py"
+
+
+@functools.cache
+def load_shapes():
+    """The benchmark's shape generators, ``perfbench/shapes.py``, as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_shapes", SHAPES_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

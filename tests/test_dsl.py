@@ -68,6 +68,18 @@ def test_parse_error_positions_address_the_input():
         assert 1 <= err.column <= len(lines[err.line - 1]) + 1
 
 
+def test_parse_error_positions_after_crlf_tabs_and_comments():
+    text = ("thimac A { create; }\r\n# B comes next\r\nthimac B {\tprocess; }\r\n"
+            "\tflow A.create ~> B.process; @\r\n")
+    with pytest.raises(ParseFailure) as exc:
+        parse(text)
+    assert [(e.line, e.column, e.found) for e in exc.value.errors] == [
+        (4, 30, "'@'"), (4, 16, "'~>'")]
+    with pytest.raises(ParseFailure) as exc:
+        parse("thimac A {\r\n\t# open\r\n\tcreate;\r\n\tprocess # unfinished")
+    assert [(e.line, e.column, e.found) for e in exc.value.errors] == [(4, 10, "end of input")]
+
+
 def test_parser_recovers_at_declaration_boundaries():
     text = "thimac A { create }\nthimac B { process; }\nflow B.process -> ;"
     with pytest.raises(ParseFailure) as exc:

@@ -9,7 +9,8 @@ the dot text clustered and flat. The inputs are the corpus models, the
 three benchmark shapes at small sizes, seeded mutations of each
 (deletions, truncations, and insertions of punctuation, arrows,
 keywords, odd whitespace, comment marks and non-ASCII letters and
-numerals), and a few hand-picked edge cases.
+numerals), a few hand-picked edge cases, and the ``authoring`` shape at
+its benchmark size.
 
 To record the digests again after an intended change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden_parse.py``.
@@ -19,22 +20,19 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import importlib.util
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, load_shapes
 from tmkit.cli import corpus
 from tmkit.diagnostics import ModelError
 from tmkit.dsl import ParseFailure, format_model, lower, parse
 from tmkit.render import RenderOptions, to_dot
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_parse.json"
-SHAPES_PY = Path(__file__).parent.parent / "perfbench" / "shapes.py"
 MUTATIONS = 100
 
 INSERTS = (
@@ -60,22 +58,24 @@ EDGE_CASES = (
     "thimac A { thimac B { create; }",
     "behavior { A -> B repeat; }",
     "-> ~> - ~ > \f \v  ",
+    # Positions after CRLF lines, comment lines and tabs; numerals inside a
+    # line; a stray form feed later on; an open thimac ending in a comment.
+    "thimac A { create; }\r\n# a comment line\nthimac B { create }\nflow A.create -> ;\r\n",
+    "thimac A { create; }\r\n# note\r\n\nflow A.create\t~> B.x;\n\tevent { }",
+    "thimac A {\tcreate\t}",
+    "thimac A { create; } ²x ½9 thimac a² { process; } flow a².process -> A.create;",
+    "thimac A { create; }\n\nthimac B { process; \f }\n",
+    "thimac A { create; thimac B { process; # still open",
 )
-
-
-def _load_shapes():
-    spec = importlib.util.spec_from_file_location("perfbench_shapes", SHAPES_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+# The authoring shape at its benchmark size, pinned with the edge cases.
+AUTHORING_SIZE = 35
 
 
 @functools.cache
 def _bases() -> dict[str, str]:
     texts = {f"corpus/{name}": corpus()[name].read_text(encoding="utf-8")
              for name in CORPUS_NAMES}
-    for name, make in _load_shapes().GENERATORS.items():
+    for name, make in load_shapes().GENERATORS.items():
         texts[f"shape/{name}"] = make(3, 0).text
     return texts
 
@@ -96,7 +96,9 @@ def _mutate(text: str, rng: random.Random) -> str:
 def _variants(base: str) -> dict[str, str]:
     """The inputs pinned under one base name."""
     if base == "edge":
-        return {str(i): text for i, text in enumerate(EDGE_CASES)}
+        cases = {str(i): text for i, text in enumerate(EDGE_CASES)}
+        cases[f"authoring/{AUTHORING_SIZE}"] = load_shapes().authoring(AUTHORING_SIZE, 0).text
+        return cases
     text = _bases()[base]
     rng = random.Random(base)
     variants = {"original": text}

@@ -5,6 +5,8 @@ Any text built from token fragments, well formed or not, parses to an
 ``Document`` or fails with ``ModelError``; nothing else escapes. The
 canonical text is a fixed point: formatting, re-parsing and formatting
 again gives the same text, and the re-parsed document equals the first.
+Every AST span gives the line and column that counting newlines before
+its start gives.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. The settings are derandomized and bounded so
 every run draws the same examples.
@@ -13,6 +15,7 @@ every run draws the same examples.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -20,8 +23,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.cli import main
-from tmkit.diagnostics import ModelError
+from conftest import CORPUS_NAMES, load_shapes
+from tmkit.cli import corpus, main
+from tmkit.diagnostics import ModelError, Span
 from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, format_model, lower, parse
 from tmkit.model import KIND_BY_NAME
 
@@ -116,6 +120,42 @@ def test_format_parse_format_is_stable(text):
     again = lower(parse(first))
     assert format_model(again.model, again.events, again.behavior) == first
     assert (again.model, again.events, again.behavior) == (doc.model, doc.events, doc.behavior)
+
+
+def spanned_nodes(ast: Ast):
+    """Every AST node that carries a span."""
+    pending = list(ast.declarations)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, tuple):
+            pending.extend(node)
+        elif dataclasses.is_dataclass(node) and not isinstance(node, Span):
+            yield node
+            pending.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+
+
+def assert_spans_count_newlines(text: str) -> None:
+    for node in spanned_nodes(parse(text)):
+        span = node.span
+        assert 0 <= span.start < span.end <= len(text)
+        assert span.line == text.count("\n", 0, span.start) + 1
+        assert span.column == span.start - text.rfind("\n", 0, span.start)
+
+
+@fixed(300)
+@given(st.one_of(fragment_texts, documents()))
+def test_spans_agree_with_counted_newlines(text):
+    try:
+        assert_spans_count_newlines(text)
+    except ParseFailure:
+        pass
+
+
+def test_spans_agree_with_counted_newlines_on_corpus_and_shapes():
+    texts = [corpus()[name].read_text(encoding="utf-8") for name in CORPUS_NAMES]
+    texts += [make(12, seed).text for make in load_shapes().GENERATORS.values() for seed in (0, 1)]
+    for text in texts:
+        assert_spans_count_newlines(text)
 
 
 COMMANDS = (
