@@ -16,20 +16,21 @@ Grammar (whitespace is free; comments run from '#' to end of line):
 
 Solid arrows ("->") declare flows and dashed arrows ("~>") declare
 triggers, matching the two arrow styles of the diagrams. The two differ
-only in keyword and arrow, so they share one grammar rule, one table
-(``EDGES``) that the parser and the formatter read, and one branch of
-lowering. The optional
-"repeat" mark on a chronology edge declares a permitted loop back to an
-earlier event rather than a precedence constraint. Files use the ".tm"
-extension and hold one model each.
+only in keyword and arrow, so they share one grammar rule and one table
+(``EDGES``) that the parser, the lowering and the formatter read. The
+optional "repeat" mark on a chronology edge declares a permitted loop
+back to an earlier event rather than a precedence constraint. Files use
+the ".tm" extension and hold one model each; a UTF-8 byte-order mark at
+the start of a file is ignored.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, Span, TmError, error
 from .model import (
@@ -147,8 +148,9 @@ class BehaviorNode:
 
 Declaration = Union[ThimacNode, FlowNode, TriggerNode, EventNode, BehaviorNode]
 
-# Edge keyword -> the AST node it declares and the arrow it is written with.
-EDGES = {"flow": (FlowNode, "->"), "trigger": (TriggerNode, "~>")}
+# Edge keyword -> the AST node it declares, the arrow it is written with
+# and the model edge it lowers to.
+EDGES = {"flow": (FlowNode, "->", FlowEdge), "trigger": (TriggerNode, "~>", TriggerEdge)}
 
 
 @dataclass(frozen=True)
@@ -158,53 +160,52 @@ class Ast:
 
 # -- tokenizer ----------------------------------------------------------------
 
-class _Token(NamedTuple):
-    type: str
-    text: str
-    line: int
-    column: int
-    start: int
-    end: int
+# One match per token, with the whitespace and comments before it. After
+# the longest such prefix the token group always matches ('.' takes any
+# character, ``\Z`` the end), so the prefix is never backtracked into (a
+# possessive '*+' would say so, but needs Python 3.11). '\f' and '\v' are
+# not whitespace. A name starts with a letter or '_': ``[^\W\d]`` also
+# admits numerals that are not decimal digits (such as '²'), which
+# _tokenize reports one character at a time.
+_SCAN = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*(->|~>|[{}();.]|[^\W\d]\w*|.|\Z)", re.DOTALL)
+_TYPES = {**{p: p for p in ("->", "~>", "{", "}", "(", ")", ";", ".")},
+          **{word: word for word in KEYWORDS}, **dict.fromkeys(KIND_BY_NAME, "kind")}
 
 
-# One alternative per lexical class; the first that matches wins. A word
-# starts with a letter or '_': ``[^\W\d]`` also admits numerals that are
-# not decimal digits (such as '²'), which _tokenize reports one by one.
-_SCAN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<space>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<punct>->|~>|[{}();.])
-  | (?P<word>[^\W\d]\w*)
-  | (?P<other>.)
-""", re.VERBOSE | re.DOTALL)
-_WORD_TYPES = {**{word: word for word in KEYWORDS}, **{word: "kind" for word in KIND_BY_NAME}}
-
-
-def _tokenize(text: str) -> tuple[list[_Token], list[ParseError]]:
-    tokens: list[_Token] = []
-    errors: list[ParseError] = []
-    line, line_start, pos, n = 1, 0, 0, len(text)
-    m = None
-    while pos < n:
-        m = _SCAN.match(text, pos)
-        start, pos = m.span()
-        kind, word = m.lastgroup, m[0]
-        column = start - line_start + 1
-        if kind == "newline":
-            line += 1
-            line_start = pos
-        elif kind == "punct":
-            tokens.append(_Token(word, word, line, column, start, pos))
-        elif kind == "word" and (word[0].isalpha() or word[0] == "_"):
-            tokens.append(_Token(_WORD_TYPES.get(word, "name"), word, line, column, start, pos))
-        elif kind in ("word", "other"):
-            errors.append(ParseError(line, column, ("a declaration",), repr(text[start])))
-            pos = start + 1
-    # A comment ending the input leaves the end-of-input column at its '#'.
-    end = m.start() if m is not None and m.lastgroup == "comment" else pos
-    tokens.append(_Token("eof", "", line, end - line_start + 1, pos, pos))
-    return tokens, errors
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """Token types, texts and start offsets, ending in "eof", and the
+    offsets of the characters that start no token."""
+    types: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    bad: list[int] = []
+    for m in _SCAN.finditer(text):
+        word, start = m[1], m.start(1)
+        ttype = _TYPES.get(word)
+        if ttype is None:
+            if not word:
+                break
+            if word[0].isalpha() or word[0] == "_":
+                ttype = "name"
+            else:
+                # Each character up to the first that starts a name is
+                # reported; the rest of the word is a token, as a scan
+                # starting there would find.
+                lead = next((i for i, c in enumerate(word) if c.isalpha() or c == "_"), len(word))
+                bad.extend(range(start, start + lead))
+                if lead == len(word):
+                    continue
+                word, start = word[lead:], start + lead
+                ttype = _TYPES.get(word, "name")
+        types.append(ttype)
+        texts.append(word)
+        starts.append(start)
+    # A comment ending the input leaves the end-of-input position at its '#'.
+    comment = text.find("#", text.rfind("\n") + 1)
+    types.append("eof")
+    texts.append("")
+    starts.append(comment if comment >= 0 else len(text))
+    return types, texts, starts, bad
 
 
 # -- parser -------------------------------------------------------------------
@@ -215,166 +216,180 @@ class _Syntax(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Reads the flat token lists by index. Each rule takes the position of
+    its first token and returns its node and the position after it; line
+    and column are derived only for spans and errors."""
+
+    def __init__(self, text: str):
+        self.types, self.texts, self.starts, bad = _tokenize(text)
+        # Every '\n' offset after a -1 for the start of the text, so that
+        # bisect_left gives the 1-based line of an offset.
+        self.newlines = [-1, *(m.start() for m in re.finditer("\n", text))]
         self.pos = 0
-        self.errors: list[ParseError] = []
+        self.errors = [ParseError(*self.position(at), ("a declaration",), repr(text[at]))
+                       for at in bad]
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def position(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of a character offset."""
+        line = bisect_left(self.newlines, offset)
+        return line, offset - self.newlines[line - 1]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.type != "eof":
-            self.pos += 1
-        return tok
+    def span(self, first: int, last: int) -> Span:
+        start, newlines = self.starts[first], self.newlines
+        line = bisect_left(newlines, start)  # position(), inlined
+        end = self.starts[last] + len(self.texts[last])
+        return Span(line, start - newlines[line - 1], start, end)
 
-    def expect(self, ttype: str, description: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.type != ttype:
-            raise self.unexpected((description or f"'{ttype}'",))
-        return self.advance()
-
-    def unexpected(self, expected: tuple[str, ...]) -> _Syntax:
-        tok = self.peek()
-        found = "end of input" if tok.type == "eof" else f"'{tok.text}'"
-        return _Syntax(ParseError(tok.line, tok.column, expected, found))
+    def fail(self, pos: int, *expected: str) -> _Syntax:
+        """The error at token ``pos``, where recovery then starts."""
+        self.pos = pos
+        found = "end of input" if self.types[pos] == "eof" else f"'{self.texts[pos]}'"
+        return _Syntax(ParseError(*self.position(self.starts[pos]), expected, found))
 
     def recover(self) -> None:
         """Skip to the next declaration boundary: past a top-level ';' or
         the '}' closing the declaration the error occurred in."""
-        depth = 0
+        types, pos, depth = self.types, self.pos, 0
         while True:
-            tok = self.peek()
-            if tok.type == "eof":
-                return
-            if depth == 0 and tok.type in self.RULES:
-                return
-            self.advance()
-            if tok.type == "{":
+            ttype = types[pos]
+            if ttype == "eof" or (depth == 0 and ttype in self.RULES):
+                break
+            pos += 1
+            if ttype == "{":
                 depth += 1
-            elif tok.type == "}":
+            elif ttype == "}":
                 if depth <= 1:
-                    return
+                    break
                 depth -= 1
-            elif tok.type == ";" and depth == 0:
-                return
+            elif ttype == ";" and depth == 0:
+                break
+        self.pos = pos
 
     def parse_model(self) -> Ast:
         decls: list[Declaration] = []
-        while self.peek().type != "eof":
+        while self.types[self.pos] != "eof":
             try:
-                rule = self.RULES.get(self.peek().type)
+                rule = self.RULES.get(self.types[self.pos])
                 if rule is None:
-                    raise self.unexpected(("a declaration",))
-                decls.append(rule(self))
+                    raise self.fail(self.pos, "a declaration")
+                decl, self.pos = rule(self, self.pos)
+                decls.append(decl)
             except _Syntax as exc:
                 self.errors.append(exc.err)
                 self.recover()
         return Ast(tuple(decls))
 
-    def thimac(self) -> ThimacNode:
+    def thimac(self, pos: int) -> tuple[ThimacNode, int]:
+        types, texts = self.types, self.texts
         # The open thimacs, innermost last: first token, name, body so far.
-        open_: list[tuple[_Token, str, list[ThimacNode | StageNode]]] = []
+        open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = []
         while True:
-            tok = self.peek()
-            if tok.type == "thimac" or not open_:
-                first = self.expect("thimac")
-                name = self.expect("name", "a thimac name")
-                self.expect("{")
-                open_.append((first, name.text, []))
-            elif tok.type == "kind":
-                open_[-1][2].append(self.stage())
-            elif tok.type == "}":
+            ttype = types[pos]
+            if ttype == "kind":
+                label, end = self.optional_label(pos + 1)
+                if types[end] != ";":
+                    raise self.fail(end, "';'")
+                open_[-1][2].append(StageNode(KIND_BY_NAME[texts[pos]], label, self.span(pos, end)))
+                pos = end + 1
+            elif ttype == "thimac":
+                if types[pos + 1] != "name":
+                    raise self.fail(pos + 1, "a thimac name")
+                if types[pos + 2] != "{":
+                    raise self.fail(pos + 2, "'{'")
+                open_.append((pos, texts[pos + 1], []))
+                pos += 3
+            elif ttype == "}":
                 first, name, body = open_.pop()
-                node = ThimacNode(name, tuple(body), _span(first, self.advance()))
+                node = ThimacNode(name, tuple(body), self.span(first, pos))
+                pos += 1
                 if not open_:
-                    return node
+                    return node, pos
                 open_[-1][2].append(node)
             else:
-                raise self.unexpected(("a stage", "'thimac'", "'}'"))
+                raise self.fail(pos, "a stage", "'thimac'", "'}'")
 
-    def stage(self) -> StageNode:
-        kind_tok = self.expect("kind")
-        label = self.optional_label()
-        last = self.expect(";")
-        return StageNode(KIND_BY_NAME[kind_tok.text], label, _span(kind_tok, last))
+    def optional_label(self, pos: int) -> tuple[str | None, int]:
+        """An optional '(' NAME ')' at ``pos``."""
+        types = self.types
+        if types[pos] != "(":
+            return None, pos
+        if types[pos + 1] != "name":
+            raise self.fail(pos + 1, "a label")
+        if types[pos + 2] != ")":
+            raise self.fail(pos + 2, "')'")
+        return self.texts[pos + 1], pos + 3
 
-    def optional_label(self) -> str | None:
-        if self.peek().type != "(":
-            return None
-        self.advance()
-        name = self.expect("name", "a label")
-        self.expect(")")
-        return name.text
+    def stage_ref(self, pos: int) -> tuple[StageRef, int]:
+        types, texts, first = self.types, self.texts, pos
+        if types[pos] != "name":
+            raise self.fail(pos, "a stage reference")
+        path = [texts[pos]]
+        while True:
+            if types[pos + 1] != ".":
+                raise self.fail(pos + 1, "'.'")
+            pos += 2
+            ttype = types[pos]
+            if ttype == "kind":
+                break
+            if ttype != "name":
+                raise self.fail(pos, "a thimac name", "a stage kind")
+            path.append(texts[pos])
+        label, end = self.optional_label(pos + 1)
+        ref = StageRef(tuple(path), KIND_BY_NAME[texts[pos]], label, self.span(first, end - 1))
+        return ref, end
 
-    def stage_ref(self) -> StageRef:
-        first = self.expect("name", "a stage reference")
-        path = [first.text]
-        kind: StageKind | None = None
-        last = first
-        while kind is None:
-            self.expect(".")
-            tok = self.peek()
-            if tok.type == "kind":
-                kind = KIND_BY_NAME[tok.text]
-                last = self.advance()
-            elif tok.type == "name":
-                path.append(tok.text)
-                last = self.advance()
-            else:
-                raise self.unexpected(("a thimac name", "a stage kind"))
-        label = self.optional_label()
-        if label is not None:
-            last = self.tokens[self.pos - 1]
-        return StageRef(tuple(path), kind, label, _span(first, last))
+    def edge(self, pos: int) -> tuple[FlowNode | TriggerNode, int]:
+        types, first = self.types, pos
+        node, arrow, _ = EDGES[types[pos]]
+        source, pos = self.stage_ref(pos + 1)
+        if types[pos] != arrow:
+            raise self.fail(pos, f"'{arrow}'")
+        target, pos = self.stage_ref(pos + 1)
+        if types[pos] != ";":
+            raise self.fail(pos, "';'")
+        return node(source, target, self.span(first, pos)), pos + 1
 
-    def edge(self) -> FlowNode | TriggerNode:
-        first = self.advance()
-        node, arrow = EDGES[first.type]
-        source = self.stage_ref()
-        self.expect(arrow, f"'{arrow}'")
-        target = self.stage_ref()
-        last = self.expect(";")
-        return node(source, target, _span(first, last))
+    def event(self, pos: int) -> tuple[EventNode, int]:
+        types, first = self.types, pos
+        if types[pos + 1] != "name":
+            raise self.fail(pos + 1, "an event name")
+        if types[pos + 2] != "{":
+            raise self.fail(pos + 2, "'{'")
+        refs: list[StageRef] = []
+        pos += 3
+        while not refs or types[pos] != "}":
+            ref, pos = self.stage_ref(pos)
+            if types[pos] != ";":
+                raise self.fail(pos, "';'")
+            refs.append(ref)
+            pos += 1
+        return EventNode(self.texts[first + 1], tuple(refs), self.span(first, pos)), pos + 1
 
-    def event(self) -> EventNode:
-        first = self.expect("event")
-        name = self.expect("name", "an event name")
-        self.expect("{")
-        refs = [self.stage_ref()]
-        self.expect(";")
-        while self.peek().type != "}":
-            refs.append(self.stage_ref())
-            self.expect(";")
-        last = self.advance()
-        return EventNode(name.text, tuple(refs), _span(first, last))
-
-    def behavior(self) -> BehaviorNode:
-        first = self.expect("behavior")
-        self.expect("{")
+    def behavior(self, pos: int) -> tuple[BehaviorNode, int]:
+        types, texts, first = self.types, self.texts, pos
+        if types[pos + 1] != "{":
+            raise self.fail(pos + 1, "'{'")
+        pos += 2
         edges: list[BehaviorEdgeNode] = []
-        while self.peek().type != "}":
-            before = self.expect("name", "an event name")
-            self.expect("->", "'->'")
-            after = self.expect("name", "an event name")
-            repeat = False
-            if self.peek().type == "repeat":
-                self.advance()
-                repeat = True
-            semi = self.expect(";")
-            edges.append(BehaviorEdgeNode(before.text, after.text, repeat, _span(before, semi)))
-        last = self.advance()
-        return BehaviorNode(tuple(edges), _span(first, last))
+        while types[pos] != "}":
+            if types[pos] != "name":
+                raise self.fail(pos, "an event name")
+            if types[pos + 1] != "->":
+                raise self.fail(pos + 1, "'->'")
+            if types[pos + 2] != "name":
+                raise self.fail(pos + 2, "an event name")
+            repeat = types[pos + 3] == "repeat"
+            end = pos + 4 if repeat else pos + 3
+            if types[end] != ";":
+                raise self.fail(end, "';'")
+            edges.append(BehaviorEdgeNode(texts[pos], texts[pos + 2], repeat, self.span(pos, end)))
+            pos = end + 1
+        return BehaviorNode(tuple(edges), self.span(first, pos)), pos + 1
 
     # Declaration keyword -> rule; recover() also stops at each keyword.
     # Plain functions, not bound methods: a table of bound methods on the
     # instance would keep the parser and its tokens alive in a cycle.
     RULES = {"thimac": thimac, **dict.fromkeys(EDGES, edge), "event": event, "behavior": behavior}
-
-
-def _span(first: _Token, last: _Token) -> Span:
-    return Span(first.line, first.column, first.start, last.end)
 
 
 def parse(text: str) -> Ast:
@@ -384,12 +399,10 @@ def parse(text: str) -> Ast:
     not hide later ones; if anything failed, a :class:`ParseFailure`
     carrying every error is raised at the end.
     """
-    tokens, errors = _tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(text)
     ast = parser.parse_model()
-    errors.extend(parser.errors)
-    if errors:
-        raise ParseFailure(errors)
+    if parser.errors:
+        raise ParseFailure(parser.errors)
     return ast
 
 
@@ -444,11 +457,12 @@ def lower(ast: Ast) -> Document:
     saw_behavior = False
     declared_events = {d.name for d in ast.declarations if isinstance(d, EventNode)}
 
+    lowered_edge = {node: model_edge for node, _, model_edge in EDGES.values()}
     for decl in ast.declarations:
-        if isinstance(decl, (FlowNode, TriggerNode)):
+        make = lowered_edge.get(type(decl))
+        if make is not None:
             src, dst = resolve(decl.source), resolve(decl.target)
             if src is not None and dst is not None:
-                make = FlowEdge if isinstance(decl, FlowNode) else TriggerEdge
                 diags += edges.add(make(src, dst), decl.span)
         elif isinstance(decl, EventNode):
             region = tuple(sid for sid in (resolve(ref) for ref in decl.refs) if sid is not None)
@@ -483,7 +497,7 @@ def lower(ast: Ast) -> Document:
 
 def load(path: str | Path) -> Document:
     """Read, parse, and lower one ``.tm`` file."""
-    return lower(parse(Path(path).read_text(encoding="utf-8")))
+    return lower(parse(Path(path).read_text(encoding="utf-8-sig")))
 
 
 # -- formatter ----------------------------------------------------------------

@@ -179,6 +179,15 @@ def test_fmt_emits_canonical_round_trippable_text(run_cli, corpus_paths):
     assert doc.behavior == original.behavior
 
 
+@pytest.mark.parametrize("command", ["fmt", "validate", "simulate"])
+def test_byte_order_mark_is_ignored(run_cli, corpus_paths, tmp_path, command):
+    plain = corpus_paths["tendering"]
+    marked = tmp_path / "marked.tm"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run_cli(command, str(marked)) == run_cli(command, str(plain))
+    assert run_cli(command, str(plain))[0] == 0
+
+
 def test_output_flag_writes_the_file(run_cli, corpus_paths, tmp_path):
     target = tmp_path / "out.json"
     code, out = run_cli("validate", str(corpus_paths["reservation"]),
