@@ -110,5 +110,3 @@ class ModelError(TmError):
 
 class NotEnabledError(TmError):
     """Raised when a stale simulation candidate is executed."""
-
-    code = "NOT_ENABLED"

@@ -243,7 +243,7 @@ def _is_enabled(state: SimState, c: Candidate) -> bool:
                 and state.creations_used.get(c.stage, 0) < state.options.creation_cap)
     flows = state.model.flows
     if (c.kind != "move" or c.stage is not None
-            or not isinstance(c.token, int) or not isinstance(c.flow_index, int)
+            or type(c.token) is not int or type(c.flow_index) is not int
             or not 0 <= c.flow_index < len(flows)):
         return False
     waiting = state.frontier.get(state.position[flows[c.flow_index].source], {})

@@ -101,24 +101,16 @@ def to_dot(
     return "\n".join(lines) + "\n"
 
 
-def document_to_dict(
-    model: TmModel,
-    events: Iterable[Event] = (),
-    behavior: BehaviorGraph | None = None,
-) -> dict:
-    data = model_to_dict(model)
-    data["events"] = [e.to_json_dict() for e in events]
-    data["behavior"] = behavior.to_json_list() if behavior is not None else []
-    return data
-
-
 def to_json(
     model: TmModel,
     events: Iterable[Event] = (),
     behavior: BehaviorGraph | None = None,
 ) -> str:
     """Canonical JSON: fixed key order, declaration-order element lists."""
-    return json.dumps(document_to_dict(model, events, behavior), indent=2) + "\n"
+    data = model_to_dict(model)
+    data["events"] = [e.to_json_dict() for e in events]
+    data["behavior"] = behavior.to_json_list() if behavior is not None else []
+    return json.dumps(data, indent=2) + "\n"
 
 
 class _Reader:

@@ -215,26 +215,14 @@ def define_event(
 
     stages = tuple(filter(model.has_stage, region))
     if constituents:
-        event = Event(
-            id=name,
-            name=name,
-            region=region,
-            level=COMPOSITE,
-            constituents=tuple(c.id for c in constituents),
-        )
+        level, parts = COMPOSITE, tuple(c.id for c in constituents)
     elif len(stages) == 1 and touched <= {stages[0]} | index.neighbors[stages[0]]:
-        event = Event(id=name, name=name, region=region, level=ELEMENTARY)
+        level, parts = ELEMENTARY, ()
     else:
         # Implicitly composed of the per-stage elementary events, whose ids
         # are the stage ids themselves.
-        event = Event(
-            id=name,
-            name=name,
-            region=region,
-            level=COMPOSITE,
-            constituents=stages,
-        )
-    return event, warnings
+        level, parts = COMPOSITE, stages
+    return Event(id=name, name=name, region=region, level=level, constituents=parts), warnings
 
 
 def build_events(
@@ -278,39 +266,33 @@ def check_behavior(
     resolved: list[BehaviorEdge] = []
     for edge in graph.edges:
         missing = [e for e in (edge.before, edge.after) if e not in by_id]
-        if missing:
-            for name in missing:
-                diags.append(error(
-                    REF_UNRESOLVED,
-                    f"chronology edge names undeclared event '{name}'",
-                    name,
-                ))
-            continue
-        resolved.append(edge)
+        for name in missing:
+            diags.append(error(
+                REF_UNRESOLVED, f"chronology edge names undeclared event '{name}'", name))
+        if not missing:
+            resolved.append(edge)
 
+    plain = [e for e in resolved if not e.repeat]
     succ: dict[str, list[str]] = {name: [] for name in by_id}
     order = TopologicalSorter()
-    for e in resolved:
-        if not e.repeat:
-            succ[e.before].append(e.after)
-            order.add(e.after, e.before)
+    for e in plain:
+        succ[e.before].append(e.after)
+        order.add(e.after, e.before)
 
     # Plain edges must form a DAG.
+    cyclic = False
     try:
         order.prepare()
-        cyclic = False
     except CycleError:
         cyclic = True
-    if cyclic:
         diags.append(error(
-            BEHAVIOR_INCONSISTENT,
-            "chronology edges form a cycle with no repeat mark",
-            None,
-        ))
+            BEHAVIOR_INCONSISTENT, "chronology edges form a cycle with no repeat mark"))
 
     def targets(stage: str) -> list[str]:
         return [edge.target for edge in (*model.flows_from(stage), *model.triggers_from(stage))]
 
+    touched = {name: _touched_stages(model, by_id[name].region)
+               for name in {n for e in plain for n in (e.before, e.after)}}
     for edge in resolved:
         if edge.repeat:
             if not cyclic and edge.before not in walk(succ.__getitem__, [edge.after]):
@@ -319,10 +301,7 @@ def check_behavior(
                     f"repeat edge {edge.before} -> {edge.after} does not loop back over the chronology",
                     f"{edge.before}->{edge.after}",
                 ))
-            continue
-        before_stages = _touched_stages(model, by_id[edge.before].region)
-        after_stages = _touched_stages(model, by_id[edge.after].region)
-        if after_stages.isdisjoint(walk(targets, before_stages)):
+        elif touched[edge.after].isdisjoint(walk(targets, touched[edge.before])):
             diags.append(error(
                 BEHAVIOR_INCONSISTENT,
                 f"no flow or trigger path from event '{edge.before}' to event '{edge.after}'",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -322,6 +323,21 @@ def test_rerun_move_and_drained_trigger_raise_not_enabled(corpus_docs):
     assert not state.pending
     with pytest.raises(NotEnabledError):
         step(state, trigger)
+
+
+@pytest.mark.parametrize("field", ["token", "flow_index"])
+def test_bool_token_or_flow_index_raises_not_enabled(corpus_docs, field):
+    # True == 1 and hashes like it, so only an exact int check keeps a
+    # bool from standing in for token 1 or flow 1.
+    doc = corpus_docs["dough_cookie"]
+    state = init_state(doc.model, SimOptions(), events_of(doc))
+    move = _step_until(state, "move")
+    while getattr(move, field) != 1:
+        step(state, move)
+        move = _step_until(state, "move")
+    with pytest.raises(NotEnabledError):
+        step(state, dataclasses.replace(move, **{field: True}))
+    step(state, move)
 
 
 def test_move_by_rejected_token_raises_not_enabled():
