@@ -263,12 +263,15 @@ def check_behavior(
     diags: list[Diagnostic] = []
     by_id = {e.id: e for e in events}
 
+    # An edge naming a declared event that failed to build is skipped: that
+    # event's own diagnostics already report the fault.
     resolved: list[BehaviorEdge] = []
     for edge in graph.edges:
         missing = [e for e in (edge.before, edge.after) if e not in by_id]
         for name in missing:
-            diags.append(error(
-                REF_UNRESOLVED, f"chronology edge names undeclared event '{name}'", name))
+            if name not in graph.nodes:
+                diags.append(error(
+                    REF_UNRESOLVED, f"chronology edge names undeclared event '{name}'", name))
         if not missing:
             resolved.append(edge)
 

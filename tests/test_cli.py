@@ -64,6 +64,17 @@ def test_validation_errors_exit_one_with_report(run_cli):
     assert payload["diagnostics"][0]["code"] == "FLOW_ILLEGAL"
 
 
+def test_chronology_edge_to_a_failed_event_adds_no_diagnostic(run_cli, tmp_path):
+    path = tmp_path / "failed_event.tm"
+    path.write_text(
+        "thimac A { create; process; }\nflow A.create -> A.process;\n"
+        "event E1 { A.create; A.create; }\nevent E2 { A.process; }\n"
+        "behavior { E1 -> E2; }\n", encoding="utf-8")
+    code, out = run_cli("validate", str(path))
+    assert code == 1
+    assert [d["code"] for d in json.loads(out)["diagnostics"]] == ["DUP_NAME"]
+
+
 def test_long_chronology_chain_validates(run_cli, tmp_path):
     n = 1500
     events = "\n".join(f"event E{i} {{ A.create; A.process; }}" for i in range(n + 1))

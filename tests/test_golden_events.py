@@ -80,9 +80,10 @@ def _define(model, rng: random.Random, elements: list[str], known: list) -> tupl
     return result, constituents is not None
 
 
-def _chronology(rng: random.Random, names: list[str]) -> BehaviorGraph:
-    """Edges that mostly follow one hidden order (repeat edges mostly run
-    against it); the rest give self-loops and cycles."""
+def _chronology(rng: random.Random, declared: list[str], names: list[str]) -> BehaviorGraph:
+    """Edges over ``names`` that mostly follow one hidden order (repeat
+    edges mostly run against it); the rest give self-loops and cycles.
+    The graph's nodes are the ``declared`` names, as ``lower`` makes them."""
     order = list(names)
     rng.shuffle(order)
     edges = []
@@ -92,14 +93,14 @@ def _chronology(rng: random.Random, names: list[str]) -> BehaviorGraph:
         if rng.random() < 0.8:
             a, b = sorted((a, b), key=order.index, reverse=repeat)
         edges.append(BehaviorEdge(a, b, repeat))
-    return BehaviorGraph(tuple(names), tuple(edges))
+    return BehaviorGraph(tuple(declared), tuple(edges))
 
 
 BEHAVIOR_CASES = {
     "chronology edges form a cycle": "cycle",
     "repeat edge": "repeat edge off the loop",
     "no flow or trigger path": "no path",
-    "chronology edge names undeclared event": "unbuilt event named",
+    "chronology edge names undeclared event": "undeclared event named",
 }
 
 
@@ -145,8 +146,8 @@ def digest_and_cases() -> tuple[str, Counter]:
         events, diags = build_events(model, decls)
         seen.update(f"build {d.code}" for d in diags)
         seen.update(f"build {e.level}" for e in events)
-        declared = list(dict.fromkeys(d.name for d in decls)) or names[:1]
-        graph = _chronology(rng, declared + ["ghost"] * (rng.random() < 0.2))
+        declared = list(dict.fromkeys(d.name for d in decls))
+        graph = _chronology(rng, declared, (declared or names[:1]) + ["ghost"] * (rng.random() < 0.2))
         behavior = check_behavior(model, events, graph).diagnostics
         seen.update(_behavior_cases(graph, events, behavior))
         cases.update(seen)
