@@ -53,13 +53,7 @@ from .model import (
     try_build_model,
 )
 from .render import RenderOptions, from_json, to_dot, to_json
-from .transform import (
-    OverlaySpec,
-    SimplifyReport,
-    apply_overlay,
-    make_overlay,
-    simplify,
-)
+from .transform import SimplifyReport, make_overlay, simplify
 from .validator import (
     build_events,
     check_behavior,

@@ -108,12 +108,11 @@ def _command(args: argparse.Namespace, doc: Document) -> tuple[str, int]:
     if args.command == "render":
         if args.format == render.JSON:
             return render.to_json(doc.model, events, doc.behavior), 0
-        overlay = make_overlay(events) if args.overlay else None
         options = render.RenderOptions(
             cluster_thimacs=not args.flat,
-            overlay=overlay,
+            overlay=make_overlay(doc.model, events) if args.overlay else None,
         )
-        return render.to_dot(doc.model, options, events), 0
+        return render.to_dot(doc.model, options), 0
 
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -82,9 +82,6 @@ class ValidationReport:
     def errors(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == ERROR)
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(d.code for d in self.diagnostics)
-
     def to_json_dict(self) -> dict:
         return {"ok": self.ok, "diagnostics": [d.to_json_dict() for d in self.diagnostics]}
 

@@ -47,9 +47,6 @@ class StageKind(Enum):
     ARRIVE = "arrive"
     ACCEPT = "accept"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 KIND_BY_NAME = {kind.value: kind for kind in StageKind}
 

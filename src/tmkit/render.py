@@ -2,16 +2,17 @@
 
 The dot output follows the diagram conventions of the modeling language:
 one cluster per thimac (nested for subthimacs), one box per stage, solid
-edges for flows, dashed edges for triggers, and optional event-region
-colors as node fills. The JSON output is the canonical document schema
-shared with the core model, stable down to the byte.
+edges for flows, dashed edges for triggers, and optional node fills from
+an overlay that maps element ids to colors (``transform.make_overlay``
+builds one from event regions). The JSON output is the canonical
+document schema shared with the core model, stable down to the byte.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, error
 from .model import (
@@ -28,7 +29,6 @@ from .model import (
     model_to_dict,
     try_build_model,
 )
-from .transform import OverlaySpec, apply_overlay
 
 DOT = "dot"
 JSON = "json"
@@ -36,37 +36,27 @@ JSON = "json"
 
 @dataclass(frozen=True)
 class RenderOptions:
-    show_labels: bool = True
     cluster_thimacs: bool = True
-    overlay: OverlaySpec | None = None
+    overlay: Mapping[str, tuple[str, ...]] | None = None
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(
-    model: TmModel,
-    options: RenderOptions = RenderOptions(),
-    events: Iterable[Event] = (),
-) -> str:
-    """Deterministic dot text for a model, optionally color-filled by event regions.
+def to_dot(model: TmModel, options: RenderOptions = RenderOptions()) -> str:
+    """Deterministic dot text for a model, its stages filled with the
+    colors that ``options.overlay`` maps them to.
 
     Stage node identifiers are the full dotted stage references, so names
     never collide across thimacs.
     """
-    colors: dict[str, tuple[str, ...]] = {}
-    if options.overlay is not None:
-        colors = apply_overlay(model, tuple(events), options.overlay)
-
+    colors = options.overlay or {}
     lines = ["digraph tm {", "    rankdir=LR;", "    node [shape=box];"]
 
     def node_line(stage_id: str, pad: str) -> str:
         stage = model.stage(stage_id)
-        if options.show_labels and stage.label:
-            label = f"{stage.kind.value}({stage.label})"
-        else:
-            label = stage.kind.value
+        label = f"{stage.kind.value}({stage.label})" if stage.label else stage.kind.value
         attrs = [f"label={_quote(label)}"]
         fill = colors.get(stage_id)
         if fill:

@@ -2,8 +2,9 @@
 
 ``simplify`` removes the release/transfer/receive (and arrive/accept)
 stages and lets arrow direction alone carry the flow, keeping exactly the
-reachability between the retained create/process stages. ``apply_overlay``
-paints event regions onto model elements for rendering.
+reachability between the retained create/process stages. ``make_overlay``
+maps model elements to the fill colors of the event regions covering them,
+for rendering.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .diagnostics import REF_UNRESOLVED, ModelError, error
 from .model import (
     Event,
     FlowEdge,
@@ -159,41 +159,18 @@ PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class OverlaySpec:
-    """Event-to-color assignments, in event declaration order."""
-
-    assignments: tuple[tuple[str, str], ...]
-
-
-def make_overlay(events: Iterable[Event]) -> OverlaySpec:
-    """Assign :data:`PALETTE` colors to events, cycling in declaration order."""
-    return OverlaySpec(tuple(
-        (event.id, PALETTE[i % len(PALETTE)]) for i, event in enumerate(events)
-    ))
-
-
-def apply_overlay(
-    model: TmModel,
-    events: Iterable[Event],
-    spec: OverlaySpec,
-) -> dict[str, tuple[str, ...]]:
+def make_overlay(model: TmModel, events: Iterable[Event]) -> dict[str, tuple[str, ...]]:
     """Map each model element to the colors of the events covering it.
 
-    Elements inside several regions carry all their colors in event
-    declaration order. The model itself is untouched; the mapping is the
-    annotation.
+    :data:`PALETTE` colors cycle over the events in declaration order, and
+    an element inside several regions carries all their colors in that
+    order. Region elements the model does not have are left out. The model
+    itself is untouched; the mapping is the annotation.
     """
-    by_id = {e.id: e for e in events}
-    unknown = [eid for eid, _ in spec.assignments if eid not in by_id]
-    if unknown:
-        raise ModelError([
-            error(REF_UNRESOLVED, f"overlay names unknown event '{eid}'", eid)
-            for eid in unknown
-        ])
     colors: dict[str, list[str]] = {}
-    for event_id, color in spec.assignments:
-        for element in by_id[event_id].region:
+    for i, event in enumerate(events):
+        color = PALETTE[i % len(PALETTE)]
+        for element in event.region:
             if model.has_element(element):
                 colors.setdefault(element, []).append(color)
     return {element: tuple(cs) for element, cs in colors.items()}

@@ -56,12 +56,29 @@ def test_parse_failure_reports_and_exits_two(run_cli, tmp_path):
     assert payload["parse_errors"][0]["line"] == 1
 
 
-def test_validation_errors_exit_one_with_report(run_cli):
-    code, out = run_cli("validate", str(FIXTURES / "flow_illegal.tm"))
+# Each input fails at a different point: flow_illegal.tm in validation, the
+# other three while the model is built, which the command reports from its
+# ModelError handler.
+INVALID = {
+    "flow_illegal.tm": ("FLOW_ILLEGAL", "release may not flow to process within one thimac"),
+    "ref_unresolved.tm": ("REF_UNRESOLVED", "unknown stage reference 'Machine.process'"),
+    "dup_name.tm": ("DUP_NAME", "duplicate thimac 'Machine'"),
+    "thimac A { create; create; }": ("DUP_NAME", "duplicate stage 'A.create'"),
+}
+
+
+@pytest.mark.parametrize("source", INVALID, ids=lambda s: s if s.endswith(".tm") else "duplicate_stage")
+def test_validation_errors_exit_one_with_report(run_cli, tmp_path, source):
+    path = FIXTURES / source
+    if not source.endswith(".tm"):
+        path = tmp_path / "inline.tm"
+        path.write_text(source, encoding="utf-8")
+    code, out = run_cli("validate", str(path))
     assert code == 1
     payload = json.loads(out)
     assert payload["ok"] is False
-    assert payload["diagnostics"][0]["code"] == "FLOW_ILLEGAL"
+    first = payload["diagnostics"][0]
+    assert (first["code"], first["message"]) == INVALID[source]
 
 
 def test_chronology_edge_to_a_failed_event_adds_no_diagnostic(run_cli, tmp_path):

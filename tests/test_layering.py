@@ -1,7 +1,7 @@
 """Module layering: the metamodel depends on nothing but diagnostics, the
-validator (static events and chronology checks included) on nothing but
-the metamodel and diagnostics, and the text, transform and render layers
-never reach into the simulator. ``LAYERS`` pins the one-way order for
+validator (static events and chronology checks included) and the renderer
+on nothing but the metamodel and diagnostics, and the text, transform and
+render layers never reach into the simulator. ``LAYERS`` pins the one-way order for
 every module below the command line."""
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ LAYERS = {
     "model": {"diagnostics"},
     "dsl": {"model", "diagnostics"},
     "validator": {"model", "diagnostics"},
-    "transform": {"model", "diagnostics"},
+    "transform": {"model"},
     "dynamics": {"model", "diagnostics", "validator"},
-    "render": {"model", "diagnostics", "transform"},
+    "render": {"model", "diagnostics"},
 }
 ENTRY_POINTS = {"__init__", "cli"}
 
@@ -48,6 +48,10 @@ def test_model_imports_only_diagnostics():
 
 def test_validator_imports_only_model_and_diagnostics():
     assert tmkit_imports("validator") <= {"model", "diagnostics"}
+
+
+def test_render_imports_only_model_and_diagnostics():
+    assert LAYERS["render"] == tmkit_imports("render") == {"model", "diagnostics"}
 
 
 def test_text_transform_and_render_do_not_import_the_simulator():

@@ -4,21 +4,11 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from conftest import arbitrary_model, closure_pairs, random_model
-from tmkit.diagnostics import REF_UNRESOLVED, ModelError
 from tmkit.dsl import lower, parse
-from tmkit.dynamics import build_events
-from tmkit.model import StageKind
-from tmkit.transform import (
-    PALETTE,
-    REMOVED_KINDS,
-    OverlaySpec,
-    apply_overlay,
-    make_overlay,
-    simplify,
-)
+from tmkit.dynamics import build_events, define_event, elementary_events
+from tmkit.model import Event, StageKind
+from tmkit.transform import PALETTE, REMOVED_KINDS, make_overlay, simplify
 
 
 def model_of(text: str):
@@ -151,15 +141,13 @@ def test_collapsed_duplicate_flows_are_deduplicated():
 # -- overlays -------------------------------------------------------------------
 
 def test_no_events_no_annotations(corpus_docs):
-    model = corpus_docs["heating_water"].model
-    assert apply_overlay(model, (), OverlaySpec(())) == {}
+    assert make_overlay(corpus_docs["heating_water"].model, ()) == {}
 
 
 def test_heating_water_overlay_paints_two_disjoint_regions(corpus_docs):
     doc = corpus_docs["heating_water"]
     events, _ = build_events(doc.model, doc.events)
-    spec = make_overlay(events)
-    colors = apply_overlay(doc.model, events, spec)
+    colors = make_overlay(doc.model, events)
     used = {c for cs in colors.values() for c in cs}
     assert used == {PALETTE[0], PALETTE[1]}
     painted_by = {}
@@ -172,37 +160,28 @@ def test_heating_water_overlay_paints_two_disjoint_regions(corpus_docs):
 def test_overlapping_regions_carry_both_colors_in_order(corpus_docs):
     doc = corpus_docs["heating_water"]
     events, _ = build_events(doc.model, doc.events)
-    from tmkit.dynamics import define_event
-
     extra, _ = define_event(doc.model, "Shared", ("Heat.create",))
-    all_events = list(events) + [extra]
-    spec = make_overlay(all_events)
-    colors = apply_overlay(doc.model, all_events, spec)
+    colors = make_overlay(doc.model, [*events, extra])
     assert colors["Heat.create"] == (PALETTE[0], PALETTE[2])
 
 
-def test_unknown_event_in_overlay_is_unresolved(corpus_docs):
-    doc = corpus_docs["heating_water"]
-    events, _ = build_events(doc.model, doc.events)
-    with pytest.raises(ModelError) as exc:
-        apply_overlay(doc.model, events, OverlaySpec((("Ghost", "yellow"),)))
-    assert exc.value.codes() == (REF_UNRESOLVED,)
-
-
 def test_palette_cycles_past_eight_events(corpus_docs):
-    from tmkit.dynamics import elementary_events
-
     model = corpus_docs["tendering"].model
     events = elementary_events(model)[:10]
-    spec = make_overlay(events)
-    colors = [c for _, c in spec.assignments]
-    assert colors[8] == PALETTE[0] and colors[9] == PALETTE[1]
+    colors = make_overlay(model, events)
+    assert [colors[e.id] for e in events] == [(PALETTE[i % 8],) for i in range(10)]
+
+
+def test_overlay_skips_elements_the_model_lacks(corpus_docs):
+    model = corpus_docs["heating_water"].model
+    event = Event(id="E", name="E", region=("ghost", "Heat.create"), level="composite")
+    assert make_overlay(model, [event]) == {"Heat.create": (PALETTE[0],)}
 
 
 def test_overlay_leaves_the_model_alone(corpus_docs):
     doc = corpus_docs["heating_water"]
     events, _ = build_events(doc.model, doc.events)
     before = doc.model
-    apply_overlay(doc.model, events, make_overlay(events))
+    make_overlay(doc.model, events)
     assert doc.model == before
     assert doc.model.flows == before.flows
