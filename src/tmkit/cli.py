@@ -11,6 +11,7 @@ cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from importlib import resources
@@ -118,6 +119,24 @@ def _command(args: argparse.Namespace, doc: Document) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``tm`` command and return its exit code.
+
+    The cyclic garbage collector is paused for the command and restored to
+    its previous state afterwards: the pipeline makes no reference cycles
+    that grow with the model, and on large models the collector's passes
+    over the live objects take a quarter to a third of a command's time.
+    Library calls outside ``main`` keep the default collector.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -69,6 +69,14 @@ class TraceRecord:
         }
 
 
+class _Quoted(dict):
+    """``json.dumps(text)`` for each string looked up, computed on first use."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = quoted = json.dumps(text)
+        return quoted
+
+
 @dataclass(frozen=True)
 class Trace:
     """Ordered record of stage executions and event firings from one run."""
@@ -83,7 +91,16 @@ class Trace:
         return tuple(r.element for r in self.records if r.kind == STAGE_EXECUTED)
 
     def to_ndjson(self) -> str:
-        lines = [json.dumps(r.to_json_dict()) for r in self.records]
+        """One line per record, each equal to ``json.dumps(record.to_json_dict())``,
+        then a closing ``run-ended`` line. A record is written with one
+        f-string; its kind and id are quoted by ``json.dumps``, once per
+        distinct string."""
+        quoted = _Quoted()
+        lines = [
+            f'{{"step": {r.step}, "kind": {quoted[r.kind]}, "id": {quoted[r.element]}, '
+            f'"tokens": [{", ".join(map(str, r.tokens))}]}}'
+            for r in self.records
+        ]
         lines.append(json.dumps({
             "kind": RUN_ENDED,
             "truncated": self.truncated,
@@ -215,22 +232,23 @@ def enabled(state: SimState) -> list[Candidate]:
     return out
 
 
-def _candidate(state: SimState, k: int) -> Candidate:
-    """``enabled(state)[k]`` without listing the rest: O(log n) through the
-    Fenwick tree, plus a walk over the tokens waiting at the one stage."""
+def _candidate(state: SimState, k: int) -> tuple[str, str | None, int | None, int | None]:
+    """The fields ``(kind, stage, token, flow_index)`` of ``enabled(state)[k]``
+    without listing the rest: O(log n) through the Fenwick tree, plus a
+    walk over the tokens waiting at the one stage."""
     if state.pending:
         if k == 0:
-            return Candidate(kind="trigger", stage=state.pending[0])
+            return "trigger", state.pending[0], None, None
         k -= 1
     position, k = state.counts.find(k)
     stages = len(state.model.stages)
     if position >= stages:
-        return Candidate(kind="create", stage=state.model.index.spontaneous_creates[position - stages])
+        return "create", state.model.index.spontaneous_creates[position - stages], None, None
     for token_id, untaken in state.frontier[position].items():
         if k < len(untaken):
             break
         k -= len(untaken)
-    return Candidate(kind="move", token=token_id, flow_index=untaken[k])
+    return "move", None, token_id, untaken[k]
 
 
 def _is_enabled(state: SimState, c: Candidate) -> bool:
@@ -288,40 +306,44 @@ def _execute_stage(state: SimState, stage_id: str, token_id: int) -> list[TraceR
     return records
 
 
-def _fire(state: SimState, candidate: Candidate) -> list[TraceRecord]:
-    """Apply the effects of a candidate that is enabled in ``state``."""
-    if candidate.kind == "create":
-        used = state.creations_used.get(candidate.stage, 0) + 1
-        state.creations_used[candidate.stage] = used
+def _fire(state: SimState, kind: str, stage: str | None, token: int | None,
+          flow_index: int | None) -> list[TraceRecord]:
+    """Apply the effects of the enabled candidate with these fields. ``run``
+    fires the tuples that ``_candidate`` selects and ``step`` fires the
+    fields of a :class:`Candidate`; both go through here."""
+    if kind == "create":
+        used = state.creations_used.get(stage, 0) + 1
+        state.creations_used[stage] = used
         if used == state.options.creation_cap:
-            state.counts.add(state.create_slot[candidate.stage], -1)
-        return _execute_stage(state, candidate.stage, _mint(state, candidate.stage))
+            state.counts.add(state.create_slot[stage], -1)
+        return _execute_stage(state, stage, _mint(state, stage))
 
-    if candidate.kind == "trigger":
+    if kind == "trigger":
         target = state.pending.popleft()
         return _execute_stage(state, target, _mint(state, target))
 
-    flow = state.model.flows[candidate.flow_index]
+    flow = state.model.flows[flow_index]
     position = state.position[flow.source]
     waiting = state.frontier[position]
-    state.counts.add(position, -len(waiting.pop(candidate.token)))
+    state.counts.add(position, -len(waiting.pop(token)))
     if not waiting:
         del state.frontier[position]
     if (flow.target in state.options.reject_accept
             and state.model.stage(flow.target).kind is StageKind.ACCEPT):
-        del state.tokens[candidate.token]
+        del state.tokens[token]
         state.step_count += 1
-        return [TraceRecord(state.step_count, TOKEN_REJECTED, flow.target, (candidate.token,))]
-    state.tokens[candidate.token].add(candidate.flow_index)
-    _arrive(state, flow.target, candidate.token)
-    return _execute_stage(state, flow.target, candidate.token)
+        return [TraceRecord(state.step_count, TOKEN_REJECTED, flow.target, (token,))]
+    state.tokens[token].add(flow_index)
+    _arrive(state, flow.target, token)
+    return _execute_stage(state, flow.target, token)
 
 
 def step(state: SimState, candidate: Candidate) -> tuple[SimState, list[TraceRecord]]:
     """Execute one candidate, mutating and returning the state plus new records."""
     if not _is_enabled(state, candidate):
         raise NotEnabledError(f"candidate {candidate} is not currently enabled")
-    return state, _fire(state, candidate)
+    return state, _fire(state, candidate.kind, candidate.stage, candidate.token,
+                        candidate.flow_index)
 
 
 def run(model: TmModel, events: Iterable[Event] = (), options: SimOptions = SimOptions()) -> Trace:
@@ -329,7 +351,10 @@ def run(model: TmModel, events: Iterable[Event] = (), options: SimOptions = SimO
 
     The fifo policy always takes the first enabled candidate; the random
     policy picks uniformly with the seeded generator. Either way the trace
-    is a pure function of (model, events, options).
+    is a pure function of (model, events, options). The choice is fired as
+    the plain tuple that ``_candidate`` returns, through the same
+    ``_fire`` that :func:`step` uses for a :class:`Candidate`, so no
+    ``Candidate`` is built per step.
     """
     state = init_state(model, options, events)
     records: list[TraceRecord] = []
@@ -342,7 +367,7 @@ def run(model: TmModel, events: Iterable[Event] = (), options: SimOptions = SimO
         if not total:
             break
         k = state.rng.randrange(total) if options.policy == RANDOM else 0
-        records.extend(_fire(state, _candidate(state, k)))
+        records.extend(_fire(state, *_candidate(state, k)))
     return Trace(tuple(records), truncated)
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_shapes
+from tmkit import cli
 from tmkit.cli import corpus, main
 from tmkit.dsl import lower, parse
 from tmkit.validator import validate_document
@@ -239,3 +241,62 @@ def test_unwritable_output_is_reported_and_exits_two(capsys, corpus_paths, tmp_p
 def test_corpus_bundles_exactly_the_four_models():
     assert sorted(corpus()) == [
         "dough_cookie", "heating_water", "reservation", "tendering"]
+
+
+# The seven commands the benchmark times, with its simulate flags per shape.
+BENCHMARKED = (
+    ("validate",), ("events",), ("simulate",), ("simplify",),
+    ("render", "--overlay"), ("render", "--format", "json"), ("fmt",),
+)
+SIMULATE_FLAGS = {
+    "sim-fanout": ("--policy", "random", "--cap", "2", "--steps", "1000000"),
+    "sim-relay": ("--policy", "fifo", "--cap", "1", "--steps", "2000"),
+    "authoring": ("--policy", "fifo", "--cap", "0"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SIMULATE_FLAGS))
+def test_command_garbage_does_not_grow_with_the_model(capsys, tmp_path, shape):
+    """``main`` pauses the cyclic collector for a command, which is safe only
+    while the cyclic garbage a command leaves does not grow with the model.
+    The collector is held off around each call, so the count is exact."""
+    def garbage(command, path):
+        argv = [*command, str(path)]
+        if command == ("simulate",):
+            argv += SIMULATE_FLAGS[shape]
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+            capsys.readouterr()
+
+    counts = {}
+    for n in (12, 200):
+        path = tmp_path / f"{n}.tm"
+        path.write_text(load_shapes().GENERATORS[shape](n, 1).text, encoding="utf-8")
+        counts[n] = [garbage(command, path) for command in BENCHMARKED]
+    assert counts[12] == counts[200]
+
+
+def test_main_pauses_the_collector_and_restores_its_state(capsys, monkeypatch, corpus_paths):
+    collecting = []
+    command = cli._command
+
+    def spy(*args):
+        collecting.append(gc.isenabled())
+        return command(*args)
+
+    monkeypatch.setattr(cli, "_command", spy)
+    path = str(corpus_paths["dough_cookie"])
+    assert main(["validate", path]) == 0 and gc.isenabled()
+    assert main(["frobnicate", path]) == 2 and gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["validate", path]) == 0 and not gc.isenabled()
+    finally:
+        gc.enable()
+    assert collecting == [False, False]
+    capsys.readouterr()

@@ -8,7 +8,9 @@ again gives the same text, and the re-parsed document equals the first.
 Every AST span gives the line and column that counting newlines before
 its start gives.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
-or 2 and never raises. The settings are derandomized and bounded so
+or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
+makes of the record's JSON dict, whatever strings and integers the record
+holds. The settings are derandomized and bounded so
 every run draws the same examples.
 """
 
@@ -17,16 +19,18 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_NAMES, load_shapes
 from tmkit.cli import corpus, main
 from tmkit.diagnostics import ModelError, Span
 from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, format_model, lower, parse
+from tmkit.dynamics import Trace, TraceRecord
 from tmkit.model import KIND_BY_NAME
 
 
@@ -192,3 +196,24 @@ def test_cli_ends_with_an_exit_code_on_fuzzed_input(command, options, text, sour
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2)
+
+
+# Characters json.dumps escapes (quote, backslash, controls, a lone
+# surrogate) or writes as \u escapes (non-ASCII, astral), mixed into
+# arbitrary text.
+texts = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\x80\u2028\ud800\udfff\ufeffé\U0001f600'),
+    st.characters(),
+))
+integers = st.one_of(st.integers(), st.integers(min_value=2**63), st.integers(max_value=-2**63))
+records = st.builds(TraceRecord, integers, texts, texts, st.lists(integers, max_size=3).map(tuple))
+
+
+@fixed(100)
+@given(st.lists(records, max_size=8), st.booleans())
+@example([], False)
+@example([], True)
+def test_ndjson_lines_are_json_dumps_of_each_record(records, truncated):
+    expected = [json.dumps(r.to_json_dict()) for r in records]
+    expected.append(json.dumps({"kind": "run-ended", "truncated": truncated, "records": len(records)}))
+    assert Trace(tuple(records), truncated).to_ndjson() == "\n".join(expected) + "\n"
