@@ -41,6 +41,10 @@ class SimOptions:
     policy: str = FIFO
     reject_accept: frozenset[str] = frozenset()
 
+    def __post_init__(self) -> None:
+        if self.policy not in (FIFO, RANDOM):
+            raise ValueError(f"unknown policy {self.policy!r}: expected {FIFO!r} or {RANDOM!r}")
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -280,22 +284,12 @@ def _arrive(state: SimState, stage_id: str, token_id: int) -> None:
         state.counts.add(position, len(untaken))
 
 
-def _mint(state: SimState, stage_id: str) -> int:
-    token_id = state.next_token
-    state.next_token += 1
-    state.tokens[token_id] = set()
-    _arrive(state, stage_id, token_id)
-    return token_id
-
-
 def _execute_stage(state: SimState, stage_id: str, token_id: int) -> list[TraceRecord]:
     """A token arriving at (or minted in) a stage executes it: the stage's
     outgoing triggers are enqueued and covering events may fire."""
-    records = []
     state.step_count += 1
-    records.append(TraceRecord(state.step_count, STAGE_EXECUTED, stage_id, (token_id,)))
-    for trigger in state.model.triggers_from(stage_id):
-        state.pending.append(trigger.target)
+    records = [TraceRecord(state.step_count, STAGE_EXECUTED, stage_id, (token_id,))]
+    state.pending.extend(state.model.trigger_targets(stage_id))
     for event_id, needed in state.firing.get(stage_id, ()):
         covered = state.coverage[event_id]
         covered.add(stage_id)
@@ -311,16 +305,19 @@ def _fire(state: SimState, kind: str, stage: str | None, token: int | None,
     """Apply the effects of the enabled candidate with these fields. ``run``
     fires the tuples that ``_candidate`` selects and ``step`` fires the
     fields of a :class:`Candidate`; both go through here."""
-    if kind == "create":
-        used = state.creations_used.get(stage, 0) + 1
-        state.creations_used[stage] = used
-        if used == state.options.creation_cap:
-            state.counts.add(state.create_slot[stage], -1)
-        return _execute_stage(state, stage, _mint(state, stage))
-
-    if kind == "trigger":
-        target = state.pending.popleft()
-        return _execute_stage(state, target, _mint(state, target))
+    if kind != "move":  # a creation or a trigger mints a token in its stage
+        if kind == "trigger":
+            stage = state.pending.popleft()
+        else:
+            used = state.creations_used.get(stage, 0) + 1
+            state.creations_used[stage] = used
+            if used == state.options.creation_cap:
+                state.counts.add(state.create_slot[stage], -1)
+        token = state.next_token
+        state.next_token += 1
+        state.tokens[token] = set()
+        _arrive(state, stage, token)
+        return _execute_stage(state, stage, token)
 
     flow = state.model.flows[flow_index]
     position = state.position[flow.source]

@@ -12,7 +12,9 @@ can read a document without importing the simulator.
 
 A :class:`TmModel` is immutable once built and safe to share between
 readers; every other module of the toolchain works against the types
-defined here. :func:`walk` is the one graph search: reachability,
+defined here. Its :class:`ModelIndex`, built on first use, answers
+adjacency in stage ids: which stages a stage's flows or triggers lead
+to or come from. :func:`walk` is the one graph search: reachability,
 connected components, chronology paths and simplification all use it.
 :class:`EdgeSet` is the one rule that an edge is declared once, shared
 by the text and JSON readers.
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .diagnostics import (
     DUP_NAME,
@@ -223,17 +225,17 @@ class TmModel:
         s = self.stage(stage_id)
         return stage_ref_text(self.thimac_path(s.owner), s.kind, s.label)
 
-    def flows_from(self, stage_id: str) -> tuple[FlowEdge, ...]:
-        return self.index.flows_from.get(stage_id, ())
+    def flow_targets(self, stage_id: str) -> tuple[str, ...]:
+        return self.index.flow_targets.get(stage_id, ())
 
-    def flows_into(self, stage_id: str) -> tuple[FlowEdge, ...]:
-        return self.index.flows_into.get(stage_id, ())
+    def flow_sources(self, stage_id: str) -> tuple[str, ...]:
+        return self.index.flow_sources.get(stage_id, ())
 
-    def triggers_from(self, stage_id: str) -> tuple[TriggerEdge, ...]:
-        return self.index.triggers_from.get(stage_id, ())
+    def trigger_targets(self, stage_id: str) -> tuple[str, ...]:
+        return self.index.trigger_targets.get(stage_id, ())
 
-    def triggers_into(self, stage_id: str) -> tuple[TriggerEdge, ...]:
-        return self.index.triggers_into.get(stage_id, ())
+    def trigger_sources(self, stage_id: str) -> tuple[str, ...]:
+        return self.index.trigger_sources.get(stage_id, ())
 
     def element_ids(self) -> tuple[str, ...]:
         """Every addressable element: stages first, then flow and trigger edges."""
@@ -244,34 +246,38 @@ class TmModel:
         )
 
 
-def _grouped(edges: Iterable, end: str) -> dict[str, tuple]:
-    """Edges keyed by the stage at ``end`` ("source" or "target"), in declaration order."""
-    out: dict[str, list] = {}
-    for edge in edges:
-        out.setdefault(getattr(edge, end), []).append(edge)
-    return {stage_id: tuple(group) for stage_id, group in out.items()}
+T = TypeVar("T")
+
+
+def _grouped(pairs: Iterable[tuple[str, T]]) -> dict[str, tuple[T, ...]]:
+    """Each key of the ``(key, value)`` pairs with its values, in pair order."""
+    out: dict[str, list[T]] = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return {key: tuple(group) for key, group in out.items()}
 
 
 class ModelIndex:
     """Lookups derived from one model, built together and never changed.
 
-    ``neighbors`` ignores arrow direction and counts flows and triggers
-    alike; ``component`` labels every stage with the first stage, in
-    declaration order, of its connected component in that undirected
-    graph. ``flow_indices_from`` gives, per stage, the positions in
-    ``model.flows`` of the flows leaving it. ``spontaneous_creates`` are
-    the create stages no trigger points at, which fire on their own.
+    Adjacency is answered in stage ids: ``flow_targets``, ``flow_sources``,
+    ``trigger_targets`` and ``trigger_sources`` map a stage to the stages
+    its flows or triggers lead to or come from, in edge declaration
+    order; a stage with no such edge has no entry. ``flow_indices_from``
+    gives, per stage, the positions in ``model.flows`` of the flows
+    leaving it. ``neighbors`` ignores arrow direction and counts flows and
+    triggers alike; ``component`` labels every stage with the first stage,
+    in declaration order, of its connected component in that undirected
+    graph. ``spontaneous_creates`` are the create stages no trigger points
+    at, which fire on their own.
     """
 
     def __init__(self, model: TmModel) -> None:
-        self.flows_from: dict[str, tuple[FlowEdge, ...]] = _grouped(model.flows, "source")
-        self.flows_into: dict[str, tuple[FlowEdge, ...]] = _grouped(model.flows, "target")
-        self.triggers_from: dict[str, tuple[TriggerEdge, ...]] = _grouped(model.triggers, "source")
-        self.triggers_into: dict[str, tuple[TriggerEdge, ...]] = _grouped(model.triggers, "target")
-        indices: dict[str, list[int]] = {}
-        for i, f in enumerate(model.flows):
-            indices.setdefault(f.source, []).append(i)
-        self.flow_indices_from = {src: tuple(group) for src, group in indices.items()}
+        self.flow_targets = _grouped((f.source, f.target) for f in model.flows)
+        self.flow_sources = _grouped((f.target, f.source) for f in model.flows)
+        self.trigger_targets = _grouped((t.source, t.target) for t in model.triggers)
+        self.trigger_sources = _grouped((t.target, t.source) for t in model.triggers)
+        self.flow_indices_from = _grouped((f.source, i) for i, f in enumerate(model.flows))
 
         self.edge_by_id: dict[str, FlowEdge | TriggerEdge] = {
             edge.id: edge for edge in (*model.flows, *model.triggers)}
@@ -287,7 +293,7 @@ class ModelIndex:
 
         self.spontaneous_creates = tuple(
             s.id for s in model.stages
-            if s.kind is StageKind.CREATE and s.id not in self.triggers_into)
+            if s.kind is StageKind.CREATE and s.id not in self.trigger_sources)
 
 
 def try_build_model(
@@ -455,7 +461,7 @@ def reachable(model: TmModel, start: str) -> set[str]:
     """
     if not model.has_stage(start):
         raise ModelError([error(REF_UNRESOLVED, f"unknown stage '{start}'", start)])
-    return set(walk(lambda stage: (f.target for f in model.flows_from(stage)), [start]))
+    return set(walk(model.flow_targets, [start]))
 
 
 # -- events and chronologies --------------------------------------------------

@@ -10,7 +10,7 @@ for rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .model import (
     Event,
@@ -72,14 +72,8 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     retained = [s for s in model.stages if s.id not in removable]
     retained_ids = {s.id for s in retained}
 
-    def downstream(stage: str) -> Iterator[str]:
-        return (f.target for f in model.flows_from(stage))
-
-    def upstream(stage: str) -> Iterator[str]:
-        return (f.source for f in model.flows_into(stage))
-
     def through_removable(stage: str) -> Iterable[str]:
-        return downstream(stage) if stage in removable else ()
+        return model.flow_targets(stage) if stage in removable else ()
 
     # Collapse: walk from each retained stage's flow targets through
     # removable interiors only; a path back to the stage itself yields a
@@ -87,7 +81,7 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     new_flows = [
         FlowEdge(stage.id, reached)
         for stage in retained
-        for reached in walk(through_removable, downstream(stage.id))
+        for reached in walk(through_removable, model.flow_targets(stage.id))
         if reached in retained_ids
     ]
 
@@ -106,10 +100,10 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     for trigger in model.triggers:
         source = trigger.source
         if source in removable:
-            source = nearest_retained(trigger.source, upstream)
+            source = nearest_retained(trigger.source, model.flow_sources)
         target = trigger.target
         if target in removable:
-            target = nearest_retained(trigger.target, downstream)
+            target = nearest_retained(trigger.target, model.flow_targets)
         if source is None:
             dropped.append(DroppedTrigger(
                 trigger.source, trigger.target,

@@ -98,14 +98,14 @@ def check_connectivity(model: TmModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for stage in model.stages:
         if stage.kind is not StageKind.CREATE:
-            if not model.flows_into(stage.id) and not model.triggers_into(stage.id):
+            if not model.flow_sources(stage.id) and not model.trigger_sources(stage.id):
                 diags.append(warning(
                     STAGE_ORPHAN,
                     f"{stage.kind.value} stage has no incoming flow or trigger",
                     stage.id,
                 ))
         if stage.kind is StageKind.RELEASE:
-            targets = (model.stage(f.target).kind for f in model.flows_from(stage.id))
+            targets = (model.stage(target).kind for target in model.flow_targets(stage.id))
             if StageKind.TRANSFER not in targets:
                 diags.append(warning(
                     SINK_RELEASE,
@@ -115,10 +115,8 @@ def check_connectivity(model: TmModel) -> list[Diagnostic]:
         if stage.kind is StageKind.TRANSFER:
             partners = [
                 other
-                for f in (*model.flows_from(stage.id), *model.flows_into(stage.id))
-                for other in (f.source, f.target)
-                if other != stage.id
-                and model.stage(other).kind is StageKind.TRANSFER
+                for other in (*model.flow_targets(stage.id), *model.flow_sources(stage.id))
+                if model.stage(other).kind is StageKind.TRANSFER
                 and model.stage(other).owner != stage.owner
             ]
             if not partners:
@@ -291,8 +289,8 @@ def check_behavior(
         diags.append(error(
             BEHAVIOR_INCONSISTENT, "chronology edges form a cycle with no repeat mark"))
 
-    def targets(stage: str) -> list[str]:
-        return [edge.target for edge in (*model.flows_from(stage), *model.triggers_from(stage))]
+    def targets(stage: str) -> tuple[str, ...]:
+        return (*model.flow_targets(stage), *model.trigger_targets(stage))
 
     touched = {name: _touched_stages(model, by_id[name].region)
                for name in {n for e in plain for n in (e.before, e.after)}}

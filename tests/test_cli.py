@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,20 @@ def test_unknown_command_is_a_usage_error(capsys):
 def test_missing_file_is_a_usage_error(run_cli):
     code, _ = run_cli("validate", "no_such_file.tm")
     assert code == 2
+
+
+def test_module_entry_point_behaves_as_main(run_cli, corpus_paths, tmp_path):
+    """``python -m tmkit.cli`` runs ``main`` and exits with its code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def module(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "tmkit.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    path = str(corpus_paths["tendering"])
+    done = module("validate", path)
+    assert (done.returncode, done.stdout) == run_cli("validate", path)
+    assert module("validate", str(tmp_path / "missing.tm")).returncode == 2
 
 
 def test_parse_failure_reports_and_exits_two(run_cli, tmp_path):

@@ -400,6 +400,14 @@ def test_dough_fifo_chronology(corpus_docs):
     assert trace.event_firings() == ("E1", "E2", "E3")
 
 
+@pytest.mark.parametrize("policy", ["Random", "FIFO", "lifo", ""])
+def test_an_unknown_policy_is_rejected(policy):
+    with pytest.raises(ValueError, match="unknown policy"):
+        SimOptions(policy=policy)
+    with pytest.raises(ValueError, match="unknown policy"):
+        dataclasses.replace(SimOptions(), policy=policy)
+
+
 def test_heating_cap_three_repeats_the_pair(corpus_docs):
     doc = corpus_docs["heating_water"]
     trace = run(doc.model, events_of(doc), SimOptions(creation_cap=3, seed=0))

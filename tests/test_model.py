@@ -195,6 +195,26 @@ def test_reachable_matches_closure_oracle_on_corpus_and_random(corpus_docs):
             assert reachable(model, start) == expected
 
 
+def test_adjacency_lookups_match_a_scan_of_the_edges(corpus_docs):
+    """Each id lookup equals a full scan of the edges, in declaration order,
+    for every stage, those that no edge touches included."""
+    rng = random.Random(13)
+    models = [doc.model for doc in corpus_docs.values()]
+    models += [random_model(rng) for _ in range(200)]
+    untouched = 0
+    for model in models:
+        flows, triggers = model.flows, model.triggers
+        for s in (stage.id for stage in model.stages):
+            assert model.flow_targets(s) == tuple(f.target for f in flows if f.source == s)
+            assert model.flow_sources(s) == tuple(f.source for f in flows if f.target == s)
+            assert model.trigger_targets(s) == tuple(t.target for t in triggers if t.source == s)
+            assert model.trigger_sources(s) == tuple(t.source for t in triggers if t.target == s)
+            assert model.index.flow_indices_from.get(s, ()) == tuple(
+                i for i, f in enumerate(flows) if f.source == s)
+            untouched += not model.index.neighbors[s]
+    assert untouched
+
+
 def test_reachable_always_contains_start(corpus_docs):
     model = corpus_docs["tendering"].model
     for s in model.stages:
