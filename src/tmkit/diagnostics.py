@@ -26,7 +26,7 @@ ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
     """Source range: 1-based line/column of the start, character offsets [start, end)."""
 

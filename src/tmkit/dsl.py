@@ -85,7 +85,7 @@ class ParseFailure(TmError):
 
 # -- AST --------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StageRef:
     path: tuple[str, ...]
     kind: StageKind
@@ -97,42 +97,42 @@ class StageRef:
         return stage_ref_text(".".join(self.path), self.kind, self.label)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StageNode:
     kind: StageKind
     label: str | None
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ThimacNode:
     name: str
     body: tuple[Union["ThimacNode", StageNode], ...]
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FlowNode:
     source: StageRef
     target: StageRef
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TriggerNode:
     source: StageRef
     target: StageRef
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EventNode:
     name: str
     refs: tuple[StageRef, ...]
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BehaviorEdgeNode:
     before: str
     after: str
@@ -140,7 +140,7 @@ class BehaviorEdgeNode:
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BehaviorNode:
     edges: tuple[BehaviorEdgeNode, ...]
     span: Span = field(compare=False)

@@ -57,7 +57,7 @@ class Candidate:
     flow_index: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceRecord:
     step: int
     kind: str

@@ -10,9 +10,12 @@ Events name regions of the model and a behavior graph declares their
 expected chronology; their types live here too, so that every module
 can read a document without importing the simulator.
 
-A :class:`TmModel` is immutable once built and safe to share between
-readers; every other module of the toolchain works against the types
-defined here. Its :class:`ModelIndex`, built on first use, answers
+A :class:`TmModel` is frozen, and the tuples it holds contain slotted
+value records (thimacs, stages, flows, triggers; events and chronology
+edges likewise). These records compare and hash by value, and no tmkit
+code assigns to them, so a model is safe to share between readers;
+every other module of the toolchain works against the types defined
+here. Its :class:`ModelIndex`, built on first use, answers
 adjacency in stage ids: which stages a stage's flows or triggers lead
 to or come from. :func:`walk` is the one graph search: reachability,
 connected components, chronology paths and simplification all use it.
@@ -77,7 +80,7 @@ LEGAL_FLOWS_ACROSS = frozenset({(StageKind.TRANSFER, StageKind.TRANSFER)})
 TRIGGER_TARGET_KINDS = frozenset({StageKind.CREATE, StageKind.PROCESS})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Thimac:
     """One thing/machine node.
 
@@ -92,7 +95,7 @@ class Thimac:
     stages: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Stage:
     id: str
     kind: StageKind
@@ -100,7 +103,7 @@ class Stage:
     label: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FlowEdge:
     """Solid arrow: conceptual movement of a thing between stages."""
 
@@ -112,7 +115,7 @@ class FlowEdge:
         return f"flow:{self.source}->{self.target}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TriggerEdge:
     """Dashed arrow: activation that is not an input/output flow."""
 
@@ -466,7 +469,7 @@ def reachable(model: TmModel, start: str) -> set[str]:
 
 # -- events and chronologies --------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EventDecl:
     """An event as declared in source: a name and the stage ids of its region."""
 
@@ -475,7 +478,7 @@ class EventDecl:
     span: Span | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Event:
     """A named region of the model at elementary or composite level."""
 
@@ -495,7 +498,7 @@ class Event:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BehaviorEdge:
     """Chronology edge ``before -> after``; a repeat mark declares a loop back."""
 

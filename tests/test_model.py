@@ -2,17 +2,31 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from conftest import closure_pairs, random_model
-from tmkit.diagnostics import DUP_NAME, NEST_CYCLE, REF_UNRESOLVED, ModelError
+from tmkit import dsl, dynamics, render, transform
+from tmkit.diagnostics import (
+    DUP_NAME,
+    NEST_CYCLE,
+    REF_UNRESOLVED,
+    ModelError,
+    Span,
+    ValidationReport,
+    error,
+)
 from tmkit.model import (
+    BehaviorEdge,
+    Event,
+    EventDecl,
     FlowEdge,
     Stage,
     StageKind,
     Thimac,
+    TriggerEdge,
     build_model,
     reachable,
     try_build_model,
@@ -219,3 +233,79 @@ def test_reachable_always_contains_start(corpus_docs):
     model = corpus_docs["tendering"].model
     for s in model.stages:
         assert s.id in reachable(model, s.id)
+
+
+# -- record contract ------------------------------------------------------
+
+def _ref(name, span):
+    return dsl.StageRef((name,), StageKind.CREATE, None, span)
+
+
+# One builder per record built once per span, AST node, model element,
+# event or trace step: each takes the span the record is read from.
+VALUE_RECORDS = {
+    Span: lambda span: Span(1, 2, 3, 4),
+    dsl.StageRef: lambda span: _ref("A", span),
+    dsl.StageNode: lambda span: dsl.StageNode(StageKind.CREATE, "x", span),
+    dsl.ThimacNode: lambda span: dsl.ThimacNode(
+        "A", (dsl.StageNode(StageKind.CREATE, None, span),), span),
+    dsl.FlowNode: lambda span: dsl.FlowNode(_ref("A", span), _ref("B", span), span),
+    dsl.TriggerNode: lambda span: dsl.TriggerNode(_ref("A", span), _ref("B", span), span),
+    dsl.EventNode: lambda span: dsl.EventNode("E", (_ref("A", span),), span),
+    dsl.BehaviorEdgeNode: lambda span: dsl.BehaviorEdgeNode("E1", "E2", True, span),
+    dsl.BehaviorNode: lambda span: dsl.BehaviorNode(
+        (dsl.BehaviorEdgeNode("E1", "E2", False, span),), span),
+    Thimac: lambda span: Thimac("A.B", "B", "A", ("A.B.C",), ("A.B.create",)),
+    Stage: lambda span: Stage("A.create", StageKind.CREATE, "A", "x"),
+    FlowEdge: lambda span: FlowEdge("A.create", "A.process"),
+    TriggerEdge: lambda span: TriggerEdge("A.release", "B.create"),
+    EventDecl: lambda span: EventDecl("E", ("A.create",), span),
+    Event: lambda span: Event("E", "E", ("A.create",), "elementary"),
+    BehaviorEdge: lambda span: BehaviorEdge("E1", "E2", True),
+    dynamics.TraceRecord: lambda span: dynamics.TraceRecord(3, "stage-executed", "A.create", (1, 2)),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_RECORDS, ids=lambda cls: cls.__name__)
+def test_value_records_are_slotted_and_compare_and_hash_by_value(cls):
+    build = VALUE_RECORDS[cls]
+    record = build(Span(1, 1, 0, 1))
+    assert type(record) is cls and cls.__slots__
+    assert not hasattr(record, "__dict__")
+    twin = build(Span(1, 1, 0, 1))
+    assert record == twin and hash(record) == hash(twin)
+    fields = dataclasses.fields(record)
+    if any(f.name == "span" and not f.compare for f in fields):
+        moved = build(Span(7, 3, 40, 45))
+        assert moved.span != record.span
+        assert moved == record and hash(moved) == hash(record)
+    shown = ", ".join(f"{f.name}={getattr(record, f.name)!r}" for f in fields)
+    assert repr(record) == f"{cls.__name__}({shown})"
+
+
+def test_span_repr_keeps_the_dataclass_form():
+    assert repr(Span(1, 2, 3, 4)) == "Span(line=1, column=2, start=3, end=4)"
+
+
+def test_records_built_once_per_command_stay_frozen():
+    span = Span(1, 1, 0, 1)
+    built = build_model(*heat_decls())
+    records = [
+        built,
+        dsl.Document(built, (), None),
+        dsl.Ast(()),
+        ValidationReport(()),
+        error(DUP_NAME, "twice", "A", span),
+        dsl.ParseError(1, 1, ("a declaration",), "'}'"),
+        dynamics.SimOptions(),
+        dynamics.Candidate("create", "Heat.create"),
+        dynamics.Trace(()),
+        dynamics.Conformance(True),
+        render.RenderOptions(),
+        transform.SimplifyReport({}, 0, ()),
+        transform.DroppedTrigger("A.release", "B.create", "gone"),
+    ]
+    for record in records:
+        first = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, first, None)
