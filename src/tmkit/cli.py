@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -72,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return render.indented_json(payload) + "\n"
 
 
 def _command(args: argparse.Namespace, doc: Document) -> tuple[str, int]:

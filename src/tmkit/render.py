@@ -5,14 +5,17 @@ one cluster per thimac (nested for subthimacs), one box per stage, solid
 edges for flows, dashed edges for triggers, and optional node fills from
 an overlay that maps element ids to colors (``transform.make_overlay``
 builds one from event regions). The JSON output is the canonical
-document schema shared with the core model, stable down to the byte.
+document schema shared with the core model, stable down to the byte;
+``indented_json`` writes it and every other JSON document of ``tm``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Mapping
 
 from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, error
 from .model import (
@@ -91,6 +94,93 @@ def to_dot(model: TmModel, options: RenderOptions = RenderOptions()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_text(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _indented(value: object) -> str:
+    """``json.dumps(value, indent=2)``, written by one recursive walk that
+    joins its pieces once.
+
+    On Python 3.10-3.12 an ``indent`` makes ``json.dumps`` skip its C
+    encoder for generators in pure Python; this walk takes about half their
+    time. Values dispatch on their exact type: dicts with string keys,
+    lists and tuples, strings, ints, floats, booleans and ``None``; any
+    other type raises :class:`TypeError`. Strings and keys are quoted by the
+    C ``encode_basestring_ascii`` that ``json.dumps`` uses. Each nesting
+    level costs one Python frame; the payloads of ``tm`` are at most four
+    levels deep whatever the model's nesting, since ``model_to_dict`` is
+    flat.
+    """
+    parts: list[str] = []
+    _write_indented(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_indented(value: object, newline: str, append: Callable[[str], None]) -> None:
+    """Append the pieces of ``value``, nested at the indent that follows
+    ``newline``. A module-level function rather than a closure: a closure
+    that calls itself is a reference cycle, which would keep every piece
+    alive while ``tm`` runs with the cyclic collector paused."""
+    kind = type(value)
+    if kind is str:
+        append(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            append(sep)
+            append(encode_basestring_ascii(key))
+            append(": ")
+            _write_indented(item, inner, append)
+            sep = "," + inner
+        append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            _write_indented(item, inner, append)
+            sep = "," + inner
+        append(newline + "]")
+    elif kind is int:
+        append(int.__repr__(value))
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif value is None:
+        append("null")
+    elif kind is float:
+        append(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _stdlib_indented(value: object) -> str:
+    return json.dumps(value, indent=2)
+
+
+# Every JSON document that tm prints is indented_json(payload): exactly
+# json.dumps(payload, indent=2). Python 3.13 indents in C, about twice as
+# fast as _indented; delete this check and the writer above once Python
+# 3.12 support is dropped.
+indented_json = _stdlib_indented if sys.version_info >= (3, 13) else _indented
+
+
 def to_json(
     model: TmModel,
     events: Iterable[Event] = (),
@@ -100,7 +190,7 @@ def to_json(
     data = model_to_dict(model)
     data["events"] = [e.to_json_dict() for e in events]
     data["behavior"] = behavior.to_json_list() if behavior is not None else []
-    return json.dumps(data, indent=2) + "\n"
+    return indented_json(data) + "\n"
 
 
 class _Reader:

@@ -67,6 +67,13 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     retained stage against the flow on the source side and along it on the
     target side; when no such stage exists (or re-anchoring would make a
     self-loop) the trigger is dropped and the report says why.
+
+    The result is a skeleton that keeps reachability, not a model that
+    ``validate`` accepts. A transport chain between thimacs collapses into a
+    cross-thimac create -> process or process -> process flow, which the
+    flow table forbids (every corpus model and benchmark shape has one),
+    and a cycle through removed stages collapses on purpose into a
+    self-loop flow, which ``validate`` reports as FLOW_ILLEGAL.
     """
     removable = {s.id for s in model.stages if s.kind in REMOVED_KINDS}
     retained = [s for s in model.stages if s.id not in removable]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, load_shapes
+from conftest import CORPUS_NAMES, FIXTURES, load_shapes
 from tmkit import cli
 from tmkit.cli import corpus, main
 from tmkit.dsl import lower, parse
@@ -214,6 +214,28 @@ def test_render_overlay_adds_fills(run_cli, corpus_paths):
     code, out = run_cli("render", str(corpus_paths["heating_water"]), "--overlay")
     assert code == 0
     assert "fillcolor" in out
+
+
+JSON_COMMANDS = (("validate",), ("events",), ("simplify",), ("render", "--format", "json"))
+# The corpus (exit 0), the diagnostic fixtures (exit 1 with a report, but
+# for the warnings-only stage_orphan.tm) and one input that fails to parse
+# (exit 2 with parse_errors).
+JSON_INPUTS = (*CORPUS_NAMES, *sorted(p.name for p in FIXTURES.glob("*.tm")), "parse failure")
+
+
+@pytest.mark.parametrize("source", JSON_INPUTS)
+@pytest.mark.parametrize("command", JSON_COMMANDS, ids=" ".join)
+def test_every_json_output_is_json_dumps_indent_2(run_cli, corpus_paths, tmp_path, command, source):
+    if source in corpus_paths:
+        path, codes = corpus_paths[source], {0}
+    elif source.endswith(".tm"):
+        path, codes = FIXTURES / source, {0, 1}
+    else:
+        path, codes = tmp_path / "bad.tm", {2}
+        path.write_text("flow ->", encoding="utf-8")
+    code, out = run_cli(*command, str(path))
+    assert code in codes
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_fmt_emits_canonical_round_trippable_text(run_cli, corpus_paths):

@@ -10,23 +10,30 @@ its start gives.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
 makes of the record's JSON dict, whatever strings and integers the record
-holds. The settings are derandomized and bounded so
-every run draws the same examples.
+holds. The indented-JSON writer of Python 3.10-3.12 writes what
+``json.dumps(value, indent=2)`` writes for any JSON value; it is called
+directly, so it is checked on every Python. The settings are
+derandomized and bounded so every run draws the same examples.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import io
 import json
+import math
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_NAMES, load_shapes
+from tmkit import render
 from tmkit.cli import corpus, main
 from tmkit.diagnostics import ModelError, Span
 from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, format_model, lower, parse
@@ -217,3 +224,58 @@ def test_ndjson_lines_are_json_dumps_of_each_record(records, truncated):
     expected = [json.dumps(r.to_json_dict()) for r in records]
     expected.append(json.dumps({"kind": "run-ended", "truncated": truncated, "records": len(records)}))
     assert Trace(tuple(records), truncated).to_ndjson() == "\n".join(expected) + "\n"
+
+
+# Every JSON value: the texts and integers above, booleans (which must not
+# print as 1 and 0), None, floats with NaN, the infinities and -0.0, and
+# lists, tuples and string-keyed dicts, empty or nested.
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), integers, st.floats(), texts),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(texts, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@fixed(400)
+@given(json_values)
+@example([True, False, 1, 0, None])
+@example({"": {}, "a": [], "b": (), "c": [[{}]], "d": {"e": {"f": ()}}})
+@example([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+@example({"\ud800 \"\\\x00\u2028\U0001f600": "\udfff\x1f\x7f\u00e9"})
+def test_indented_writer_is_json_dumps_indent_2(value):
+    assert render._indented(value) == json.dumps(value, indent=2)
+
+
+def test_indented_writer_rejects_what_json_dumps_rejects():
+    for value in ({1, 2}, {"a": [frozenset()]}, b"bytes", object()):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            render._indented(value)
+
+
+def test_indented_writer_leaves_no_cyclic_garbage():
+    """tm pauses the cyclic collector, so garbage in a cycle would hold
+    every piece of the output until the command ends."""
+    gc.collect()
+    gc.disable()
+    try:
+        render._indented({"a": [1, {"b": ("c", None)}], "d": {}})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_tm_indents_through_the_stdlib_from_python_3_13(monkeypatch, capsys):
+    expected = render._stdlib_indented if sys.version_info >= (3, 13) else render._indented
+    assert render.indented_json is expected
+    written = []
+    monkeypatch.setattr(render, "indented_json", lambda value: written.append(value) or "{}")
+    path = str(corpus()["dough_cookie"])
+    for command in (["validate"], ["events"], ["simplify"], ["render", "--format", "json"]):
+        assert main([*command, path]) == 0
+    assert capsys.readouterr().out == "{}\n" * 4 and len(written) == 4

@@ -9,6 +9,7 @@ from tmkit.dsl import lower, parse
 from tmkit.dynamics import build_events, define_event, elementary_events
 from tmkit.model import Event, StageKind
 from tmkit.transform import PALETTE, REMOVED_KINDS, make_overlay, simplify
+from tmkit.validator import validate_document
 
 
 def model_of(text: str):
@@ -136,6 +137,40 @@ def test_collapsed_duplicate_flows_are_deduplicated():
     simplified, _ = simplify(model)
     pairs = [(f.source, f.target) for f in simplified.flows]
     assert pairs.count(("A.create", "B.process")) == 1
+
+
+def test_cycle_through_transport_stages_collapses_to_a_self_loop():
+    """The skeleton keeps reachability, not validity: the return path
+    process -> release -> transfer -> receive -> process becomes the flow
+    A.process -> A.process, which validate rejects."""
+    model = model_of("""
+    thimac A { create; process; release; transfer; receive; }
+    flow A.create -> A.process;
+    flow A.process -> A.release;
+    flow A.release -> A.transfer;
+    flow A.transfer -> A.receive;
+    flow A.receive -> A.process;
+    """)
+    report, _ = validate_document(model, (), None)
+    assert report.ok and [d.code for d in report.diagnostics] == ["TRANSFER_UNPAIRED"]
+    simplified, sreport = simplify(model)
+    assert [(f.source, f.target) for f in simplified.flows] == [
+        ("A.create", "A.process"), ("A.process", "A.process")]
+    assert sreport.rewired == 1
+    report, _ = validate_document(simplified, (), None)
+    assert [(d.code, d.message) for d in report.diagnostics] == [
+        ("FLOW_ILLEGAL", "a flow may not loop on a single stage")]
+
+
+def test_simplified_corpus_models_do_not_validate(corpus_docs):
+    """Each corpus model collapses a transport chain into a cross-thimac
+    create -> process or process -> process flow, which the flow table
+    forbids: a skeleton is not a model that validate accepts."""
+    for doc in corpus_docs.values():
+        simplified, _ = simplify(doc.model)
+        report, _ = validate_document(simplified, (), None)
+        assert not report.ok
+        assert {d.code for d in report.diagnostics if d.severity == "error"} == {"FLOW_ILLEGAL"}
 
 
 # -- overlays -------------------------------------------------------------------
