@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -318,6 +321,59 @@ def test_command_garbage_does_not_grow_with_the_model(capsys, tmp_path, shape):
         path.write_text(load_shapes().GENERATORS[shape](n, 1).text, encoding="utf-8")
         counts[n] = [garbage(command, path) for command in BENCHMARKED]
     assert counts[12] == counts[200]
+
+
+# Below what each command prints at n = 200, from 76 kB (`fmt` on
+# sim-fanout) to 0.88 MB (`render --format json` on authoring), except
+# the two that print one line: `validate`, and `simulate` on authoring,
+# which mints nothing. The model every command loads is far larger.
+LEFT_BEHIND_BYTES = 64 * 1024
+
+
+def left_behind(argv: list[str]) -> tuple[int, int]:
+    """Bytes a command leaves allocated, by tracemalloc, after one warm-up
+    call: those still reachable after ``gc.collect()``, and those of the
+    cyclic garbage that collection finds."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    gc.collect()
+    saved = len(gc.garbage)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        gc.set_debug(0)
+        with_garbage = tracemalloc.get_traced_memory()[0]
+        del gc.garbage[saved:]
+        gc.collect()
+        reachable = tracemalloc.get_traced_memory()[0]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[saved:]
+        tracemalloc.stop()
+    return reachable, with_garbage - reachable
+
+
+@pytest.mark.parametrize("shape", sorted(SIMULATE_FLAGS))
+def test_command_leaves_no_bytes_behind(tmp_path, shape):
+    """Counting garbage objects misses a cycle that holds a growing list
+    of strings, so this counts bytes. What a command keeps reachable stays
+    under a fixed bound; its cyclic garbage (argparse's parsers, about
+    40 kB) does not grow from n = 12 to n = 200."""
+    garbage = {}
+    for n in (12, 200):
+        path = tmp_path / f"{n}.tm"
+        path.write_text(load_shapes().GENERATORS[shape](n, 1).text, encoding="utf-8")
+        for command in BENCHMARKED:
+            argv = [*command, str(path)]
+            if command == ("simulate",):
+                argv += SIMULATE_FLAGS[shape]
+            reachable, garbage[n, command] = left_behind(argv)
+            assert reachable < LEFT_BEHIND_BYTES, (n, command)
+    for command in BENCHMARKED:
+        assert garbage[200, command] - garbage[12, command] < LEFT_BEHIND_BYTES / 4, command
 
 
 def test_main_pauses_the_collector_and_restores_its_state(capsys, monkeypatch, corpus_paths):

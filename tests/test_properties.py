@@ -6,7 +6,9 @@ Any text built from token fragments, well formed or not, parses to an
 canonical text is a fixed point: formatting, re-parsing and formatting
 again gives the same text, and the re-parsed document equals the first.
 Every AST span gives the line and column that counting newlines before
-its start gives.
+its start gives. The tokenizer returns what a Python step per regex match
+returns (``tokenize_oracle``) on drawn texts, on every bundled text and
+on those texts with a stray character after every token.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
 makes of the record's JSON dict, whatever strings and integers the record
@@ -32,8 +34,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_NAMES, load_shapes
-from tmkit import render
+from conftest import CORPUS_NAMES, FIXTURES, load_shapes, tokenize_oracle
+from tmkit import dsl, render
 from tmkit.cli import corpus, main
 from tmkit.diagnostics import ModelError, Span
 from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, format_model, lower, parse
@@ -69,6 +71,49 @@ def test_fragment_text_parses_or_fails_cleanly(text):
         assert isinstance(lower(ast), Document)
     except ModelError as exc:
         assert exc.diagnostics
+
+
+# Characters that exercise every branch of the tokenizer: names, decimal
+# digits, numerals that are not decimal digits ('²', '½', 'Ⅻ'), a letter
+# outside ASCII, the four whitespace characters and the two that are not
+# ('\f', '\v'), comments, punctuation, arrow halves and stray characters.
+TOKEN_ALPHABET = (
+    *"abc_XY019²½Ⅻ一 \t\r\n\f\v#{}();.->~$é", "->", "~>", *sorted(KEYWORDS), *KIND_BY_NAME,
+    "# c\n", "²a", "a²",
+)
+
+
+def oracle_texts() -> list[str]:
+    """The corpus, the fixtures and the three benchmark shapes at n = 12."""
+    texts = [corpus()[name].read_text(encoding="utf-8") for name in CORPUS_NAMES]
+    texts += [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
+    texts += [make(12, 1).text for make in load_shapes().GENERATORS.values()]
+    return texts
+
+
+@fixed(1000)
+@given(st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=60).map("".join))
+@example("²x ½½ a²b Ⅻ_1 一二")
+@example("a\fb\vc")
+@example("thimac A { process; } # ends here")
+def test_tokenize_is_the_per_match_scan(text):
+    assert dsl._tokenize(text) == tokenize_oracle(text)
+
+
+def test_tokenize_is_the_per_match_scan_on_corpus_fixtures_and_shapes():
+    for text in oracle_texts():
+        assert dsl._tokenize(text) == tokenize_oracle(text)
+
+
+def test_tokenize_is_the_per_match_scan_with_a_bad_character_after_every_token():
+    """The worst case for the tokens and gaps looked at one by one."""
+    for text in oracle_texts():
+        _, words, starts, _ = tokenize_oracle(text)
+        ends = sorted({start + len(word) for word, start in zip(words, starts)})
+        pieces = [text[a:b] for a, b in zip([0, *ends], [*ends, len(text)])]
+        for bad in ("$", "²", "\f"):
+            broken = bad.join(pieces)
+            assert dsl._tokenize(broken) == tokenize_oracle(broken)
 
 
 stages = st.lists(
