@@ -11,6 +11,7 @@ cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 from importlib import resources
@@ -31,7 +32,10 @@ def corpus() -> dict[str, Path]:
             if path.name.endswith(".tm")}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``tm`` parser, built on the first call and reused by every later
+    ``main`` in the process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tm",
         description="Toolchain for thing/machine conceptual models.",

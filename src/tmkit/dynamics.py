@@ -118,16 +118,22 @@ class _Fenwick:
     that holds the k-th unit of their running sum, both in O(log n)
     (Fenwick, *Softw. Pract. Exper.* 1994). Counts never go negative."""
 
+    __slots__ = ("tree", "length", "top", "total")
+
     def __init__(self, size: int) -> None:
-        self.tree = [0] * (size + 1)  # 1-based partial sums
-        self.top = 1 << size.bit_length() >> 1  # highest power of two <= size
+        self.top = top = 1 << size.bit_length() >> 1  # highest power of two <= size
+        # 1-based partial sums over positions padded with zeros to 2 * top - 1,
+        # so that every index the descent in find can reach is in the tree.
+        self.length = 2 * top
+        self.tree = [0] * self.length
         self.total = 0
 
     def add(self, position: int, delta: int) -> None:
         self.total += delta
         tree = self.tree
+        length = self.length
         i = position + 1
-        while i < len(tree):
+        while i < length:
             tree[i] += delta
             i += i & -i
 
@@ -139,14 +145,14 @@ class _Fenwick:
         step = self.top
         while step:
             nxt = position + step
-            if nxt < len(tree) and tree[nxt] <= k:
+            if tree[nxt] <= k:
                 position = nxt
                 k -= tree[nxt]
             step >>= 1
         return position, k
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     """Mutable run state with a single owner; never shared between runs.
 
@@ -169,6 +175,14 @@ class SimState:
     others. ``position`` maps a stage id to its declaration position, and
     ``firing`` maps a stage to the events that name it, in declaration
     order, each with the stages it needs to fire.
+
+    Three lookups that every step reads are taken from ``model`` once, by
+    :func:`init_state`: ``flows_from`` is ``model.index.flow_indices_from``
+    (a stage id to the positions in ``model.flows`` of the flows leaving
+    it), ``trigger_targets`` is ``model.index.trigger_targets`` (a stage
+    id to the stages its triggers activate) and ``stage_count`` is
+    ``len(model.stages)``, the first position after the stages in
+    ``counts``.
     """
 
     model: TmModel
@@ -183,6 +197,9 @@ class SimState:
     create_slot: dict[str, int] = field(default_factory=dict, compare=False)
     firing: dict[str, list[tuple[str, frozenset[str]]]] = field(
         default_factory=dict, compare=False)
+    flows_from: dict[str, tuple[int, ...]] = field(default_factory=dict, compare=False)
+    trigger_targets: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False)
+    stage_count: int = field(default=0, compare=False)
     step_count: int = 0
     next_token: int = 1
     rng: random.Random = field(default_factory=random.Random, compare=False)
@@ -201,8 +218,11 @@ def init_state(
         for stage_id in needed[e.id]:
             state.firing.setdefault(stage_id, []).append((e.id, needed[e.id]))
     state.coverage = {e.id: set() for e in events}
-    stages = len(model.stages)
-    creates = model.index.spontaneous_creates
+    index = model.index
+    state.flows_from = index.flow_indices_from
+    state.trigger_targets = index.trigger_targets
+    state.stage_count = stages = len(model.stages)
+    creates = index.spontaneous_creates
     state.position = {s.id: i for i, s in enumerate(model.stages)}
     state.create_slot = {sid: stages + j for j, sid in enumerate(creates)}
     state.counts = _Fenwick(stages + len(creates))
@@ -245,7 +265,7 @@ def _candidate(state: SimState, k: int) -> tuple[str, str | None, int | None, in
             return "trigger", state.pending[0], None, None
         k -= 1
     position, k = state.counts.find(k)
-    stages = len(state.model.stages)
+    stages = state.stage_count
     if position >= stages:
         return "create", state.model.index.spontaneous_creates[position - stages], None, None
     for token_id, untaken in state.frontier[position].items():
@@ -272,24 +292,22 @@ def _is_enabled(state: SimState, c: Candidate) -> bool:
     return c.flow_index in waiting.get(c.token, ())
 
 
-def _arrive(state: SimState, stage_id: str, token_id: int) -> None:
-    """Put a token that reached (or was minted in) a stage on the frontier,
-    unless it has already taken every flow out of that stage."""
+def _execute_stage(state: SimState, stage_id: str, token_id: int) -> list[TraceRecord]:
+    """A token arriving at (or minted in) a stage executes it. The token
+    joins the frontier unless it has already taken every flow out of the
+    stage, the stage's outgoing triggers are enqueued and covering events
+    may fire."""
     taken = state.tokens[token_id]
-    untaken = tuple(
-        i for i in state.model.index.flow_indices_from.get(stage_id, ()) if i not in taken)
+    untaken = state.flows_from.get(stage_id, ())
+    if taken:
+        untaken = tuple(i for i in untaken if i not in taken)
     if untaken:
         position = state.position[stage_id]
         state.frontier.setdefault(position, {})[token_id] = untaken
         state.counts.add(position, len(untaken))
-
-
-def _execute_stage(state: SimState, stage_id: str, token_id: int) -> list[TraceRecord]:
-    """A token arriving at (or minted in) a stage executes it: the stage's
-    outgoing triggers are enqueued and covering events may fire."""
     state.step_count += 1
     records = [TraceRecord(state.step_count, STAGE_EXECUTED, stage_id, (token_id,))]
-    state.pending.extend(state.model.trigger_targets(stage_id))
+    state.pending.extend(state.trigger_targets.get(stage_id, ()))
     for event_id, needed in state.firing.get(stage_id, ()):
         covered = state.coverage[event_id]
         covered.add(stage_id)
@@ -316,7 +334,6 @@ def _fire(state: SimState, kind: str, stage: str | None, token: int | None,
         token = state.next_token
         state.next_token += 1
         state.tokens[token] = set()
-        _arrive(state, stage, token)
         return _execute_stage(state, stage, token)
 
     flow = state.model.flows[flow_index]
@@ -331,7 +348,6 @@ def _fire(state: SimState, kind: str, stage: str | None, token: int | None,
         state.step_count += 1
         return [TraceRecord(state.step_count, TOKEN_REJECTED, flow.target, (token,))]
     state.tokens[token].add(flow_index)
-    _arrive(state, flow.target, token)
     return _execute_stage(state, flow.target, token)
 
 
@@ -354,16 +370,18 @@ def run(model: TmModel, events: Iterable[Event] = (), options: SimOptions = SimO
     ``Candidate`` is built per step.
     """
     state = init_state(model, options, events)
+    counts, pending = state.counts, state.pending
+    draw = state.rng.randrange if options.policy == RANDOM else None
     records: list[TraceRecord] = []
     truncated = False
     while True:
         if state.step_count >= options.max_steps:
             truncated = True
             break
-        total = bool(state.pending) + state.counts.total  # len(enabled(state))
+        total = bool(pending) + counts.total  # len(enabled(state))
         if not total:
             break
-        k = state.rng.randrange(total) if options.policy == RANDOM else 0
+        k = draw(total) if draw else 0
         records.extend(_fire(state, *_candidate(state, k)))
     return Trace(tuple(records), truncated)
 

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     all_linear_extensions,
     closure_pairs,
+    load_shapes,
     random_model,
     region_stages,
     scan_candidates,
@@ -39,6 +40,7 @@ from tmkit.dynamics import (
     SimOptions,
     Trace,
     TraceRecord,
+    _Fenwick,
     build_events,
     check_behavior,
     conforms,
@@ -528,6 +530,47 @@ def test_enabled_matches_full_scan_and_replay_matches_run(corpus_docs):
                 policy=policy, reject_accept=frozenset({"B.accept"}) if seed == 2 else frozenset())
             assert (_replay(model, events, options).to_ndjson()
                     == run(model, events, options).to_ndjson()), (n, options)
+
+
+@pytest.mark.parametrize("shape", ["authoring", "sim-fanout", "sim-relay"])
+def test_replay_matches_run_on_the_benchmark_shapes(shape):
+    """The benchmark's three shapes at n = 4 through the same oracle:
+    sim-fanout's wide frontier of independent pairs, sim-relay's narrow
+    frontier fed by one pending trigger while a token parks at the end of
+    every pair on every lap, and authoring's refined chains."""
+    doc = lower(parse(load_shapes().GENERATORS[shape](4, 1).text))
+    events = events_of(doc)
+    for policy, seed, cap in itertools.product((FIFO, RANDOM), range(3), (1, 2)):
+        options = SimOptions(seed=seed, max_steps=300, creation_cap=cap, policy=policy)
+        assert (_replay(doc.model, events, options).to_ndjson()
+                == run(doc.model, events, options).to_ndjson()), options
+
+
+def _scan(counts: list[int], k: int) -> tuple[int, int]:
+    for position, count in enumerate(counts):
+        if k < count:
+            return position, k
+        k -= count
+    raise AssertionError(f"unit {k} past the total")
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65])
+def test_fenwick_matches_a_linear_prefix_scan(size):
+    """After every update of a random sequence that keeps each count
+    non-negative, ``total`` and ``find(k)`` for every unit k agree with a
+    linear scan over a plain list of counts. Sizes one past a power of two
+    put a position beyond ``top``."""
+    rng = random.Random(size)
+    tree, counts = _Fenwick(size), [0] * size
+    assert tree.total == 0
+    for _ in range(2 * size):
+        position = rng.randrange(size)
+        delta = rng.randint(-counts[position], 2)
+        tree.add(position, delta)
+        counts[position] += delta
+        assert tree.total == sum(counts)
+        assert [tree.find(k) for k in range(tree.total)] == [
+            _scan(counts, k) for k in range(tree.total)]
 
 
 # -- soundness properties -------------------------------------------------------------
