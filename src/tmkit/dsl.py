@@ -22,6 +22,17 @@ optional "repeat" mark on a chronology edge declares a permitted loop
 back to an earlier event rather than a precedence constraint. Files use
 the ".tm" extension and hold one model each; a UTF-8 byte-order mark at
 the start of a file is ignored.
+
+Text is read in one of two ways, to the same AST and spans. A scanner
+matches whole declarations, stages and references with a few regexes,
+without making a token list. It declines, at the first place it is
+reached, a character other than space, tab, CR or LF between tokens
+(form feed and vertical tab included), a keyword or stage kind where a
+name belongs, whitespace inside a stage path such as "A . create", and
+any text in which a numeral outside ASCII may lead a word. The token
+parser then reads the whole text again, and it alone reports syntax
+errors. Malformed text thus costs the scanned prefix plus one full
+token parse.
 """
 
 from __future__ import annotations
@@ -213,14 +224,28 @@ def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
     types[:] = map(_TYPES.get, texts, repeat("name"))
     types[-1] = "eof"
     bad = [] if strays is None else _strays(strays, starts)
-    # Only a numeral outside ASCII leads a token without starting a name,
-    # and it is neither ASCII nor a letter.
-    if not scan.isascii() and not "".join(_NOT_ASCII.findall(scan)).isalpha():
+    if _may_lead_with_numerals(scan):
         _trim_numerals(types, texts, starts, bad)
     comment = text.find("#", text.rfind("\n") + 1)
     if comment >= 0:
         starts[-1] = comment
     return types, texts, starts, bad
+
+
+def _may_lead_with_numerals(scan: str) -> bool:
+    """Whether a token of ``scan`` may start with a numeral outside ASCII:
+    only such a numeral leads a token without starting a name, and it is
+    neither ASCII nor a letter."""
+    return not scan.isascii() and not "".join(_NOT_ASCII.findall(scan)).isalpha()
+
+
+def _newlines(text: str) -> list[int]:
+    """Every '\\n' offset of ``text`` after a -1 for the start of the text,
+    so that bisect_left gives the 1-based line of an offset. Each offset is
+    a running sum of the line lengths, each line counted with its '\\n'."""
+    newlines = list(accumulate(map(add, map(len, text.split("\n")), repeat(1)), initial=-1))
+    newlines.pop()  # the end of the last line, which has no '\n'
+    return newlines
 
 
 def _strays(gaps: list[str], starts: list[int]) -> list[int]:
@@ -274,9 +299,7 @@ class _Parser:
 
     def __init__(self, text: str):
         self.types, self.texts, self.starts, bad = _tokenize(text)
-        # Every '\n' offset after a -1 for the start of the text, so that
-        # bisect_left gives the 1-based line of an offset.
-        self.newlines = [-1, *(m.start() for m in re.finditer("\n", text))]
+        self.newlines = _newlines(text)
         self.pos = 0
         self.errors = [ParseError(*self.position(at), ("a declaration",), repr(text[at]))
                        for at in bad]
@@ -444,13 +467,127 @@ class _Parser:
     RULES = {"thimac": thimac, **dict.fromkeys(EDGES, edge), "event": event, "behavior": behavior}
 
 
+# -- scanner ------------------------------------------------------------------
+
+# Well-formed text is read a whole declaration at a time, over the
+# comment-blanked text: each match below is a declaration head, a stage,
+# a stage reference with the arrow or ';' after it, a chronology edge or
+# a closing brace, with the whitespace after it. Edges and events share
+# one pattern for their references. A name is never a keyword or a stage
+# kind, and no match ends where a word character follows, so each match
+# holds exactly the tokens that the tokenizer finds there. A stage path
+# is matched without whitespace, so that its names are a split on '.'.
+# Anything else, such as a character other than ' \t\r\n' between tokens,
+# a keyword where a name belongs or a space inside a stage path, matches
+# nothing, and then the token parser reads the text again.
+_S = f"[{_WHITESPACE}]"
+_NAME = rf"(?!(?:{'|'.join((*KEYWORDS, *KIND_BY_NAME))})\b)[^\W\d]\w*"
+_KIND = f"({'|'.join(KIND_BY_NAME)})"
+_LABEL = rf"(?:{_S}*\({_S}*({_NAME}){_S}*\))?"
+_SPACES = re.compile(f"{_S}*")
+# Groups: 1 a thimac name, 2 an edge keyword, 3 an event name, 4 "behavior".
+_DECLARATION = re.compile(rf"(?:thimac{_S}+({_NAME}){_S}*\{{|(flow|trigger)(?={_S})"
+                          rf"|event{_S}+({_NAME}){_S}*\{{|(behavior){_S}*\{{){_S}*")
+# Groups: 1 a stage reference, 2 its path, 3 kind, 4 label, 5 the arrow or
+# ';' after it; none for '}'.
+_REF_ITEM = re.compile(
+    rf"(?:(({_NAME}(?:\.{_NAME})*)\.{_KIND}{_LABEL}){_S}*(->|~>|;)|\}}){_S}*")
+# Groups: 1 a stage kind, 2 its label, 3 its end, 4 a thimac name; none for '}'.
+_THIMAC_ITEM = re.compile(
+    rf"(?:{_KIND}{_LABEL}{_S}*;()|thimac{_S}+({_NAME}){_S}*\{{|\}}){_S}*")
+# Groups: 1 and 2 the events, 3 "repeat", 4 the end; none for '}'.
+_CHRONOLOGY_ITEM = re.compile(
+    rf"(?:({_NAME}){_S}*->{_S}*({_NAME})(?:{_S}+(repeat))?{_S}*;()|\}}){_S}*")
+
+
+def _scan(text: str) -> Ast | None:
+    """The AST of ``text``, with the nodes and spans that :class:`_Parser`
+    builds, or None at the first point that the patterns above do not
+    match, and for text in which a numeral outside ASCII may lead a token."""
+    scan = _COMMENT.sub(_blank, text) if "#" in text else text
+    if _may_lead_with_numerals(scan):
+        return None
+    newlines = _newlines(text)
+
+    def span(start: int, end: int) -> Span:
+        line = bisect_left(newlines, start)
+        return Span(line, start - newlines[line - 1], start, end)
+
+    def ref(m: re.Match) -> StageRef:
+        path, kind, label = m.group(2, 3, 4)
+        return StageRef(tuple(path.split(".")), KIND_BY_NAME[kind], label, span(*m.span(1)))
+
+    decls: list[Declaration] = []
+    pos, stop = _SPACES.match(scan).end(), len(scan)
+    while pos < stop:
+        m = _DECLARATION.match(scan, pos)
+        if m is None:
+            return None
+        first, at, pos = pos, m.lastindex, m.end()
+        if at == 1:
+            # The open thimacs, innermost last: first offset, name, body so far.
+            open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = [(first, m[1], [])]
+            while open_:
+                m = _THIMAC_ITEM.match(scan, pos)
+                if m is None:
+                    return None
+                at = m.lastindex
+                if at == 3:
+                    kind, label = m.group(1, 2)
+                    open_[-1][2].append(StageNode(KIND_BY_NAME[kind], label, span(pos, m.start(3))))
+                elif at == 4:
+                    open_.append((pos, m[4], []))
+                else:
+                    start, name, body = open_.pop()
+                    node = ThimacNode(name, tuple(body), span(start, pos + 1))
+                    (open_[-1][2] if open_ else decls).append(node)
+                pos = m.end()
+        elif at == 2:
+            node, arrow, _ = EDGES[m[2]]
+            m = _REF_ITEM.match(scan, pos)
+            if m is None or m[5] != arrow:
+                return None
+            source = ref(m)
+            m = _REF_ITEM.match(scan, m.end())
+            if m is None or m[5] != ";":
+                return None
+            decls.append(node(source, ref(m), span(first, m.end(5))))
+            pos = m.end()
+        elif at == 3:
+            name, refs = m[3], []
+            while (m := _REF_ITEM.match(scan, pos)) is not None and m[5] == ";":
+                refs.append(ref(m))
+                pos = m.end()
+            if m is None or m.lastindex or not refs:
+                return None
+            decls.append(EventNode(name, tuple(refs), span(first, pos + 1)))
+            pos = m.end()
+        else:
+            edges: list[BehaviorEdgeNode] = []
+            while (m := _CHRONOLOGY_ITEM.match(scan, pos)) is not None and m.lastindex:
+                before, after, repeat = m.group(1, 2, 3)
+                edges.append(BehaviorEdgeNode(before, after, repeat is not None,
+                                              span(pos, m.start(4))))
+                pos = m.end()
+            if m is None:
+                return None
+            decls.append(BehaviorNode(tuple(edges), span(first, pos + 1)))
+            pos = m.end()
+    return Ast(tuple(decls))
+
+
 def parse(text: str) -> Ast:
     """Parse model text into an AST.
 
-    Parsing recovers at declaration boundaries so one bad declaration does
-    not hide later ones; if anything failed, a :class:`ParseFailure`
-    carrying every error is raised at the end.
+    Well-formed text is read a declaration at a time (:func:`_scan`);
+    text that the scanner does not read, well-formed or not, goes through
+    the token parser. Parsing recovers at declaration boundaries so one
+    bad declaration does not hide later ones; if anything failed, a
+    :class:`ParseFailure` carrying every error is raised at the end.
     """
+    ast = _scan(text)
+    if ast is not None:
+        return ast
     parser = _Parser(text)
     ast = parser.parse_model()
     if parser.errors:

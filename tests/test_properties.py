@@ -8,7 +8,11 @@ again gives the same text, and the re-parsed document equals the first.
 Every AST span gives the line and column that counting newlines before
 its start gives. The tokenizer returns what a Python step per regex match
 returns (``tokenize_oracle``) on drawn texts, on every bundled text and
-on those texts with a stray character after every token.
+on those texts with a stray character after every token. The declaration
+scanner either declines a text or returns the AST, spans included, that
+the token parser builds without errors; it declines no bundled text and
+no benchmark shape, and neither it nor the fallback recurses or
+backtracks without bound.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
 makes of the record's JSON dict, whatever strings and integers the record
@@ -24,8 +28,10 @@ import contextlib
 import dataclasses
 import gc
 import io
+import itertools
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -35,10 +41,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_NAMES, FIXTURES, load_shapes, tokenize_oracle
+from test_golden_parse import BASES, _variants
 from tmkit import dsl, render
 from tmkit.cli import corpus, main
 from tmkit.diagnostics import ModelError, Span
-from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, format_model, lower, parse
+from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, ThimacNode, format_model, lower, parse
 from tmkit.dynamics import Trace, TraceRecord
 from tmkit.model import KIND_BY_NAME
 
@@ -116,6 +123,116 @@ def test_tokenize_is_the_per_match_scan_with_a_bad_character_after_every_token()
             assert dsl._tokenize(broken) == tokenize_oracle(broken)
 
 
+def layouts(text: str) -> list[str]:
+    """The text and four layouts of it: CRLF line ends; whitespace or a
+    comment after each ';', '{' and '}'; spaces around '(', ')', '->' and
+    '~>'; spaces around '.'."""
+    fillers = itertools.cycle(("\t", " # c\n", "\n  "))
+    return [
+        text,
+        text.replace("\n", "\r\n"),
+        re.sub(r"[;{}]", lambda m: m[0] + next(fillers), text),
+        re.sub(r"[()]|->|~>", r" \g<0> ", text),
+        text.replace(".", " . "),
+    ]
+
+
+# Well-formed but for one thing that the scanner must not read past: a
+# keyword or kind where a name belongs, '\f' or '\v' between tokens.
+MISPLACED = (
+    "thimac flow { create; }",
+    "thimac A { thimac event { create; } }",
+    "thimac A { create(behavior); }",
+    "thimac A { create(process); }",
+    "thimac A { create; }\fthimac B { create; }",
+    "thimac A {\vcreate; }",
+    "thimac A { create; }\nflow A.thimac.create -> A.create;",
+    "thimac A { create; }\nflow A.create.process -> A.create;",
+    "thimac A { create; }\ntrigger A.create(repeat) ~> A.create;",
+    "thimac A { create; }\nevent trigger { A.create; }",
+    "behavior { E1 -> repeat; }",
+    "behavior { flow -> E1; }",
+)
+
+
+def assert_scan_is_the_token_parse(text: str) -> None:
+    scanned = dsl._scan(text)
+    if scanned is None:
+        return
+    parser = dsl._Parser(text)
+    parsed = parser.parse_model()
+    assert parser.errors == []
+    assert repr(scanned) == repr(parsed)
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_scan_is_the_token_parse_on_golden_inputs_and_their_layouts(base):
+    for text in _variants(base).values():
+        for layout in layouts(text):
+            assert_scan_is_the_token_parse(layout)
+
+
+def test_scan_declines_a_misplaced_keyword_or_whitespace():
+    for text in MISPLACED:
+        parser = dsl._Parser(text)
+        parser.parse_model()
+        assert parser.errors, text
+        assert dsl._scan(text) is None, text
+
+
+def test_scan_reads_every_bundled_text_and_shape():
+    """Without this, a scanner that declined everything would pass every
+    other test through the token parser."""
+    texts = [corpus()[name].read_text(encoding="utf-8") for name in CORPUS_NAMES]
+    texts += [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
+    texts += [make(n, 1).text for make in load_shapes().GENERATORS.values() for n in (3, 12, 40)]
+    for text in texts:
+        try:
+            doc = lower(parse(text))
+        except ModelError:
+            formatted = []
+        else:
+            formatted = [format_model(doc.model, doc.events, doc.behavior)]
+        for each in (text, *formatted):
+            assert dsl._scan(each) is not None
+            assert_scan_is_the_token_parse(each)
+
+
+def preorder(ast: Ast) -> list:
+    """Each node of the AST, a thimac as its name, body length and span,
+    read without recursion, so that ASTs nested thousands deep compare."""
+    nodes, pending = [], list(reversed(ast.declarations))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ThimacNode):
+            nodes.append((node.name, len(node.body), node.span))
+            pending.extend(reversed(node.body))
+        else:
+            nodes.append(repr(node))
+    return nodes
+
+
+def test_scan_and_fallback_neither_recurse_nor_blow_up():
+    """A 20,000-name stage path and thimacs nested 20,000 deep are
+    scanned; the authoring shape without its last ';' is scanned to the
+    end and then parsed again token by token, the worst case."""
+    n = 20_000
+    path = "thimac A { create; }\nflow " + ".".join(["A"] * n) + ".create -> A.create;\n"
+    nested = "".join(f"thimac T{i} {{ " for i in range(n)) + "create; " + "} " * n
+    for text in (path, nested):
+        assert dsl._scan(text) is not None
+        assert preorder(parse(text)) == preorder(dsl._Parser(text).parse_model())
+    text = load_shapes().authoring(200, 0).text
+    last = text.rindex(";")
+    text = text[:last] + text[last + 1:]
+    assert dsl._scan(text) is None
+    parser = dsl._Parser(text)
+    parser.parse_model()
+    with pytest.raises(ParseFailure) as exc:
+        parse(text)
+    assert exc.value.errors == tuple(parser.errors) and len(parser.errors) == 1
+
+
 stages = st.lists(
     st.tuples(st.sampled_from(sorted(KIND_BY_NAME)), st.sampled_from((None, "x", "y"))),
     unique=True, max_size=4,
@@ -176,6 +293,12 @@ def test_format_parse_format_is_stable(text):
     again = lower(parse(first))
     assert format_model(again.model, again.events, again.behavior) == first
     assert (again.model, again.events, again.behavior) == (doc.model, doc.events, doc.behavior)
+
+
+@fixed(300)
+@given(st.one_of(fragment_texts, documents()))
+def test_scan_is_the_token_parse_on_drawn_texts(text):
+    assert_scan_is_the_token_parse(text)
 
 
 def spanned_nodes(ast: Ast):
