@@ -100,14 +100,8 @@ class ParseFailure(TmError):
 
 @dataclass(slots=True, unsafe_hash=True)
 class StageRef:
-    path: tuple[str, ...]
-    kind: StageKind
-    label: str | None
+    text: str  # the canonical stage id, such as "A.B.process(job)"
     span: Span = field(compare=False)
-
-    @property
-    def text(self) -> str:
-        return stage_ref_text(".".join(self.path), self.kind, self.label)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -410,8 +404,8 @@ class _Parser:
                 raise self.fail(pos, "a thimac name", "a stage kind")
             path.append(texts[pos])
         label, end = self.optional_label(pos + 1)
-        ref = StageRef(tuple(path), KIND_BY_NAME[texts[pos]], label, self.span(first, end - 1))
-        return ref, end
+        sid = stage_ref_text(".".join(path), KIND_BY_NAME[texts[pos]], label)
+        return StageRef(sid, self.span(first, end - 1)), end
 
     def edge(self, pos: int) -> tuple[FlowNode | TriggerNode, int]:
         types, first = self.types, pos
@@ -470,31 +464,33 @@ class _Parser:
 # -- scanner ------------------------------------------------------------------
 
 # Well-formed text is read a whole declaration at a time, over the
-# comment-blanked text: each match below is a declaration head, a stage,
-# a stage reference with the arrow or ';' after it, a chronology edge or
-# a closing brace, with the whitespace after it. Edges and events share
-# one pattern for their references. A name is never a keyword or a stage
-# kind, and no match ends where a word character follows, so each match
-# holds exactly the tokens that the tokenizer finds there. A stage path
-# is matched without whitespace, so that its names are a split on '.'.
-# Anything else, such as a character other than ' \t\r\n' between tokens,
-# a keyword where a name belongs or a space inside a stage path, matches
-# nothing, and then the token parser reads the text again.
+# comment-blanked text: each match below is a flow or trigger, a
+# declaration head, a stage, an event's stage reference, a chronology
+# edge or a closing brace, with the whitespace after it. A name is never
+# a keyword or a stage kind, and no match ends where a word character
+# follows, so each match holds exactly the tokens that the tokenizer
+# finds there. A stage path is matched without whitespace, so a
+# reference with no whitespace in its label is its stage id as written.
+# Anything else, such as a character other than ' \t\r\n' between
+# tokens, a keyword where a name belongs or a space inside a stage path,
+# matches nothing, and then the token parser reads the text again.
 _S = f"[{_WHITESPACE}]"
 _NAME = rf"(?!(?:{'|'.join((*KEYWORDS, *KIND_BY_NAME))})\b)[^\W\d]\w*"
-_KIND = f"({'|'.join(KIND_BY_NAME)})"
+_KINDS = "|".join(KIND_BY_NAME)
 _LABEL = rf"(?:{_S}*\({_S}*({_NAME}){_S}*\))?"
+# Groups: a stage reference, its path and kind, and its label.
+_REF = rf"(({_NAME}(?:\.{_NAME})*\.(?:{_KINDS})){_LABEL})"
 _SPACES = re.compile(f"{_S}*")
-# Groups: 1 a thimac name, 2 an edge keyword, 3 an event name, 4 "behavior".
-_DECLARATION = re.compile(rf"(?:thimac{_S}+({_NAME}){_S}*\{{|(flow|trigger)(?={_S})"
-                          rf"|event{_S}+({_NAME}){_S}*\{{|(behavior){_S}*\{{){_S}*")
-# Groups: 1 a stage reference, 2 its path, 3 kind, 4 label, 5 the arrow or
-# ';' after it; none for '}'.
-_REF_ITEM = re.compile(
-    rf"(?:(({_NAME}(?:\.{_NAME})*)\.{_KIND}{_LABEL}){_S}*(->|~>|;)|\}}){_S}*")
+# Groups: 1 the keyword, 2-4 the source, 5 the arrow, 6-8 the target, 9 the end.
+_EDGE = re.compile(rf"(flow|trigger){_S}+{_REF}{_S}*(->|~>){_S}*{_REF}{_S}*;(){_S}*")
+# Groups: 1 a thimac name, 2 an event name, 3 "behavior".
+_DECLARATION = re.compile(
+    rf"(?:thimac{_S}+({_NAME}){_S}*\{{|event{_S}+({_NAME}){_S}*\{{|(behavior){_S}*\{{){_S}*")
+# Groups: 1-3 a stage reference; none for '}'.
+_REF_ITEM = re.compile(rf"(?:{_REF}{_S}*;|\}}){_S}*")
 # Groups: 1 a stage kind, 2 its label, 3 its end, 4 a thimac name; none for '}'.
 _THIMAC_ITEM = re.compile(
-    rf"(?:{_KIND}{_LABEL}{_S}*;()|thimac{_S}+({_NAME}){_S}*\{{|\}}){_S}*")
+    rf"(?:({_KINDS}){_LABEL}{_S}*;()|thimac{_S}+({_NAME}){_S}*\{{|\}}){_S}*")
 # Groups: 1 and 2 the events, 3 "repeat", 4 the end; none for '}'.
 _CHRONOLOGY_ITEM = re.compile(
     rf"(?:({_NAME}){_S}*->{_S}*({_NAME})(?:{_S}+(repeat))?{_S}*;()|\}}){_S}*")
@@ -513,17 +509,30 @@ def _scan(text: str) -> Ast | None:
         line = bisect_left(newlines, start)
         return Span(line, start - newlines[line - 1], start, end)
 
-    def ref(m: re.Match) -> StageRef:
-        path, kind, label = m.group(2, 3, 4)
-        return StageRef(tuple(path.split(".")), KIND_BY_NAME[kind], label, span(*m.span(1)))
+    def ref(m: re.Match, group: int) -> StageRef:
+        """The reference of ``_REF``'s groups from ``group`` on."""
+        sid, head, label = m.group(group, group + 1, group + 2)
+        if label is not None and len(sid) != len(head) + len(label) + 2:
+            sid = f"{head}({label})"  # written with whitespace around the label
+        start, end = m.span(group)
+        line = bisect_left(newlines, start)
+        return StageRef(sid, Span(line, start - newlines[line - 1], start, end))
 
     decls: list[Declaration] = []
     pos, stop = _SPACES.match(scan).end(), len(scan)
     while pos < stop:
+        first = pos
+        if (m := _EDGE.match(scan, pos)) is not None:
+            node, arrow, _ = EDGES[m[1]]
+            if m[5] != arrow:
+                return None
+            decls.append(node(ref(m, 2), ref(m, 6), span(first, m.start(9))))
+            pos = m.end()
+            continue
         m = _DECLARATION.match(scan, pos)
         if m is None:
             return None
-        first, at, pos = pos, m.lastindex, m.end()
+        at, pos = m.lastindex, m.end()
         if at == 1:
             # The open thimacs, innermost last: first offset, name, body so far.
             open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = [(first, m[1], [])]
@@ -543,22 +552,11 @@ def _scan(text: str) -> Ast | None:
                     (open_[-1][2] if open_ else decls).append(node)
                 pos = m.end()
         elif at == 2:
-            node, arrow, _ = EDGES[m[2]]
-            m = _REF_ITEM.match(scan, pos)
-            if m is None or m[5] != arrow:
-                return None
-            source = ref(m)
-            m = _REF_ITEM.match(scan, m.end())
-            if m is None or m[5] != ";":
-                return None
-            decls.append(node(source, ref(m), span(first, m.end(5))))
-            pos = m.end()
-        elif at == 3:
-            name, refs = m[3], []
-            while (m := _REF_ITEM.match(scan, pos)) is not None and m[5] == ";":
-                refs.append(ref(m))
+            name, refs = m[2], []
+            while (m := _REF_ITEM.match(scan, pos)) is not None and m.lastindex:
+                refs.append(ref(m, 1))
                 pos = m.end()
-            if m is None or m.lastindex or not refs:
+            if m is None or not refs:
                 return None
             decls.append(EventNode(name, tuple(refs), span(first, pos + 1)))
             pos = m.end()
@@ -629,15 +627,16 @@ def lower(ast: Ast) -> Document:
         thimacs.append(Thimac(id=path, name=node.name, parent=parent))
         pending.extend((item, path) for item in reversed(node.body))
 
-    stage_ids = {s.id for s in stages}
+    # Each reference resolves to its stage's own id string, so the model
+    # and the events hold one string per stage, not one per reference.
+    stage_ids = {s.id: s.id for s in stages}
     diags: list[Diagnostic] = []
 
     def resolve(ref: StageRef) -> str | None:
-        sid = ref.text
-        if sid not in stage_ids:
+        sid = stage_ids.get(ref.text)
+        if sid is None:
             diags.append(error(
-                REF_UNRESOLVED, f"unknown stage reference '{sid}'", sid, ref.span))
-            return None
+                REF_UNRESOLVED, f"unknown stage reference '{ref.text}'", ref.text, ref.span))
         return sid
 
     edges = EdgeSet()

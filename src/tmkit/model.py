@@ -139,9 +139,10 @@ class EdgeSet:
 
     def add(self, edge: FlowEdge | TriggerEdge, span: Span | None = None) -> list[Diagnostic]:
         """Keep ``edge``, or return the DUP_NAME its repeat earns."""
-        if edge.id in self._ids:
-            return [error(DUP_NAME, f"edge '{edge.id}' is declared twice", edge.id, span)]
-        self._ids.add(edge.id)
+        eid = edge.id
+        if eid in self._ids:
+            return [error(DUP_NAME, f"edge '{eid}' is declared twice", eid, span)]
+        self._ids.add(eid)
         (self.flows if isinstance(edge, FlowEdge) else self.triggers).append(edge)
         return []
 

@@ -238,7 +238,7 @@ def test_reachable_always_contains_start(corpus_docs):
 # -- record contract ------------------------------------------------------
 
 def _ref(name, span):
-    return dsl.StageRef((name,), StageKind.CREATE, None, span)
+    return dsl.StageRef(f"{name}.create", span)
 
 
 # One builder per record built once per span, AST node, model element,
