@@ -40,8 +40,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, itemgetter
+from itertools import accumulate, repeat
+from operator import add
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -167,25 +167,18 @@ class Ast:
 
 # -- tokenizer ----------------------------------------------------------------
 
-# The text is scanned by one split on the token pattern, which returns
-# the gaps between tokens and the tokens in turn: [gap, token, gap, ...,
-# token, gap]. Comments are first blanked to spaces of the same length,
-# so an offset into the blanked text is the same offset into the text,
-# and every token start is a running sum of gap and token lengths. A gap
-# then holds whitespace and the characters that start no token. '\f' and
-# '\v' are not whitespace, so they are among those. A name starts with a
-# letter or '_': ``[^\W\d]`` also admits numerals that are not decimal
-# digits (such as '²'), so each leading character of a token that cannot
-# start a name is reported and the rest of the token kept, as a scan
-# starting there would find. The first case shows as a gap holding more
-# than ' \t\r\n', the second needs a character that is neither ASCII
-# nor a letter, and only then are those gaps and tokens looked at one by
-# one. A comment ending the input leaves the end-of-input position at its
-# '#'.
-_TOKEN = re.compile(r"(->|~>|[{}();.]|[^\W\d]\w*)")
+# Only text that the scanner declines is tokenized, one regex match per
+# token: each match is the whitespace and comments before a token, then
+# the token, a single character that starts none, or the end of the
+# input. '\f' and '\v' are not whitespace, so each is such a character.
+# A name starts with a letter or '_': ``[^\W\d]`` also admits numerals
+# that are not decimal digits (such as '²'), so each leading character
+# of a word that cannot start a name is reported and the rest of the
+# word kept, as a scan starting there would find. A comment ending the
+# input leaves the end-of-input position at its '#'.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*(->|~>|[{}();.]|[^\W\d]\w*|.|\Z)", re.DOTALL)
 _COMMENT = re.compile(r"#[^\n]*")
 _WHITESPACE = " \t\r\n"
-_BAD = re.compile(f"[^{_WHITESPACE}]")
 _NOT_ASCII = re.compile(r"[^\x00-\x7f]")
 _TYPES = {**{p: p for p in ("->", "~>", "{", "}", "(", ")", ";", ".")},
           **{word: word for word in KEYWORDS}, **dict.fromkeys(KIND_BY_NAME, "kind")}
@@ -198,31 +191,31 @@ def _blank(comment: re.Match) -> str:
 def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
     """Token types, texts and start offsets, ending in "eof", and the
     offsets of the characters that start no token."""
-    scan = _COMMENT.sub(_blank, text) if "#" in text else text
-    parts = _TOKEN.split(scan)
-    parts.append("")  # the text of "eof"
-    texts = parts[1::2]
-    del parts[1::2]  # leaves the gaps
-    gaps = list(map(len, parts))
-    # Tokens hold no whitespace, so the gaps hold nothing else exactly when
-    # they are as long as the whitespace of the text.
-    strays = parts if sum(gaps) != sum(map(scan.count, _WHITESPACE)) else None
-    del parts
-    # Each start is the gaps and tokens before it plus its own gap; the
-    # last, that of "eof", is the length of the text. The lists are filled
-    # in place so that each is allocated at its final size.
-    starts = [0] * len(texts)
-    starts[:] = accumulate(map(add, gaps, chain((0,), map(len, texts))))
-    del gaps
-    types = [""] * len(texts)
-    types[:] = map(_TYPES.get, texts, repeat("name"))
-    types[-1] = "eof"
-    bad = [] if strays is None else _strays(strays, starts)
-    if _may_lead_with_numerals(scan):
-        _trim_numerals(types, texts, starts, bad)
+    types: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    bad: list[int] = []
+    for m in _TOKEN.finditer(text):
+        word, start = m[1], m.start(1)
+        ttype = _TYPES.get(word)
+        if ttype is None:
+            if not word:
+                break
+            ttype = "name"
+            if not (word[0].isalpha() or word[0] == "_"):
+                lead = next((i for i, c in enumerate(word) if c.isalpha() or c == "_"), len(word))
+                bad.extend(range(start, start + lead))
+                if lead == len(word):
+                    continue
+                word, start = word[lead:], start + lead
+                ttype = _TYPES.get(word, "name")
+        types.append(ttype)
+        texts.append(word)
+        starts.append(start)
     comment = text.find("#", text.rfind("\n") + 1)
-    if comment >= 0:
-        starts[-1] = comment
+    types.append("eof")
+    texts.append("")
+    starts.append(comment if comment >= 0 else len(text))
     return types, texts, starts, bad
 
 
@@ -240,43 +233,6 @@ def _newlines(text: str) -> list[int]:
     newlines = list(accumulate(map(add, map(len, text.split("\n")), repeat(1)), initial=-1))
     newlines.pop()  # the end of the last line, which has no '\n'
     return newlines
-
-
-def _strays(gaps: list[str], starts: list[int]) -> list[int]:
-    """The ascending offsets of the characters of ``gaps`` that are not
-    whitespace, where each gap ends at the start of the token after it."""
-    bad: list[int] = []
-    for k in compress(count(), map(str.strip, gaps, repeat(_WHITESPACE))):
-        base = starts[k] - len(gaps[k])
-        bad.extend(map(add, map(re.Match.start, _BAD.finditer(gaps[k])), repeat(base)))
-    return bad
-
-
-def _trim_numerals(types: list[str], texts: list[str], starts: list[int], bad: list[int]) -> None:
-    """Add to ``bad`` the leading characters of each token that cannot
-    start a name, trimming them off the token or dropping a token made of
-    nothing else, and keep ``bad`` ascending."""
-    leads = "".join(map(itemgetter(0), islice(texts, len(texts) - 1)))
-    dropped: list[int] = []
-    for m in _NOT_ASCII.finditer(leads):
-        if m[0].isalpha():
-            continue
-        k, word = m.start(), texts[m.start()]
-        lead = next((i for i, c in enumerate(word) if c.isalpha() or c == "_"), len(word))
-        bad.extend(range(starts[k], starts[k] + lead))
-        if lead == len(word):
-            dropped.append(k)
-        else:
-            texts[k] = word = word[lead:]
-            types[k] = _TYPES.get(word, "name")
-            starts[k] += lead
-    if dropped:
-        keep = [True] * len(texts)
-        for k in dropped:
-            keep[k] = False
-        for tokens in (types, texts, starts):
-            tokens[:] = compress(tokens, keep)
-    bad.sort()
 
 
 # -- parser -------------------------------------------------------------------

@@ -8,7 +8,6 @@ import functools
 import importlib.util
 import itertools
 import random
-import re
 import sys
 from pathlib import Path
 
@@ -16,10 +15,9 @@ import pytest
 
 from tmkit.cli import corpus
 from tmkit.diagnostics import Diagnostic, ModelError
-from tmkit.dsl import KEYWORDS, Document, load
+from tmkit.dsl import Document, load
 from tmkit.dynamics import STAGE_EXECUTED, TOKEN_REJECTED, Candidate, SimState
 from tmkit.model import (
-    KIND_BY_NAME,
     FlowEdge,
     Stage,
     StageKind,
@@ -164,49 +162,6 @@ def arbitrary_model(rng: random.Random, max_stages: int = 12) -> TmModel:
 
 
 # -- oracles ----------------------------------------------------------------
-
-# The tokenizer as one regex match per token: the whitespace and comments
-# before a token, then the token, a single character that starts none
-# ('.'), or the end of the input.
-_ORACLE_SCAN = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*(->|~>|[{}();.]|[^\W\d]\w*|.|\Z)", re.DOTALL)
-_ORACLE_TYPES = {**{p: p for p in ("->", "~>", "{", "}", "(", ")", ";", ".")},
-                 **{word: word for word in KEYWORDS}, **dict.fromkeys(KIND_BY_NAME, "kind")}
-
-
-def tokenize_oracle(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
-    """What ``dsl._tokenize`` returns, found by a Python step per token."""
-    types: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    bad: list[int] = []
-    for m in _ORACLE_SCAN.finditer(text):
-        word, start = m[1], m.start(1)
-        ttype = _ORACLE_TYPES.get(word)
-        if ttype is None:
-            if not word:
-                break
-            if word[0].isalpha() or word[0] == "_":
-                ttype = "name"
-            else:
-                # Each character up to the first that starts a name is
-                # reported; the rest of the word is a token, as a scan
-                # starting there would find.
-                lead = next((i for i, c in enumerate(word) if c.isalpha() or c == "_"), len(word))
-                bad.extend(range(start, start + lead))
-                if lead == len(word):
-                    continue
-                word, start = word[lead:], start + lead
-                ttype = _ORACLE_TYPES.get(word, "name")
-        types.append(ttype)
-        texts.append(word)
-        starts.append(start)
-    # A comment ending the input leaves the end-of-input position at its '#'.
-    comment = text.find("#", text.rfind("\n") + 1)
-    types.append("eof")
-    texts.append("")
-    starts.append(comment if comment >= 0 else len(text))
-    return types, texts, starts, bad
-
 
 def closure_pairs(nodes: list[str], edges: list[tuple[str, str]]) -> set[tuple[str, str]]:
     """Reflexive-transitive closure by plain triple-loop relaxation."""

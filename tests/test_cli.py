@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS_NAMES, FIXTURES, load_shapes
-from tmkit import cli
+from tmkit import cli, dsl
 from tmkit.cli import corpus, main
 from tmkit.dsl import lower, parse
 from tmkit.validator import validate_document
@@ -325,6 +325,33 @@ def test_command_garbage_does_not_grow_with_the_model(capsys, tmp_path, shape):
             garbage(("validate",), path)
         counts[n] = {command: garbage(command, path) for command in BENCHMARKED}
     assert counts == {n: dict.fromkeys(BENCHMARKED, 0) for n in (12, 200)}
+
+
+# The benchmark's model sizes per shape: the full size and the half size
+# that its traced rounds also run.
+BENCHMARK_SIZES = {"sim-fanout": (40, 20), "sim-relay": (40, 20), "authoring": (35, 17)}
+
+
+@pytest.mark.parametrize("shape", sorted(SIMULATE_FLAGS))
+def test_benchmark_commands_never_reach_the_token_parser(monkeypatch, tmp_path, shape):
+    """The declaration scanner reads every benchmark model, so the token
+    parser, kept for text the scanner declines, is never timed there. A
+    scanner change that sent benchmark text to it would fail here rather
+    than slow the benchmark unnoticed."""
+    def refuse(text):
+        raise AssertionError("the token parser ran")
+
+    monkeypatch.setattr(dsl, "_tokenize", refuse)
+    out = tmp_path / "out.txt"
+    for n in BENCHMARK_SIZES[shape]:
+        for seed in (0, 1):
+            path = tmp_path / f"{n}-{seed}.tm"
+            path.write_text(load_shapes().GENERATORS[shape](n, seed).text, encoding="utf-8")
+            for command in BENCHMARKED:
+                argv = [*command, str(path), "--output", str(out)]
+                if command == ("simulate",):
+                    argv += SIMULATE_FLAGS[shape]
+                assert main(argv) == 0, (n, seed, command)
 
 
 # Below what each command prints at n = 200, from 76 kB (`fmt` on

