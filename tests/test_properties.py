@@ -131,14 +131,20 @@ def assert_tokens_cover_the_text(text: str) -> None:
 @example("²x ½½ a²b Ⅻ_1 一二")
 @example("a\fb\vc")
 @example("thimac A { process; } # ends here")
-def test_tokens_cover_the_text(text):
+def test_tokenize_is_the_per_match_scan(text):
     assert_tokens_cover_the_text(text)
 
 
-def test_tokens_cover_every_bundled_text_with_and_without_stray_characters():
+def test_tokenize_is_the_per_match_scan_on_corpus_fixtures_and_shapes():
     for text in bundled_texts():
-        for each in (text, *with_stray_characters(text)):
-            assert_tokens_cover_the_text(each)
+        assert_tokens_cover_the_text(text)
+
+
+def test_tokenize_is_the_per_match_scan_with_a_bad_character_after_every_token():
+    """The worst case for the tokens and gaps looked at one by one."""
+    for text in bundled_texts():
+        for broken in with_stray_characters(text):
+            assert_tokens_cover_the_text(broken)
 
 
 def layouts(text: str) -> list[str]:
