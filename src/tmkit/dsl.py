@@ -30,9 +30,9 @@ reached, a character other than space, tab, CR or LF between tokens
 (form feed and vertical tab included), a keyword or stage kind where a
 name belongs, whitespace inside a stage path such as "A . create", and
 any text in which a numeral outside ASCII may lead a word. The token
-parser then reads the whole text again, and it alone reports syntax
-errors. Malformed text thus costs the scanned prefix plus one full
-token parse.
+parser reads each declaration that the scanner declines, and it alone
+reports syntax errors. Each declaration is read once, and only the text
+from the first declined declaration on is tokenized, once.
 """
 
 from __future__ import annotations
@@ -167,15 +167,16 @@ class Ast:
 
 # -- tokenizer ----------------------------------------------------------------
 
-# Only text that the scanner declines is tokenized, one regex match per
-# token: each match is the whitespace and comments before a token, then
-# the token, a single character that starts none, or the end of the
-# input. '\f' and '\v' are not whitespace, so each is such a character.
-# A name starts with a letter or '_': ``[^\W\d]`` also admits numerals
-# that are not decimal digits (such as '²'), so each leading character
-# of a word that cannot start a name is reported and the rest of the
-# word kept, as a scan starting there would find. A comment ending the
-# input leaves the end-of-input position at its '#'.
+# Only text from the first declaration that the scanner declines on is
+# tokenized, one regex match per token: each match is the whitespace and
+# comments before a token, then the token, a single character that starts
+# none, or the end of the input. '\f' and '\v' are not whitespace, so
+# each is such a character. A name starts with a letter or '_':
+# ``[^\W\d]`` also admits numerals that are not decimal digits (such as
+# '²'), so each leading character of a word that cannot start a name is
+# reported and the rest of the word kept, as a scan starting there would
+# find. A comment ending the input leaves the end-of-input position at
+# its '#'.
 _TOKEN = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*(->|~>|[{}();.]|[^\W\d]\w*|.|\Z)", re.DOTALL)
 _COMMENT = re.compile(r"#[^\n]*")
 _WHITESPACE = " \t\r\n"
@@ -188,14 +189,14 @@ def _blank(comment: re.Match) -> str:
     return " " * len(comment[0])
 
 
-def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
-    """Token types, texts and start offsets, ending in "eof", and the
-    offsets of the characters that start no token."""
+def _tokenize(text: str, start: int) -> tuple[list[str], list[str], list[int], list[int]]:
+    """Token types, texts and start offsets from offset ``start`` on,
+    ending in "eof", and the offsets of the characters that start no token."""
     types: list[str] = []
     texts: list[str] = []
     starts: list[int] = []
     bad: list[int] = []
-    for m in _TOKEN.finditer(text):
+    for m in _TOKEN.finditer(text, start):
         word, start = m[1], m.start(1)
         ttype = _TYPES.get(word)
         if ttype is None:
@@ -238,8 +239,8 @@ def _newlines(text: str) -> list[int]:
 # -- parser -------------------------------------------------------------------
 
 class _Syntax(Exception):
-    def __init__(self, err: ParseError):
-        self.err = err
+    def __init__(self, err: ParseError, pos: int):
+        self.err, self.pos = err, pos
 
 
 class _Parser:
@@ -247,10 +248,9 @@ class _Parser:
     its first token and returns its node and the position after it; line
     and column are derived only for spans and errors."""
 
-    def __init__(self, text: str):
-        self.types, self.texts, self.starts, bad = _tokenize(text)
-        self.newlines = _newlines(text)
-        self.pos = 0
+    def __init__(self, text: str, start: int, newlines: list[int]):
+        self.types, self.texts, self.starts, bad = _tokenize(text, start)
+        self.newlines, self.end = newlines, len(text)
         self.errors = [ParseError(*self.position(at), ("a declaration",), repr(text[at]))
                        for at in bad]
 
@@ -267,14 +267,13 @@ class _Parser:
 
     def fail(self, pos: int, *expected: str) -> _Syntax:
         """The error at token ``pos``, where recovery then starts."""
-        self.pos = pos
         found = "end of input" if self.types[pos] == "eof" else f"'{self.texts[pos]}'"
-        return _Syntax(ParseError(*self.position(self.starts[pos]), expected, found))
+        return _Syntax(ParseError(*self.position(self.starts[pos]), expected, found), pos)
 
-    def recover(self) -> None:
-        """Skip to the next declaration boundary: past a top-level ';' or
-        the '}' closing the declaration the error occurred in."""
-        types, pos, depth = self.types, self.pos, 0
+    def recover(self, pos: int) -> int:
+        """The next declaration boundary from token ``pos``: past a top-level
+        ';' or the '}' closing the declaration the error occurred in."""
+        types, depth = self.types, 0
         while True:
             ttype = types[pos]
             if ttype == "eof" or (depth == 0 and ttype in self.RULES):
@@ -288,21 +287,24 @@ class _Parser:
                 depth -= 1
             elif ttype == ";" and depth == 0:
                 break
-        self.pos = pos
+        return pos
 
-    def parse_model(self) -> Ast:
-        decls: list[Declaration] = []
-        while self.types[self.pos] != "eof":
+    def declaration(self, offset: int, decls: list[Declaration]) -> int:
+        """Read the declaration at character ``offset`` into ``decls``, or
+        record its error and recover; the offset of the next token, or the
+        length of the text at the end of the input."""
+        types, pos = self.types, bisect_left(self.starts, offset)
+        if types[pos] != "eof":
             try:
-                rule = self.RULES.get(self.types[self.pos])
+                rule = self.RULES.get(types[pos])
                 if rule is None:
-                    raise self.fail(self.pos, "a declaration")
-                decl, self.pos = rule(self, self.pos)
+                    raise self.fail(pos, "a declaration")
+                decl, pos = rule(self, pos)
                 decls.append(decl)
             except _Syntax as exc:
                 self.errors.append(exc.err)
-                self.recover()
-        return Ast(tuple(decls))
+                pos = self.recover(exc.pos)
+        return self.end if types[pos] == "eof" else self.starts[pos]
 
     def thimac(self, pos: int) -> tuple[ThimacNode, int]:
         types, texts = self.types, self.texts
@@ -429,7 +431,7 @@ class _Parser:
 # reference with no whitespace in its label is its stage id as written.
 # Anything else, such as a character other than ' \t\r\n' between
 # tokens, a keyword where a name belongs or a space inside a stage path,
-# matches nothing, and then the token parser reads the text again.
+# matches nothing, and then the token parser reads that declaration.
 _S = f"[{_WHITESPACE}]"
 _NAME = rf"(?!(?:{'|'.join((*KEYWORDS, *KIND_BY_NAME))})\b)[^\W\d]\w*"
 _KINDS = "|".join(KIND_BY_NAME)
@@ -452,14 +454,10 @@ _CHRONOLOGY_ITEM = re.compile(
     rf"(?:({_NAME}){_S}*->{_S}*({_NAME})(?:{_S}+(repeat))?{_S}*;()|\}}){_S}*")
 
 
-def _scan(text: str) -> Ast | None:
-    """The AST of ``text``, with the nodes and spans that :class:`_Parser`
-    builds, or None at the first point that the patterns above do not
-    match, and for text in which a numeral outside ASCII may lead a token."""
-    scan = _COMMENT.sub(_blank, text) if "#" in text else text
-    if _may_lead_with_numerals(scan):
-        return None
-    newlines = _newlines(text)
+def _scan(scan: str, pos: int, newlines: list[int], decls: list[Declaration]) -> int:
+    """Append the declarations of the comment-blanked ``scan`` from the
+    token at ``pos`` on to ``decls``, as :class:`_Parser` builds them; the
+    offset of the first one the patterns above do not match, or ``len(scan)``."""
 
     def span(start: int, end: int) -> Span:
         line = bisect_left(newlines, start)
@@ -474,20 +472,19 @@ def _scan(text: str) -> Ast | None:
         line = bisect_left(newlines, start)
         return StageRef(sid, Span(line, start - newlines[line - 1], start, end))
 
-    decls: list[Declaration] = []
-    pos, stop = _SPACES.match(scan).end(), len(scan)
+    stop = len(scan)
     while pos < stop:
         first = pos
         if (m := _EDGE.match(scan, pos)) is not None:
             node, arrow, _ = EDGES[m[1]]
             if m[5] != arrow:
-                return None
+                return first
             decls.append(node(ref(m, 2), ref(m, 6), span(first, m.start(9))))
             pos = m.end()
             continue
         m = _DECLARATION.match(scan, pos)
         if m is None:
-            return None
+            return first
         at, pos = m.lastindex, m.end()
         if at == 1:
             # The open thimacs, innermost last: first offset, name, body so far.
@@ -495,7 +492,7 @@ def _scan(text: str) -> Ast | None:
             while open_:
                 m = _THIMAC_ITEM.match(scan, pos)
                 if m is None:
-                    return None
+                    return first
                 at = m.lastindex
                 if at == 3:
                     kind, label = m.group(1, 2)
@@ -513,7 +510,7 @@ def _scan(text: str) -> Ast | None:
                 refs.append(ref(m, 1))
                 pos = m.end()
             if m is None or not refs:
-                return None
+                return first
             decls.append(EventNode(name, tuple(refs), span(first, pos + 1)))
             pos = m.end()
         else:
@@ -524,29 +521,35 @@ def _scan(text: str) -> Ast | None:
                                               span(pos, m.start(4))))
                 pos = m.end()
             if m is None:
-                return None
+                return first
             decls.append(BehaviorNode(tuple(edges), span(first, pos + 1)))
             pos = m.end()
-    return Ast(tuple(decls))
+    return stop
 
 
 def parse(text: str) -> Ast:
     """Parse model text into an AST.
 
-    Well-formed text is read a declaration at a time (:func:`_scan`);
-    text that the scanner does not read, well-formed or not, goes through
-    the token parser. Parsing recovers at declaration boundaries so one
-    bad declaration does not hide later ones; if anything failed, a
+    Each declaration is read once, by the scanner (:func:`_scan`) or, where
+    it declines, by the token parser, built at the first declined
+    declaration. Parsing recovers at declaration boundaries so one bad
+    declaration does not hide later ones; if anything failed, a
     :class:`ParseFailure` carrying every error is raised at the end.
     """
-    ast = _scan(text)
-    if ast is not None:
-        return ast
-    parser = _Parser(text)
-    ast = parser.parse_model()
-    if parser.errors:
+    scan = _COMMENT.sub(_blank, text) if "#" in text else text
+    newlines, scanning = _newlines(text), not _may_lead_with_numerals(scan)
+    decls: list[Declaration] = []
+    pos, parser = _SPACES.match(scan).end(), None
+    while True:
+        if scanning:
+            pos = _scan(scan, pos, newlines, decls)
+        if pos >= len(text):
+            break
+        parser = parser or _Parser(text, pos, newlines)
+        pos = parser.declaration(pos, decls)
+    if parser is not None and parser.errors:
         raise ParseFailure(parser.errors)
-    return ast
+    return Ast(tuple(decls))
 
 
 # -- lowering -----------------------------------------------------------------

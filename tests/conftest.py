@@ -1,6 +1,7 @@
-"""Shared fixtures: corpus access, a seeded random-model generator, and
+"""Shared fixtures: corpus access, a seeded random-model generator,
 brute-force oracles kept deliberately independent of the library code
-they check."""
+they check, and the token parser read from the start of a text, the
+reference for the declaration scanner."""
 
 from __future__ import annotations
 
@@ -10,12 +11,14 @@ import itertools
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from tmkit import dsl
 from tmkit.cli import corpus
 from tmkit.diagnostics import Diagnostic, ModelError
-from tmkit.dsl import Document, load
+from tmkit.dsl import Ast, Document, ParseError, load, parse
 from tmkit.dynamics import STAGE_EXECUTED, TOKEN_REJECTED, Candidate, SimState
 from tmkit.model import (
     FlowEdge,
@@ -162,6 +165,35 @@ def arbitrary_model(rng: random.Random, max_stages: int = 12) -> TmModel:
 
 
 # -- oracles ----------------------------------------------------------------
+
+def token_parse(text: str) -> tuple[Ast, list[ParseError]]:
+    """The AST and the errors of the token parser reading every declaration
+    of ``text`` from its start, with no scanner: the reference that
+    ``parse``, scanner and token parser together, must reproduce."""
+    parser = dsl._Parser(text, 0, dsl._newlines(text))
+    decls: list = []
+    pos = 0
+    while pos < len(text):
+        pos = parser.declaration(pos, decls)
+    return Ast(tuple(decls)), parser.errors
+
+
+class _Declined(Exception):
+    """Raised in place of tokenizing: the scanner declined a declaration."""
+
+
+def scanned(text: str) -> Ast | None:
+    """``parse(text)`` if the scanner alone reads ``text``, so that the
+    tokenizer never runs, else None."""
+    def refuse(*args):
+        raise _Declined
+
+    with mock.patch.object(dsl, "_tokenize", refuse):
+        try:
+            return parse(text)
+        except _Declined:
+            return None
+
 
 def closure_pairs(nodes: list[str], edges: list[tuple[str, str]]) -> set[tuple[str, str]]:
     """Reflexive-transitive closure by plain triple-loop relaxation."""

@@ -338,7 +338,7 @@ def test_benchmark_commands_never_reach_the_token_parser(monkeypatch, tmp_path, 
     parser, kept for text the scanner declines, is never timed there. A
     scanner change that sent benchmark text to it would fail here rather
     than slow the benchmark unnoticed."""
-    def refuse(text):
+    def refuse(*args):
         raise AssertionError("the token parser ran")
 
     monkeypatch.setattr(dsl, "_tokenize", refuse)

@@ -7,14 +7,13 @@ import re
 
 import pytest
 
-from conftest import load_shapes, random_model
+from conftest import load_shapes, random_model, scanned
 from tmkit.diagnostics import DUP_NAME, REF_UNRESOLVED, ModelError
 from tmkit.dynamics import BehaviorEdge
 from tmkit.dsl import (
     ParseFailure,
     StageNode,
     ThimacNode,
-    _scan,
     format_model,
     lower,
     parse,
@@ -191,13 +190,13 @@ def test_lowered_references_share_the_stage_id_strings(corpus_paths):
     the declared ``Stage.id`` object itself, not an equal copy, from the
     scanner and from the token parser."""
     labelled = "thimac A { create(job); process; }\nflow A.create( job ) -> A.process;\n"
-    assert _scan(labelled).declarations[1].source.text == "A.create(job)"
+    assert scanned(labelled).declarations[1].source.text == "A.create(job)"
     texts = [labelled, *(path.read_text(encoding="utf-8") for path in corpus_paths.values())]
     texts += [make(n, 0).text for make in load_shapes().GENERATORS.values() for n in (3, 12)]
     for text in texts:
         # CRLF line ends and spaces around '.', '(' and ')': the token parser reads it.
         spaced = re.sub(r"[.()]", r" \g<0> ", text).replace("\n", "\r\n")
-        assert _scan(text) is not None and _scan(spaced) is None
+        assert scanned(text) is not None and scanned(spaced) is None
         for each in (text, spaced):
             doc = lower(parse(each))
             ids = {s.id: s.id for s in doc.model.stages}

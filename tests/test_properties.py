@@ -10,10 +10,14 @@ its start gives. The tokenizer's tokens are pieces of the text in order,
 typed by their words, and every other character that is neither
 whitespace nor in a comment is reported as starting no token, on drawn
 texts, on every bundled text and on those texts with a stray character
-after every token. The declaration scanner either declines a text or
-returns the AST, spans included, that the token parser builds without
-errors; it declines no bundled text and no benchmark shape, and neither
-it nor the fallback recurses or backtracks without bound.
+after every token. Where the declaration scanner alone reads a text, it
+returns the AST, spans included, that the token parser builds from the
+start without errors; it declines no bundled text and no benchmark
+shape, and neither it nor the token parser recurses or backtracks
+without bound. Where the scanner hands declarations to the token parser
+and takes them back, the result is the token parser's from the start:
+the same AST or the same errors, and the text is tokenized once, from
+the first declined declaration.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
 makes of the record's JSON dict, whatever strings and integers the record
@@ -41,7 +45,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_NAMES, FIXTURES, load_shapes
+from conftest import CORPUS_NAMES, FIXTURES, load_shapes, scanned, token_parse
 from test_golden_parse import BASES, _variants
 from tmkit import dsl, render
 from tmkit.cli import corpus, main
@@ -101,7 +105,7 @@ def bundled_texts() -> list[str]:
 
 def with_stray_characters(text: str) -> list[str]:
     """``text`` with a '$', a '²' or a '\\f' after every token."""
-    _, words, starts, _ = dsl._tokenize(text)
+    _, words, starts, _ = dsl._tokenize(text, 0)
     ends = sorted({start + len(word) for word, start in zip(words, starts)})
     pieces = [text[a:b] for a, b in zip([0, *ends], [*ends, len(text)])]
     return [bad.join(pieces) for bad in ("$", "²", "\f")]
@@ -111,7 +115,7 @@ def assert_tokens_cover_the_text(text: str) -> None:
     """The tokens are pieces of ``text`` in order, typed by their words,
     and every character outside the tokens and the comments is either
     whitespace or reported, in order, as starting no token."""
-    types, words, starts, bad = dsl._tokenize(text)
+    types, words, starts, bad = dsl._tokenize(text, 0)
     assert types[-1] == "eof"
     covered = [False] * len(text)
     for ttype, word, start in zip(types[:-1], words, starts):
@@ -180,13 +184,17 @@ MISPLACED = (
 
 
 def assert_scan_is_the_token_parse(text: str) -> None:
-    scanned = dsl._scan(text)
-    if scanned is None:
-        return
-    parser = dsl._Parser(text)
-    parsed = parser.parse_model()
-    assert parser.errors == []
-    assert repr(scanned) == repr(parsed)
+    """``parse``, the scanner resuming after each declaration that the
+    token parser reads, gives what the token parser gives from the start:
+    the same AST, spans included, or the same errors. Where the scanner
+    alone reads ``text``, the token parser thus finds no error in it."""
+    parsed, errors = token_parse(text)
+    try:
+        ast = parse(text)
+    except ParseFailure as exc:
+        assert exc.errors == tuple(errors)
+    else:
+        assert errors == [] and repr(ast) == repr(parsed)
 
 
 @pytest.mark.parametrize("base", BASES)
@@ -198,10 +206,8 @@ def test_scan_is_the_token_parse_on_golden_inputs_and_their_layouts(base):
 
 def test_scan_declines_a_misplaced_keyword_or_whitespace():
     for text in MISPLACED:
-        parser = dsl._Parser(text)
-        parser.parse_model()
-        assert parser.errors, text
-        assert dsl._scan(text) is None, text
+        assert token_parse(text)[1], text
+        assert scanned(text) is None, text
 
 
 def test_scan_reads_every_bundled_text_and_shape():
@@ -218,7 +224,7 @@ def test_scan_reads_every_bundled_text_and_shape():
         else:
             formatted = [format_model(doc.model, doc.events, doc.behavior)]
         for each in (text, *formatted):
-            assert dsl._scan(each) is not None
+            assert scanned(each) is not None
             assert_scan_is_the_token_parse(each)
 
 
@@ -236,25 +242,71 @@ def preorder(ast: Ast) -> list:
     return nodes
 
 
+def without_last_semicolon(text: str) -> str:
+    last = text.rindex(";")
+    return text[:last] + text[last + 1:]
+
+
 def test_scan_and_fallback_neither_recurse_nor_blow_up():
     """A 20,000-name stage path and thimacs nested 20,000 deep are
-    scanned; the authoring shape without its last ';' is scanned to the
-    end and then parsed again token by token, the worst case."""
+    scanned and read by the token parser alike; the authoring shape
+    without its last ';' is scanned up to its chronology, which the token
+    parser reads."""
     n = 20_000
     path = "thimac A { create; }\nflow " + ".".join(["A"] * n) + ".create -> A.create;\n"
     nested = "".join(f"thimac T{i} {{ " for i in range(n)) + "create; " + "} " * n
     for text in (path, nested):
-        assert dsl._scan(text) is not None
-        assert preorder(parse(text)) == preorder(dsl._Parser(text).parse_model())
-    text = load_shapes().authoring(200, 0).text
-    last = text.rindex(";")
-    text = text[:last] + text[last + 1:]
-    assert dsl._scan(text) is None
-    parser = dsl._Parser(text)
-    parser.parse_model()
+        ast = scanned(text)
+        assert ast is not None
+        assert preorder(ast) == preorder(token_parse(text)[0])
+    text = without_last_semicolon(load_shapes().authoring(200, 0).text)
+    assert scanned(text) is None
+    _, errors = token_parse(text)
     with pytest.raises(ParseFailure) as exc:
         parse(text)
-    assert exc.value.errors == tuple(parser.errors) and len(parser.errors) == 1
+    assert exc.value.errors == tuple(errors) and len(errors) == 1
+
+
+def spliced(text: str) -> list[str]:
+    """``text`` with its middle declaration broken in each of three ways,
+    so that the scanner reads the declarations before it, declines it, and
+    takes back the ones after it from the token parser: spaces around
+    each '.', one ';' dropped, a '\f' after its first word."""
+    starts = [m.start() for m in re.finditer(r"^(?:thimac|flow|trigger|event|behavior)\b",
+                                             text, re.MULTILINE)] + [len(text)]
+    at, end = starts[len(starts) // 2 - 1], starts[len(starts) // 2]
+    semicolon, word = text.index(";", at), text.index(" ", at)
+    broken = [
+        text[:at] + text[at:end].replace(".", " . ") + text[end:],
+        text[:semicolon] + text[semicolon + 1:],
+        text[:word] + "\f" + text[word:],
+    ]
+    return [each for each in broken if each != text]
+
+
+def test_parse_is_the_token_parse_on_stray_characters_and_spliced_texts():
+    for text in bundled_texts():
+        for each in spliced(text):
+            assert scanned(each) is None
+            assert_scan_is_the_token_parse(each)
+        for broken in with_stray_characters(text):
+            assert_scan_is_the_token_parse(broken)
+
+
+def test_parse_tokenizes_once_from_the_first_declined_declaration(monkeypatch):
+    """One missing ';' at the end of a large model costs the scanner plus
+    the tokens of the chronology, not a second parse of the whole text."""
+    text = without_last_semicolon(load_shapes().authoring(200, 0).text)
+    calls, tokenize = [], dsl._tokenize
+
+    def spy(*args):
+        calls.append(args)
+        return tokenize(*args)
+
+    monkeypatch.setattr(dsl, "_tokenize", spy)
+    with pytest.raises(ParseFailure):
+        parse(text)
+    assert calls == [(text, text.rindex("behavior"))]
 
 
 stages = st.lists(
