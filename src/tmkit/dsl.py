@@ -23,7 +23,7 @@ back to an earlier event rather than a precedence constraint. Files use
 the ".tm" extension and hold one model each; a UTF-8 byte-order mark at
 the start of a file is ignored.
 
-Text is read in one of two ways, to the same AST and spans. A scanner
+Text is read in one of two ways, to the same AST. A scanner
 matches whole declarations, stages and references with a few regexes,
 without making a token list. It declines, at the first place it is
 reached, a character other than space, tab, CR or LF between tokens
@@ -32,7 +32,9 @@ name belongs, whitespace inside a stage path such as "A . create", and
 any text in which a numeral outside ASCII may lead a word. The token
 parser reads each declaration that the scanner declines, and it alone
 reports syntax errors. Each declaration is read once, and only the text
-from the first declined declaration on is tokenized, once.
+from the first declined declaration on is tokenized, once. AST nodes carry
+offsets, which become a :class:`Span` only where a diagnostic or an event
+needs one.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import add
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, Span, TmError, error
 from .model import (
@@ -59,6 +61,7 @@ from .model import (
     Thimac,
     TmModel,
     TriggerEdge,
+    declared_twice,
     stage_ref_text,
     try_build_model,
 )
@@ -101,42 +104,48 @@ class ParseFailure(TmError):
 @dataclass(slots=True, unsafe_hash=True)
 class StageRef:
     text: str  # the canonical stage id, such as "A.B.process(job)"
-    span: Span = field(compare=False)
+    start: int = field(compare=False)
+    end: int = field(compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class StageNode:
     kind: StageKind
     label: str | None
-    span: Span = field(compare=False)
+    start: int = field(compare=False)
+    end: int = field(compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class ThimacNode:
     name: str
     body: tuple[Union["ThimacNode", StageNode], ...]
-    span: Span = field(compare=False)
+    start: int = field(compare=False)
+    end: int = field(compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class FlowNode:
     source: StageRef
     target: StageRef
-    span: Span = field(compare=False)
+    start: int = field(compare=False)
+    end: int = field(compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TriggerNode:
     source: StageRef
     target: StageRef
-    span: Span = field(compare=False)
+    start: int = field(compare=False)
+    end: int = field(compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class EventNode:
     name: str
     refs: tuple[StageRef, ...]
-    span: Span = field(compare=False)
+    start: int = field(compare=False)
+    end: int = field(compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -144,13 +153,15 @@ class BehaviorEdgeNode:
     before: str
     after: str
     repeat: bool
-    span: Span = field(compare=False)
+    start: int = field(compare=False)
+    end: int = field(compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class BehaviorNode:
     edges: tuple[BehaviorEdgeNode, ...]
-    span: Span = field(compare=False)
+    start: int = field(compare=False)
+    end: int = field(compare=False)
 
 
 Declaration = Union[ThimacNode, FlowNode, TriggerNode, EventNode, BehaviorNode]
@@ -163,6 +174,13 @@ EDGES = {"flow": (FlowNode, "->", FlowEdge), "trigger": (TriggerNode, "~>", Trig
 @dataclass(frozen=True)
 class Ast:
     declarations: tuple[Declaration, ...]
+    # The text's _newlines, which turn node offsets into lines and columns;
+    # the default is that of a text of one line.
+    newlines: Sequence[int] = field(default=(-1,), compare=False, repr=False)
+
+    def span(self, start: int, end: int) -> Span:
+        """The span of the text from offset ``start`` to ``end``."""
+        return Span(*_position(self.newlines, start), start, end)
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -236,6 +254,12 @@ def _newlines(text: str) -> list[int]:
     return newlines
 
 
+def _position(newlines: Sequence[int], offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
+    line = bisect_left(newlines, offset)
+    return line, offset - newlines[line - 1]
+
+
 # -- parser -------------------------------------------------------------------
 
 class _Syntax(Exception):
@@ -246,29 +270,22 @@ class _Syntax(Exception):
 class _Parser:
     """Reads the flat token lists by index. Each rule takes the position of
     its first token and returns its node and the position after it; line
-    and column are derived only for spans and errors."""
+    and column are derived only for errors."""
 
     def __init__(self, text: str, start: int, newlines: list[int]):
         self.types, self.texts, self.starts, bad = _tokenize(text, start)
         self.newlines, self.end = newlines, len(text)
-        self.errors = [ParseError(*self.position(at), ("a declaration",), repr(text[at]))
+        self.errors = [ParseError(*_position(newlines, at), ("a declaration",), repr(text[at]))
                        for at in bad]
 
-    def position(self, offset: int) -> tuple[int, int]:
-        """1-based line and column of a character offset."""
-        line = bisect_left(self.newlines, offset)
-        return line, offset - self.newlines[line - 1]
-
-    def span(self, first: int, last: int) -> Span:
-        start, newlines = self.starts[first], self.newlines
-        line = bisect_left(newlines, start)  # position(), inlined
-        end = self.starts[last] + len(self.texts[last])
-        return Span(line, start - newlines[line - 1], start, end)
+    def span(self, first: int, last: int) -> tuple[int, int]:
+        """The offsets of the text from token ``first`` to token ``last``."""
+        return self.starts[first], self.starts[last] + len(self.texts[last])
 
     def fail(self, pos: int, *expected: str) -> _Syntax:
         """The error at token ``pos``, where recovery then starts."""
         found = "end of input" if self.types[pos] == "eof" else f"'{self.texts[pos]}'"
-        return _Syntax(ParseError(*self.position(self.starts[pos]), expected, found), pos)
+        return _Syntax(ParseError(*_position(self.newlines, self.starts[pos]), expected, found), pos)
 
     def recover(self, pos: int) -> int:
         """The next declaration boundary from token ``pos``: past a top-level
@@ -316,7 +333,7 @@ class _Parser:
                 label, end = self.optional_label(pos + 1)
                 if types[end] != ";":
                     raise self.fail(end, "';'")
-                open_[-1][2].append(StageNode(KIND_BY_NAME[texts[pos]], label, self.span(pos, end)))
+                open_[-1][2].append(StageNode(KIND_BY_NAME[texts[pos]], label, *self.span(pos, end)))
                 pos = end + 1
             elif ttype == "thimac":
                 if types[pos + 1] != "name":
@@ -327,7 +344,7 @@ class _Parser:
                 pos += 3
             elif ttype == "}":
                 first, name, body = open_.pop()
-                node = ThimacNode(name, tuple(body), self.span(first, pos))
+                node = ThimacNode(name, tuple(body), *self.span(first, pos))
                 pos += 1
                 if not open_:
                     return node, pos
@@ -363,7 +380,7 @@ class _Parser:
             path.append(texts[pos])
         label, end = self.optional_label(pos + 1)
         sid = stage_ref_text(".".join(path), KIND_BY_NAME[texts[pos]], label)
-        return StageRef(sid, self.span(first, end - 1)), end
+        return StageRef(sid, *self.span(first, end - 1)), end
 
     def edge(self, pos: int) -> tuple[FlowNode | TriggerNode, int]:
         types, first = self.types, pos
@@ -374,7 +391,7 @@ class _Parser:
         target, pos = self.stage_ref(pos + 1)
         if types[pos] != ";":
             raise self.fail(pos, "';'")
-        return node(source, target, self.span(first, pos)), pos + 1
+        return node(source, target, *self.span(first, pos)), pos + 1
 
     def event(self, pos: int) -> tuple[EventNode, int]:
         types, first = self.types, pos
@@ -390,7 +407,7 @@ class _Parser:
                 raise self.fail(pos, "';'")
             refs.append(ref)
             pos += 1
-        return EventNode(self.texts[first + 1], tuple(refs), self.span(first, pos)), pos + 1
+        return EventNode(self.texts[first + 1], tuple(refs), *self.span(first, pos)), pos + 1
 
     def behavior(self, pos: int) -> tuple[BehaviorNode, int]:
         types, texts, first = self.types, self.texts, pos
@@ -409,9 +426,9 @@ class _Parser:
             end = pos + 4 if repeat else pos + 3
             if types[end] != ";":
                 raise self.fail(end, "';'")
-            edges.append(BehaviorEdgeNode(texts[pos], texts[pos + 2], repeat, self.span(pos, end)))
+            edges.append(BehaviorEdgeNode(texts[pos], texts[pos + 2], repeat, *self.span(pos, end)))
             pos = end + 1
-        return BehaviorNode(tuple(edges), self.span(first, pos)), pos + 1
+        return BehaviorNode(tuple(edges), *self.span(first, pos)), pos + 1
 
     # Declaration keyword -> rule; recover() also stops at each keyword.
     # Plain functions, not bound methods: a table of bound methods on the
@@ -454,23 +471,17 @@ _CHRONOLOGY_ITEM = re.compile(
     rf"(?:({_NAME}){_S}*->{_S}*({_NAME})(?:{_S}+(repeat))?{_S}*;()|\}}){_S}*")
 
 
-def _scan(scan: str, pos: int, newlines: list[int], decls: list[Declaration]) -> int:
+def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
     """Append the declarations of the comment-blanked ``scan`` from the
     token at ``pos`` on to ``decls``, as :class:`_Parser` builds them; the
     offset of the first one the patterns above do not match, or ``len(scan)``."""
-
-    def span(start: int, end: int) -> Span:
-        line = bisect_left(newlines, start)
-        return Span(line, start - newlines[line - 1], start, end)
 
     def ref(m: re.Match, group: int) -> StageRef:
         """The reference of ``_REF``'s groups from ``group`` on."""
         sid, head, label = m.group(group, group + 1, group + 2)
         if label is not None and len(sid) != len(head) + len(label) + 2:
             sid = f"{head}({label})"  # written with whitespace around the label
-        start, end = m.span(group)
-        line = bisect_left(newlines, start)
-        return StageRef(sid, Span(line, start - newlines[line - 1], start, end))
+        return StageRef(sid, *m.span(group))
 
     stop = len(scan)
     while pos < stop:
@@ -479,7 +490,7 @@ def _scan(scan: str, pos: int, newlines: list[int], decls: list[Declaration]) ->
             node, arrow, _ = EDGES[m[1]]
             if m[5] != arrow:
                 return first
-            decls.append(node(ref(m, 2), ref(m, 6), span(first, m.start(9))))
+            decls.append(node(ref(m, 2), ref(m, 6), first, m.start(9)))
             pos = m.end()
             continue
         m = _DECLARATION.match(scan, pos)
@@ -496,12 +507,12 @@ def _scan(scan: str, pos: int, newlines: list[int], decls: list[Declaration]) ->
                 at = m.lastindex
                 if at == 3:
                     kind, label = m.group(1, 2)
-                    open_[-1][2].append(StageNode(KIND_BY_NAME[kind], label, span(pos, m.start(3))))
+                    open_[-1][2].append(StageNode(KIND_BY_NAME[kind], label, pos, m.start(3)))
                 elif at == 4:
                     open_.append((pos, m[4], []))
                 else:
                     start, name, body = open_.pop()
-                    node = ThimacNode(name, tuple(body), span(start, pos + 1))
+                    node = ThimacNode(name, tuple(body), start, pos + 1)
                     (open_[-1][2] if open_ else decls).append(node)
                 pos = m.end()
         elif at == 2:
@@ -511,18 +522,17 @@ def _scan(scan: str, pos: int, newlines: list[int], decls: list[Declaration]) ->
                 pos = m.end()
             if m is None or not refs:
                 return first
-            decls.append(EventNode(name, tuple(refs), span(first, pos + 1)))
+            decls.append(EventNode(name, tuple(refs), first, pos + 1))
             pos = m.end()
         else:
             edges: list[BehaviorEdgeNode] = []
             while (m := _CHRONOLOGY_ITEM.match(scan, pos)) is not None and m.lastindex:
                 before, after, repeat = m.group(1, 2, 3)
-                edges.append(BehaviorEdgeNode(before, after, repeat is not None,
-                                              span(pos, m.start(4))))
+                edges.append(BehaviorEdgeNode(before, after, repeat is not None, pos, m.start(4)))
                 pos = m.end()
             if m is None:
                 return first
-            decls.append(BehaviorNode(tuple(edges), span(first, pos + 1)))
+            decls.append(BehaviorNode(tuple(edges), first, pos + 1))
             pos = m.end()
     return stop
 
@@ -542,14 +552,14 @@ def parse(text: str) -> Ast:
     pos, parser = _SPACES.match(scan).end(), None
     while True:
         if scanning:
-            pos = _scan(scan, pos, newlines, decls)
+            pos = _scan(scan, pos, decls)
         if pos >= len(text):
             break
         parser = parser or _Parser(text, pos, newlines)
         pos = parser.declaration(pos, decls)
     if parser is not None and parser.errors:
         raise ParseFailure(parser.errors)
-    return Ast(tuple(decls))
+    return Ast(tuple(decls), newlines)
 
 
 # -- lowering -----------------------------------------------------------------
@@ -594,8 +604,8 @@ def lower(ast: Ast) -> Document:
     def resolve(ref: StageRef) -> str | None:
         sid = stage_ids.get(ref.text)
         if sid is None:
-            diags.append(error(
-                REF_UNRESOLVED, f"unknown stage reference '{ref.text}'", ref.text, ref.span))
+            diags.append(error(REF_UNRESOLVED, f"unknown stage reference '{ref.text}'", ref.text,
+                               ast.span(ref.start, ref.end)))
         return sid
 
     edges = EdgeSet()
@@ -609,36 +619,26 @@ def lower(ast: Ast) -> Document:
         make = lowered_edge.get(type(decl))
         if make is not None:
             src, dst = resolve(decl.source), resolve(decl.target)
-            if src is not None and dst is not None:
-                diags += edges.add(make(src, dst), decl.span)
+            if src is not None and dst is not None and not edges.add(made := make(src, dst)):
+                diags.append(declared_twice(made.id, ast.span(decl.start, decl.end)))
         elif isinstance(decl, EventNode):
             region = tuple(sid for sid in (resolve(ref) for ref in decl.refs) if sid is not None)
-            event_decls.append(EventDecl(decl.name, region, decl.span))
+            event_decls.append(EventDecl(decl.name, region, ast.span(decl.start, decl.end)))
         elif isinstance(decl, BehaviorNode):
             saw_behavior = True
             for edge in decl.edges:
                 missing = [n for n in (edge.before, edge.after) if n not in declared_events]
-                for name in missing:
-                    diags.append(error(
-                        REF_UNRESOLVED,
-                        f"chronology names undeclared event '{name}'",
-                        name,
-                        edge.span,
-                    ))
+                diags += (error(REF_UNRESOLVED, f"chronology names undeclared event '{name}'",
+                                name, ast.span(edge.start, edge.end)) for name in missing)
                 if not missing:
                     behavior_edges.append(BehaviorEdge(edge.before, edge.after, edge.repeat))
 
     model, build_diags = try_build_model(thimacs, stages, edges.flows, edges.triggers)
-    all_diags = build_diags + diags
-    if all_diags:
-        raise ModelError(all_diags)
+    if build_diags or diags:
+        raise ModelError(build_diags + diags)
     assert model is not None
-    behavior = None
-    if saw_behavior:
-        behavior = BehaviorGraph(
-            nodes=tuple(e.name for e in event_decls),
-            edges=tuple(behavior_edges),
-        )
+    behavior = (BehaviorGraph(nodes=tuple(e.name for e in event_decls), edges=tuple(behavior_edges))
+                if saw_behavior else None)
     return Document(model, tuple(event_decls), behavior)
 
 

@@ -19,8 +19,9 @@ here. Its :class:`ModelIndex`, built on first use, answers
 adjacency in stage ids: which stages a stage's flows or triggers lead
 to or come from. :func:`walk` is the one graph search: reachability,
 connected components, chronology paths and simplification all use it.
-:class:`EdgeSet` is the one rule that an edge is declared once, shared
-by the text and JSON readers.
+:class:`EdgeSet` is the one rule that an edge is declared once, and
+:func:`declared_twice` the diagnostic of a repeat, shared by the text
+and JSON readers.
 """
 
 from __future__ import annotations
@@ -137,14 +138,20 @@ class EdgeSet:
         self.triggers: list[TriggerEdge] = []
         self._ids: set[str] = set()
 
-    def add(self, edge: FlowEdge | TriggerEdge, span: Span | None = None) -> list[Diagnostic]:
-        """Keep ``edge``, or return the DUP_NAME its repeat earns."""
+    def add(self, edge: FlowEdge | TriggerEdge) -> bool:
+        """Keep ``edge`` and return True, or return False for a repeat,
+        which earns the DUP_NAME of :func:`declared_twice`."""
         eid = edge.id
         if eid in self._ids:
-            return [error(DUP_NAME, f"edge '{eid}' is declared twice", eid, span)]
+            return False
         self._ids.add(eid)
         (self.flows if isinstance(edge, FlowEdge) else self.triggers).append(edge)
-        return []
+        return True
+
+
+def declared_twice(edge_id: str, span: Span | None = None) -> Diagnostic:
+    """The DUP_NAME of an edge that :meth:`EdgeSet.add` found repeated."""
+    return error(DUP_NAME, f"edge '{edge_id}' is declared twice", edge_id, span)
 
 
 def stage_ref_text(owner_path: str, kind: StageKind, label: str | None) -> str:

@@ -29,6 +29,7 @@ from .model import (
     Thimac,
     TmModel,
     TriggerEdge,
+    declared_twice,
     model_to_dict,
     try_build_model,
 )
@@ -272,7 +273,8 @@ def from_json(text: str) -> tuple[TmModel, tuple[Event, ...], BehaviorGraph]:
     edges, repeated = EdgeSet(), []
     for section, make in (("flows", FlowEdge), ("triggers", TriggerEdge)):
         for w, e in r.entries(data, section):
-            repeated += edges.add(make(r.text(w, e, "source"), r.text(w, e, "target")))
+            if not edges.add(edge := make(r.text(w, e, "source"), r.text(w, e, "target"))):
+                repeated.append(declared_twice(edge.id))
     events = tuple(
         Event(id=r.text(w, e, "id"), name=r.text(w, e, "name"), region=r.texts(w, e, "region"),
               level=r.text(w, e, "level"),

@@ -170,12 +170,13 @@ def token_parse(text: str) -> tuple[Ast, list[ParseError]]:
     """The AST and the errors of the token parser reading every declaration
     of ``text`` from its start, with no scanner: the reference that
     ``parse``, scanner and token parser together, must reproduce."""
-    parser = dsl._Parser(text, 0, dsl._newlines(text))
+    newlines = dsl._newlines(text)
+    parser = dsl._Parser(text, 0, newlines)
     decls: list = []
     pos = 0
     while pos < len(text):
         pos = parser.declaration(pos, decls)
-    return Ast(tuple(decls)), parser.errors
+    return Ast(tuple(decls), newlines), parser.errors
 
 
 class _Declined(Exception):

@@ -8,13 +8,15 @@ import re
 import pytest
 
 from conftest import load_shapes, random_model, scanned
-from tmkit.diagnostics import DUP_NAME, REF_UNRESOLVED, ModelError
+from tmkit import dsl
+from tmkit.diagnostics import DUP_NAME, REF_UNRESOLVED, ModelError, Span
 from tmkit.dynamics import BehaviorEdge
 from tmkit.dsl import (
     ParseFailure,
     StageNode,
     ThimacNode,
     format_model,
+    load,
     lower,
     parse,
 )
@@ -183,6 +185,31 @@ def test_lowering_collects_every_unresolved_reference():
     with pytest.raises(ModelError) as exc:
         lower(parse(text))
     assert exc.value.codes() == (REF_UNRESOLVED, REF_UNRESOLVED)
+
+
+def test_a_clean_load_builds_a_span_per_event_only(corpus_paths, monkeypatch, tmp_path):
+    """AST nodes hold offsets; a clean load builds a ``Span`` for each
+    declared event and for nothing else, on the corpus and on the three
+    benchmark shapes at their benchmark sizes."""
+    built = []
+
+    class CountedSpan(Span):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dsl, "Span", CountedSpan)
+    paths = list(corpus_paths.values())
+    for name, n in (("sim-fanout", 40), ("sim-relay", 40), ("authoring", 35)):
+        paths.append(tmp_path / f"{name}.tm")
+        paths[-1].write_text(load_shapes().GENERATORS[name](n, 1).text, encoding="utf-8")
+    for path in paths:
+        built.clear()
+        doc = load(path)
+        assert len(built) <= len(doc.events), path.name
+        assert all(type(event.span) is CountedSpan for event in doc.events)
 
 
 def test_lowered_references_share_the_stage_id_strings(corpus_paths):

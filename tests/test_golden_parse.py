@@ -3,7 +3,7 @@ input, pinned in ``fixtures/golden_parse.json``.
 
 Every change to the scanner, parser, lowering, formatter or dot emitter
 must keep these digests. One digest covers, for one input text, the
-``repr`` of the AST with its spans (or of the parse errors), the
+``repr`` of the AST with its offsets (or of the parse errors), the
 diagnostics from ``lower``, the canonical text from ``format_model`` and
 the dot text clustered and flat. The inputs are the corpus models, the
 three benchmark shapes at small sizes, seeded mutations of each

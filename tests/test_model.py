@@ -237,47 +237,55 @@ def test_reachable_always_contains_start(corpus_docs):
 
 # -- record contract ------------------------------------------------------
 
-def _ref(name, span):
-    return dsl.StageRef(f"{name}.create", span)
+def _ref(name, start, end):
+    return dsl.StageRef(f"{name}.create", start, end)
 
 
 # One builder per record built once per span, AST node, model element,
-# event or trace step: each takes the span the record is read from.
+# event or trace step: each takes the offsets [start, end) of the text the
+# record is read from; an AST node holds them, an event declaration their span.
 VALUE_RECORDS = {
-    Span: lambda span: Span(1, 2, 3, 4),
-    dsl.StageRef: lambda span: _ref("A", span),
-    dsl.StageNode: lambda span: dsl.StageNode(StageKind.CREATE, "x", span),
-    dsl.ThimacNode: lambda span: dsl.ThimacNode(
-        "A", (dsl.StageNode(StageKind.CREATE, None, span),), span),
-    dsl.FlowNode: lambda span: dsl.FlowNode(_ref("A", span), _ref("B", span), span),
-    dsl.TriggerNode: lambda span: dsl.TriggerNode(_ref("A", span), _ref("B", span), span),
-    dsl.EventNode: lambda span: dsl.EventNode("E", (_ref("A", span),), span),
-    dsl.BehaviorEdgeNode: lambda span: dsl.BehaviorEdgeNode("E1", "E2", True, span),
-    dsl.BehaviorNode: lambda span: dsl.BehaviorNode(
-        (dsl.BehaviorEdgeNode("E1", "E2", False, span),), span),
-    Thimac: lambda span: Thimac("A.B", "B", "A", ("A.B.C",), ("A.B.create",)),
-    Stage: lambda span: Stage("A.create", StageKind.CREATE, "A", "x"),
-    FlowEdge: lambda span: FlowEdge("A.create", "A.process"),
-    TriggerEdge: lambda span: TriggerEdge("A.release", "B.create"),
-    EventDecl: lambda span: EventDecl("E", ("A.create",), span),
-    Event: lambda span: Event("E", "E", ("A.create",), "elementary"),
-    BehaviorEdge: lambda span: BehaviorEdge("E1", "E2", True),
-    dynamics.TraceRecord: lambda span: dynamics.TraceRecord(3, "stage-executed", "A.create", (1, 2)),
+    Span: lambda start, end: Span(1, 2, 3, 4),
+    dsl.StageRef: lambda start, end: _ref("A", start, end),
+    dsl.StageNode: lambda start, end: dsl.StageNode(StageKind.CREATE, "x", start, end),
+    dsl.ThimacNode: lambda start, end: dsl.ThimacNode(
+        "A", (dsl.StageNode(StageKind.CREATE, None, start, end),), start, end),
+    dsl.FlowNode: lambda start, end: dsl.FlowNode(
+        _ref("A", start, end), _ref("B", start, end), start, end),
+    dsl.TriggerNode: lambda start, end: dsl.TriggerNode(
+        _ref("A", start, end), _ref("B", start, end), start, end),
+    dsl.EventNode: lambda start, end: dsl.EventNode("E", (_ref("A", start, end),), start, end),
+    dsl.BehaviorEdgeNode: lambda start, end: dsl.BehaviorEdgeNode("E1", "E2", True, start, end),
+    dsl.BehaviorNode: lambda start, end: dsl.BehaviorNode(
+        (dsl.BehaviorEdgeNode("E1", "E2", False, start, end),), start, end),
+    Thimac: lambda start, end: Thimac("A.B", "B", "A", ("A.B.C",), ("A.B.create",)),
+    Stage: lambda start, end: Stage("A.create", StageKind.CREATE, "A", "x"),
+    FlowEdge: lambda start, end: FlowEdge("A.create", "A.process"),
+    TriggerEdge: lambda start, end: TriggerEdge("A.release", "B.create"),
+    EventDecl: lambda start, end: EventDecl("E", ("A.create",), Span(1, start + 1, start, end)),
+    Event: lambda start, end: Event("E", "E", ("A.create",), "elementary"),
+    BehaviorEdge: lambda start, end: BehaviorEdge("E1", "E2", True),
+    dynamics.TraceRecord: lambda start, end: dynamics.TraceRecord(
+        3, "stage-executed", "A.create", (1, 2)),
 }
 
 
 @pytest.mark.parametrize("cls", VALUE_RECORDS, ids=lambda cls: cls.__name__)
 def test_value_records_are_slotted_and_compare_and_hash_by_value(cls):
     build = VALUE_RECORDS[cls]
-    record = build(Span(1, 1, 0, 1))
+    record = build(0, 1)
     assert type(record) is cls and cls.__slots__
     assert not hasattr(record, "__dict__")
-    twin = build(Span(1, 1, 0, 1))
+    twin = build(0, 1)
     assert record == twin and hash(record) == hash(twin)
     fields = dataclasses.fields(record)
-    if any(f.name == "span" and not f.compare for f in fields):
-        moved = build(Span(7, 3, 40, 45))
-        assert moved.span != record.span
+    # Where a record was read from never takes part in its value.
+    placed = [f.name for f in fields if not f.compare]
+    assert placed == (["start", "end"] if cls.__module__ == dsl.__name__ else
+                      ["span"] if cls is EventDecl else [])
+    if placed:
+        moved = build(40, 45)
+        assert all(getattr(moved, name) != getattr(record, name) for name in placed)
         assert moved == record and hash(moved) == hash(record)
     shown = ", ".join(f"{f.name}={getattr(record, f.name)!r}" for f in fields)
     assert repr(record) == f"{cls.__name__}({shown})"

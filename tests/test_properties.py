@@ -5,13 +5,16 @@ Any text built from token fragments, well formed or not, parses to an
 ``Document`` or fails with ``ModelError``; nothing else escapes. The
 canonical text is a fixed point: formatting, re-parsing and formatting
 again gives the same text, and the re-parsed document equals the first.
-Every AST span gives the line and column that counting newlines before
-its start gives. The tokenizer's tokens are pieces of the text in order,
-typed by their words, and every other character that is neither
+The span that the ``Ast`` builds from each node's offsets gives the line
+and column that counting newlines before its start gives, and so does
+every diagnostic span from ``lower`` and ``validate_document``, which
+covers the stage reference, chronology edge, flow, trigger or event
+declaration that the diagnostic names. The tokenizer's tokens are
+pieces of the text in order, typed by their words, and every other character that is neither
 whitespace nor in a comment is reported as starting no token, on drawn
 texts, on every bundled text and on those texts with a stray character
 after every token. Where the declaration scanner alone reads a text, it
-returns the AST, spans included, that the token parser builds from the
+returns the AST, offsets included, that the token parser builds from the
 start without errors; it declines no bundled text and no benchmark
 shape, and neither it nor the token parser recurses or backtracks
 without bound. Where the scanner hands declarations to the token parser
@@ -49,10 +52,11 @@ from conftest import CORPUS_NAMES, FIXTURES, load_shapes, scanned, token_parse
 from test_golden_parse import BASES, _variants
 from tmkit import dsl, render
 from tmkit.cli import corpus, main
-from tmkit.diagnostics import ModelError, Span
+from tmkit.diagnostics import Diagnostic, ModelError, Span
 from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, ThimacNode, format_model, lower, parse
 from tmkit.dynamics import Trace, TraceRecord
 from tmkit.model import KIND_BY_NAME
+from tmkit.validator import validate_document
 
 
 def fixed(examples: int) -> settings:
@@ -186,7 +190,7 @@ MISPLACED = (
 def assert_scan_is_the_token_parse(text: str) -> None:
     """``parse``, the scanner resuming after each declaration that the
     token parser reads, gives what the token parser gives from the start:
-    the same AST, spans included, or the same errors. Where the scanner
+    the same AST, offsets included, or the same errors. Where the scanner
     alone reads ``text``, the token parser thus finds no error in it."""
     parsed, errors = token_parse(text)
     try:
@@ -229,13 +233,13 @@ def test_scan_reads_every_bundled_text_and_shape():
 
 
 def preorder(ast: Ast) -> list:
-    """Each node of the AST, a thimac as its name, body length and span,
+    """Each node of the AST, a thimac as its name, body length and offsets,
     read without recursion, so that ASTs nested thousands deep compare."""
     nodes, pending = [], list(reversed(ast.declarations))
     while pending:
         node = pending.pop()
         if isinstance(node, ThimacNode):
-            nodes.append((node.name, len(node.body), node.span))
+            nodes.append((node.name, len(node.body), node.start, node.end))
             pending.extend(reversed(node.body))
         else:
             nodes.append(repr(node))
@@ -378,23 +382,28 @@ def test_scan_is_the_token_parse_on_drawn_texts(text):
 
 
 def spanned_nodes(ast: Ast):
-    """Every AST node that carries a span."""
+    """Every AST node; each carries the offsets of its text."""
     pending = list(ast.declarations)
     while pending:
         node = pending.pop()
         if isinstance(node, tuple):
             pending.extend(node)
-        elif dataclasses.is_dataclass(node) and not isinstance(node, Span):
+        elif dataclasses.is_dataclass(node):
             yield node
             pending.extend(getattr(node, f.name) for f in dataclasses.fields(node))
 
 
+def assert_counts_newlines(text: str, span: Span) -> None:
+    assert span.line == text.count("\n", 0, span.start) + 1
+    assert span.column == span.start - text.rfind("\n", 0, span.start)
+
+
 def assert_spans_count_newlines(text: str) -> None:
-    for node in spanned_nodes(parse(text)):
-        span = node.span
+    ast = parse(text)
+    for node in spanned_nodes(ast):
+        span = ast.span(node.start, node.end)
         assert 0 <= span.start < span.end <= len(text)
-        assert span.line == text.count("\n", 0, span.start) + 1
-        assert span.column == span.start - text.rfind("\n", 0, span.start)
+        assert_counts_newlines(text, span)
 
 
 @fixed(300)
@@ -411,6 +420,72 @@ def test_spans_agree_with_counted_newlines_on_corpus_and_shapes():
     texts += [make(12, seed).text for make in load_shapes().GENERATORS.values() for seed in (0, 1)]
     for text in texts:
         assert_spans_count_newlines(text)
+
+
+def spanned_diagnostics(text: str) -> list[Diagnostic]:
+    """The diagnostics with a span that ``lower`` gives for ``text``, or,
+    if it lowers, that ``validate_document`` gives; none if it does not parse."""
+    try:
+        doc = lower(parse(text))
+    except ParseFailure:
+        return []
+    except ModelError as exc:
+        diags = exc.diagnostics
+    else:
+        diags = validate_document(doc.model, doc.events, doc.behavior)[0].diagnostics
+    return [diag for diag in diags if diag.span is not None]
+
+
+_BLANK = re.compile(r"[ \t\r\n]+")
+_CHRONOLOGY_EDGE = re.compile(r"(\w+)->(\w+)(?: repeat)?;")
+
+
+def spanned_construct(text: str, diag: Diagnostic) -> str:
+    """What the span of ``diag`` holds, checked against the construct the
+    diagnostic names: a stage reference, a chronology edge, a flow or
+    trigger, or an event declaration."""
+    span = diag.span
+    assert 0 <= span.start < span.end <= len(text)
+    assert_counts_newlines(text, span)
+    written = text[span.start:span.end]
+    words = _BLANK.sub(" ", re.sub(r"#[^\n]*", "", written)).strip()
+    if diag.message.startswith("unknown stage reference"):
+        assert words.replace(" ", "") == diag.element
+        return "stage reference"
+    if diag.message.startswith("chronology names"):
+        edge = _CHRONOLOGY_EDGE.fullmatch(re.sub(r" ?(->|;) ?", r"\1", words))
+        assert edge is not None and diag.element in edge.group(1, 2), words
+        return "chronology edge"
+    if diag.message.startswith("edge "):
+        assert written.startswith(diag.element.split(":")[0]), written
+        return "edge"
+    name = re.match(r"event (\w+) \{", words)
+    assert name is not None and diag.message.startswith(f"event '{name[1]}'"), written
+    return "event"
+
+
+# Repeated flows and triggers, an event declared twice, an event naming a
+# stage twice and an event over two unconnected stages.
+SPANNED = (
+    "thimac A { create; process; }\nflow A.create -> A.process;\nflow A.create -> A.process;\n",
+    "thimac A { create; release; }\nthimac B { create; }\n"
+    "trigger A.release ~> B.create;\ntrigger A.release ~> B.create;\n",
+    "thimac A { create; process; }\nevent E { A.create; }\nevent E { A.process; }\n",
+    "thimac A { create(job); }\nevent E { A.create(job); A.create(job); }\n",
+    "thimac A { create; }\nthimac B { create; }\nevent E { A.create; B.create; }\n",
+)
+
+
+def test_diagnostic_spans_hold_the_construct_they_name():
+    """The golden front end's inputs, and the fixture files and the texts
+    above in every layout, the spaced one read by the token parser: each
+    spanned diagnostic is placed at the newlines counted before its start
+    and covers the construct it names; every kind of construct occurs."""
+    texts = [text for base in BASES for text in _variants(base).values()]
+    fixtures = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
+    texts += [layout for text in (*fixtures, *SPANNED) for layout in layouts(text)]
+    kinds = [spanned_construct(text, diag) for text in texts for diag in spanned_diagnostics(text)]
+    assert set(kinds) == {"stage reference", "chronology edge", "edge", "event"}
 
 
 COMMANDS = (
