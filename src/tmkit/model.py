@@ -15,10 +15,13 @@ value records (thimacs, stages, flows, triggers; events and chronology
 edges likewise). These records compare and hash by value, and no tmkit
 code assigns to them, so a model is safe to share between readers;
 every other module of the toolchain works against the types defined
-here. Its :class:`ModelIndex`, built on first use, answers
-adjacency in stage ids: which stages a stage's flows or triggers lead
-to or come from. :func:`walk` is the one graph search: reachability,
-connected components, chronology paths and simplification all use it.
+here. Its :class:`ModelIndex`, built on first use, answers adjacency
+in stage ids: which stages a stage's flows or triggers lead to or come
+from. Its ``refs``, a table built on first use apart from the index, so
+that formatting never builds the index, gives each stage's reference
+text once per model. Stage kinds hash by identity, in C. :func:`walk`
+is the one graph search: reachability, connected components, chronology
+paths and simplification all use it.
 :class:`EdgeSet` is the one rule that an edge is declared once, and
 :func:`declared_twice` the diagnostic of a repeat, shared by the text
 and JSON readers.
@@ -43,7 +46,12 @@ from .diagnostics import (
 
 
 class StageKind(Enum):
-    """The generic stages a machine applies to the things it handles."""
+    """The generic stages a machine applies to the things it handles.
+
+    Members hash by identity, in C: a set of kinds has no reproducible
+    order, so no output iterates over one."""
+
+    __hash__ = object.__hash__
 
     CREATE = "create"
     PROCESS = "process"
@@ -168,6 +176,7 @@ class TmModel:
     parentless thimac. Collections keep a canonical order (thimacs in
     pre-order of the containment forest, stages grouped by owner) so that
     equal declarations always build structurally equal models.
+    ``stage_by_id`` maps each stage id to its stage.
     """
 
     thimacs: tuple[Thimac, ...]
@@ -182,7 +191,7 @@ class TmModel:
         for t in self.thimacs:
             paths[t.id] = t.name if t.parent is None else f"{paths[t.parent]}.{t.name}"
         object.__setattr__(self, "_thimac_by_id", thimac_by_id)
-        object.__setattr__(self, "_stage_by_id", stage_by_id)
+        object.__setattr__(self, "stage_by_id", stage_by_id)
         object.__setattr__(self, "_paths", paths)
 
     @cached_property
@@ -193,20 +202,27 @@ class TmModel:
         """
         return ModelIndex(self)
 
+    @cached_property
+    def refs(self) -> dict[str, str]:
+        """Each stage id's reference text, built on first use; stage ids
+        of JSON models need not be references."""
+        paths = self._paths
+        return {s.id: stage_ref_text(paths[s.owner], s.kind, s.label) for s in self.stages}
+
     # -- lookups ---------------------------------------------------------
 
     def thimac(self, thimac_id: str) -> Thimac:
         return self._thimac_by_id[thimac_id]
 
     def stage(self, stage_id: str) -> Stage:
-        return self._stage_by_id[stage_id]
+        return self.stage_by_id[stage_id]
 
     def has_stage(self, stage_id: str) -> bool:
-        return stage_id in self._stage_by_id
+        return stage_id in self.stage_by_id
 
     def has_element(self, element_id: str) -> bool:
         """Whether ``element_id`` names a stage, flow or trigger of this model."""
-        return element_id in self._stage_by_id or element_id in self.index.edge_by_id
+        return element_id in self.stage_by_id or element_id in self.index.edge_by_id
 
     @property
     def root_thimacs(self) -> tuple[Thimac, ...]:
@@ -233,8 +249,7 @@ class TmModel:
         return self._paths[thimac_id]
 
     def stage_ref(self, stage_id: str) -> str:
-        s = self.stage(stage_id)
-        return stage_ref_text(self.thimac_path(s.owner), s.kind, s.label)
+        return self.refs[stage_id]
 
     def flow_targets(self, stage_id: str) -> tuple[str, ...]:
         return self.index.flow_targets.get(stage_id, ())

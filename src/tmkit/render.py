@@ -56,19 +56,17 @@ def to_dot(model: TmModel, options: RenderOptions = RenderOptions()) -> str:
     never collide across thimacs.
     """
     colors = options.overlay or {}
+    quoted = {sid: _quote(ref) for sid, ref in model.refs.items()}
     lines = ["digraph tm {", "    rankdir=LR;", "    node [shape=box];"]
 
-    def node_line(stage_id: str, pad: str) -> str:
-        stage = model.stage(stage_id)
+    def node_line(stage: Stage, pad: str) -> str:
         label = f"{stage.kind.value}({stage.label})" if stage.label else stage.kind.value
-        attrs = [f"label={_quote(label)}"]
-        fill = colors.get(stage_id)
-        if fill:
-            attrs.append("style=filled")
-            attrs.append(f"fillcolor={_quote(':'.join(fill))}")
-        return f"{pad}{_quote(model.stage_ref(stage_id))} [{', '.join(attrs)}];"
+        fill = colors.get(stage.id)
+        style = f", style=filled, fillcolor={_quote(':'.join(fill))}" if fill else ""
+        return f"{pad}{quoted[stage.id]} [label={_quote(label)}{style}];"
 
     if options.cluster_thimacs:
+        stage_by_id = model.stage_by_id
         clusters = 0
         for depth, thimac in model.nesting():
             pad = "    " * (depth + 1)
@@ -78,19 +76,12 @@ def to_dot(model: TmModel, options: RenderOptions = RenderOptions()) -> str:
             lines.append(f"{pad}subgraph cluster_{clusters} {{")
             clusters += 1
             lines.append(f"{pad}    label={_quote(thimac.name)};")
-            for sid in thimac.stages:
-                lines.append(node_line(sid, pad + "    "))
+            lines += [node_line(stage_by_id[sid], pad + "    ") for sid in thimac.stages]
     else:
-        for stage in model.stages:
-            lines.append(node_line(stage.id, "    "))
+        lines += [node_line(stage, "    ") for stage in model.stages]
 
-    for flow in model.flows:
-        lines.append(
-            f"    {_quote(model.stage_ref(flow.source))} -> {_quote(model.stage_ref(flow.target))};")
-    for trigger in model.triggers:
-        lines.append(
-            f"    {_quote(model.stage_ref(trigger.source))} -> "
-            f"{_quote(model.stage_ref(trigger.target))} [style=dashed];")
+    lines += [f"    {quoted[f.source]} -> {quoted[f.target]};" for f in model.flows]
+    lines += [f"    {quoted[t.source]} -> {quoted[t.target]} [style=dashed];" for t in model.triggers]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

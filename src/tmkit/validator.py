@@ -56,13 +56,14 @@ def check_flow_legality(model: TmModel) -> list[Diagnostic]:
     """One FLOW_ILLEGAL per flow outside the legal table, one
     TRIGGER_ILLEGAL per trigger aimed at anything but a create or process."""
     diags: list[Diagnostic] = []
+    stage_by_id = model.stage_by_id
     for flow in model.flows:
         if flow.source == flow.target:
             diags.append(error(
                 FLOW_ILLEGAL, "a flow may not loop on a single stage", flow.id))
             continue
-        src = model.stage(flow.source)
-        dst = model.stage(flow.target)
+        src = stage_by_id[flow.source]
+        dst = stage_by_id[flow.target]
         if src.owner == dst.owner:
             table, where = LEGAL_FLOWS_WITHIN, "within one thimac"
         else:
@@ -78,7 +79,7 @@ def check_flow_legality(model: TmModel) -> list[Diagnostic]:
             diags.append(error(
                 TRIGGER_ILLEGAL, "a trigger may not loop on a single stage", trigger.id))
             continue
-        dst = model.stage(trigger.target)
+        dst = stage_by_id[trigger.target]
         if dst.kind not in TRIGGER_TARGET_KINDS:
             diags.append(error(
                 TRIGGER_ILLEGAL,
@@ -96,34 +97,34 @@ def check_connectivity(model: TmModel) -> list[Diagnostic]:
     transfer of another thimac.
     """
     diags: list[Diagnostic] = []
+    stage_by_id, index = model.stage_by_id, model.index
+    flow_targets, flow_sources = index.flow_targets, index.flow_sources
     for stage in model.stages:
-        if stage.kind is not StageKind.CREATE:
-            if not model.flow_sources(stage.id) and not model.trigger_sources(stage.id):
+        sid, kind = stage.id, stage.kind
+        if kind is not StageKind.CREATE:
+            if sid not in flow_sources and sid not in index.trigger_sources:
                 diags.append(warning(
                     STAGE_ORPHAN,
-                    f"{stage.kind.value} stage has no incoming flow or trigger",
-                    stage.id,
+                    f"{kind.value} stage has no incoming flow or trigger",
+                    sid,
                 ))
-        if stage.kind is StageKind.RELEASE:
-            targets = (model.stage(target).kind for target in model.flow_targets(stage.id))
-            if StageKind.TRANSFER not in targets:
+        if kind is StageKind.RELEASE:
+            if not any(stage_by_id[target].kind is StageKind.TRANSFER
+                       for target in flow_targets.get(sid, ())):
                 diags.append(warning(
                     SINK_RELEASE,
                     "release stage has no outgoing transfer",
-                    stage.id,
+                    sid,
                 ))
-        if stage.kind is StageKind.TRANSFER:
-            partners = [
-                other
-                for other in (*model.flow_targets(stage.id), *model.flow_sources(stage.id))
-                if model.stage(other).kind is StageKind.TRANSFER
-                and model.stage(other).owner != stage.owner
-            ]
-            if not partners:
+        if kind is StageKind.TRANSFER:
+            ends = (stage_by_id[other]
+                    for other in (*flow_targets.get(sid, ()), *flow_sources.get(sid, ())))
+            if not any(end.kind is StageKind.TRANSFER and end.owner != stage.owner
+                       for end in ends):
                 diags.append(warning(
                     TRANSFER_UNPAIRED,
                     "transfer stage has no cross-thimac transfer partner",
-                    stage.id,
+                    sid,
                 ))
     return diags
 

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from conftest import closure_pairs, random_model
-from tmkit import dsl, dynamics, render, transform
+from conftest import arbitrary_model, closure_pairs, load_shapes, random_model
+from tmkit import dsl, dynamics, model as model_module, render, transform, validator
 from tmkit.diagnostics import (
     DUP_NAME,
     NEST_CYCLE,
@@ -19,6 +22,7 @@ from tmkit.diagnostics import (
     error,
 )
 from tmkit.model import (
+    LEGAL_FLOWS_WITHIN,
     BehaviorEdge,
     Event,
     EventDecl,
@@ -29,6 +33,7 @@ from tmkit.model import (
     TriggerEdge,
     build_model,
     reachable,
+    stage_ref_text,
     try_build_model,
 )
 
@@ -151,6 +156,151 @@ def test_thimac_path_and_stage_ref_follow_names():
     )
     assert model.thimac_path("h") == "Water.heat"
     assert model.stage_ref("s1") == "Water.heat.receive(x)"
+
+
+def test_stage_kinds_hash_by_identity_without_a_python_call():
+    pairs = [(k1, k2) for k1 in StageKind for k2 in StageKind]
+    calls, legal = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for k1, k2 in pairs:
+            hash(k1)
+            legal.append((k1, k2) in LEGAL_FLOWS_WITHIN)
+    finally:
+        sys.setprofile(previous)
+    assert calls == []
+    assert sum(legal) == len(LEGAL_FLOWS_WITHIN)
+    assert all(hash(kind) == object.__hash__(kind) for kind in StageKind)
+
+
+# Stage ids that are not references: the reference table is built from
+# thimac paths, kinds and labels, never from the ids.
+OPAQUE_IDS_JSON = json.dumps({
+    "thimacs": [{"id": "w", "name": "Water"}, {"id": "h", "name": "heat", "parent": "w"},
+                {"id": "t", "name": "Tank"}],
+    "stages": [
+        {"id": "s1", "kind": "create", "owner": "h", "label": "x"},
+        {"id": "s2", "kind": "release", "owner": "h"},
+        {"id": "s3", "kind": "transfer", "owner": "h"},
+        {"id": "s4", "kind": "transfer", "owner": "t"},
+        {"id": "s5", "kind": "process", "owner": "t", "label": "x"},
+    ],
+    "flows": [{"source": "s1", "target": "s2"}, {"source": "s2", "target": "s3"},
+              {"source": "s3", "target": "s4"}, {"source": "s4", "target": "s5"}],
+    "triggers": [{"source": "s5", "target": "s1"}],
+    "events": [{"id": "Go", "name": "Go", "region": ["s1", "s2"], "level": "composite",
+                "constituents": ["s1", "s2"]}],
+})
+
+OPAQUE_IDS_DOT_NODES = {
+    True: """\
+    subgraph cluster_0 {
+        label="Water";
+        subgraph cluster_1 {
+            label="heat";
+            "Water.heat.create(x)" [label="create(x)"];
+            "Water.heat.release" [label="release"];
+            "Water.heat.transfer" [label="transfer"];
+        }
+    }
+    subgraph cluster_2 {
+        label="Tank";
+        "Tank.transfer" [label="transfer"];
+        "Tank.process(x)" [label="process(x)"];
+    }
+""",
+    False: """\
+    "Water.heat.create(x)" [label="create(x)"];
+    "Water.heat.release" [label="release"];
+    "Water.heat.transfer" [label="transfer"];
+    "Tank.transfer" [label="transfer"];
+    "Tank.process(x)" [label="process(x)"];
+""",
+}
+
+
+def test_reference_table_is_built_from_paths_kinds_and_labels():
+    rng = random.Random(23)
+    draws = [make(rng) for _ in range(40) for make in (random_model, arbitrary_model)]
+    opaque, events, _ = render.from_json(OPAQUE_IDS_JSON)
+    for model in (*draws, opaque):
+        assert model.refs == {
+            s.id: stage_ref_text(model.thimac_path(s.owner), s.kind, s.label)
+            for s in model.stages}
+    assert list(opaque.refs.values()) == [
+        "Water.heat.create(x)", "Water.heat.release", "Water.heat.transfer",
+        "Tank.transfer", "Tank.process(x)"]
+
+    edges = """\
+    "Water.heat.create(x)" -> "Water.heat.release";
+    "Water.heat.release" -> "Water.heat.transfer";
+    "Water.heat.transfer" -> "Tank.transfer";
+    "Tank.transfer" -> "Tank.process(x)";
+    "Tank.process(x)" -> "Water.heat.create(x)" [style=dashed];
+}
+"""
+    for clustered, nodes in OPAQUE_IDS_DOT_NODES.items():
+        dot = render.to_dot(opaque, render.RenderOptions(cluster_thimacs=clustered))
+        assert dot == "digraph tm {\n    rankdir=LR;\n    node [shape=box];\n" + nodes + edges
+    assert dsl.format_model(opaque, events) == """\
+thimac Water {
+    thimac heat {
+        create(x);
+        release;
+        transfer;
+    }
+}
+
+thimac Tank {
+    transfer;
+    process(x);
+}
+
+flow Water.heat.create(x) -> Water.heat.release;
+flow Water.heat.release -> Water.heat.transfer;
+flow Water.heat.transfer -> Tank.transfer;
+flow Tank.transfer -> Tank.process(x);
+
+trigger Tank.process(x) ~> Water.heat.create(x);
+
+event Go {
+    Water.heat.create(x);
+    Water.heat.release;
+}
+"""
+
+
+def test_each_stage_reference_is_built_once_per_model(corpus_paths, monkeypatch, tmp_path):
+    """``to_dot`` (clustered, flat and with an overlay), ``format_model``
+    and ``elementary_events`` share one reference table per model, on the
+    corpus and on the three benchmark shapes at their benchmark sizes;
+    formatting builds no index."""
+    built = []
+    monkeypatch.setattr(model_module, "stage_ref_text",
+                        lambda *args: built.append(args) or stage_ref_text(*args))
+    paths = list(corpus_paths.values())
+    for name, n in (("sim-fanout", 40), ("sim-relay", 40), ("authoring", 35)):
+        paths.append(tmp_path / f"{name}.tm")
+        paths[-1].write_text(load_shapes().GENERATORS[name](n, 1).text, encoding="utf-8")
+    for path in paths:
+        doc = dsl.load(path)
+        model = doc.model
+        built.clear()
+        dsl.format_model(model, doc.events, doc.behavior)
+        assert "index" not in vars(model), path.name
+        events, _ = validator.build_events(model, doc.events)
+        for options in (render.RenderOptions(), render.RenderOptions(cluster_thimacs=False),
+                        render.RenderOptions(overlay=transform.make_overlay(model, events))):
+            render.to_dot(model, options)
+        validator.elementary_events(model)
+        assert built and max(Counter(built).values()) == 1, path.name
+        assert len(built) <= len(model.stages), path.name
 
 
 def test_referential_integrity_of_corpus_models(corpus_docs):
