@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import dynamics, render
 from .dsl import Document, ParseFailure, format_model, load
-from .diagnostics import ModelError
+from .diagnostics import ModelError, ValidationReport
 from .model import model_to_dict
 from .transform import make_overlay, simplify
 from .validator import elementary_events, validate_document
@@ -161,10 +161,7 @@ def _main(argv: list[str] | None) -> int:
             "parse_errors": [e.to_json_dict() for e in exc.errors],
         }), 2
     except ModelError as exc:
-        text, code = _json({
-            "ok": False,
-            "diagnostics": [d.to_json_dict() for d in exc.diagnostics],
-        }), 1
+        text, code = _json(ValidationReport(exc.diagnostics).to_json_dict()), 1
     else:
         text, code = _command(args, doc)
 

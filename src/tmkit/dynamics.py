@@ -233,33 +233,24 @@ def init_state(
 
 
 def enabled(state: SimState) -> list[Candidate]:
-    """Firing candidates in deterministic order.
-
-    Pending trigger activations come first (queue head only), then token
-    moves (stage declaration order, arrival order within a stage, flow
-    declaration order per token), then spontaneous creations still under
-    their cap. Queued work runs before new creations so each created thing
-    plays out its chain before the next appears. The moves are read from
-    the frontier kept in ``state``, so a token parked where its flows run
-    out costs nothing here.
-    """
-    out: list[Candidate] = []
-    if state.pending:
-        out.append(Candidate(kind="trigger", stage=state.pending[0]))
-    for position in sorted(state.frontier):
-        for token_id, untaken in state.frontier[position].items():
-            out.extend(Candidate(kind="move", token=token_id, flow_index=i) for i in untaken)
-    cap = state.options.creation_cap
-    for sid in state.model.index.spontaneous_creates:
-        if state.creations_used.get(sid, 0) < cap:
-            out.append(Candidate(kind="create", stage=sid))
-    return out
+    """Every firing candidate, in order: ``_candidate(state, k)`` for each k,
+    the choices that :func:`run` draws from."""
+    return [Candidate(*_candidate(state, k))
+            for k in range(bool(state.pending) + state.counts.total)]
 
 
 def _candidate(state: SimState, k: int) -> tuple[str, str | None, int | None, int | None]:
-    """The fields ``(kind, stage, token, flow_index)`` of ``enabled(state)[k]``
-    without listing the rest: O(log n) through the Fenwick tree, plus a
-    walk over the tokens waiting at the one stage."""
+    """The fields ``(kind, stage, token, flow_index)`` of firing candidate k.
+
+    The order is defined here alone. The pending trigger activation at the
+    queue head comes first, then token moves (stage declaration order,
+    arrival order within a stage, flow declaration order per token), then
+    spontaneous creations still under their cap. Queued work runs before
+    new creations so each created thing plays out its chain before the
+    next appears. Candidate k is found in O(log n) through the Fenwick
+    tree, plus a walk over the tokens waiting at the one stage, so a token
+    parked where its flows run out costs nothing here.
+    """
     if state.pending:
         if k == 0:
             return "trigger", state.pending[0], None, None

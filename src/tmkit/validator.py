@@ -265,10 +265,11 @@ def check_behavior(
     # An edge naming a declared event that failed to build is skipped: that
     # event's own diagnostics already report the fault.
     resolved: list[BehaviorEdge] = []
+    declared = set(graph.nodes)
     for edge in graph.edges:
         missing = [e for e in (edge.before, edge.after) if e not in by_id]
         for name in missing:
-            if name not in graph.nodes:
+            if name not in declared:
                 diags.append(error(
                     REF_UNRESOLVED, f"chronology edge names undeclared event '{name}'", name))
         if not missing:

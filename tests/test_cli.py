@@ -260,13 +260,30 @@ def test_byte_order_mark_is_ignored(run_cli, corpus_paths, tmp_path, command):
     assert run_cli(command, str(plain))[0] == 0
 
 
-def test_output_flag_writes_the_file(run_cli, corpus_paths, tmp_path):
-    target = tmp_path / "out.json"
-    code, out = run_cli("validate", str(corpus_paths["reservation"]),
-                        "--output", str(target))
+_OUTPUT_VARIANTS = {
+    "validate": ("validate",),
+    "events": ("events",),
+    "simplify": ("simplify",),
+    "fmt": ("fmt",),
+    "simulate": ("simulate",),
+    "simulate-random": ("simulate", "--policy", "random", "--cap", "2", "--seed", "3"),
+    "render": ("render",),
+    "render-flat": ("render", "--flat"),
+    "render-overlay": ("render", "--overlay"),
+    "render-json": ("render", "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("variant", _OUTPUT_VARIANTS)
+def test_output_flag_writes_the_file(run_cli, corpus_paths, tmp_path, variant):
+    """The ``--output`` file holds exactly what the same command writes to
+    standard output, and nothing is written to standard output."""
+    argv = (*_OUTPUT_VARIANTS[variant], str(corpus_paths["reservation"]))
+    code, stdout = run_cli(*argv)
+    target = tmp_path / "out"
+    assert run_cli(*argv, "--output", str(target)) == (code, "")
     assert code == 0
-    assert out == ""
-    assert json.loads(target.read_text(encoding="utf-8"))["ok"] is True
+    assert target.read_bytes() == stdout.encode("utf-8")
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

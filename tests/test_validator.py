@@ -22,6 +22,7 @@ from tmkit.diagnostics import (
 )
 from tmkit.dsl import lower, parse
 from tmkit.model import (
+    BehaviorGraph,
     FlowEdge,
     Stage,
     StageKind,
@@ -276,3 +277,37 @@ def test_event_naming_a_stage_twice_is_a_duplicate():
     (diag,) = report.diagnostics
     assert (diag.code, diag.element, diag.span) == (DUP_NAME, "A.create", doc.events[0].span)
     assert [e.id for e in events] == ["F"]
+
+
+class _CountingNodes(tuple):
+    """A tuple that counts its membership tests."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self.lookups = 0
+        return self
+
+    def __contains__(self, item):
+        self.lookups += 1
+        return super().__contains__(item)
+
+
+def test_chronology_over_failed_events_makes_no_scan_of_the_nodes():
+    """Each chronology end whose event failed to build is looked up among
+    the declared nodes; a scan of the node tuple per lookup made this
+    O(edges x events). The lookups go to a set built once, so the tuple
+    sees none, and the diagnostics are those of a plain tuple."""
+    n = 120
+    text = "thimac A { create; }\n" + "".join(
+        f"event E{i} {{ A.create; A.create; }}\n" for i in range(n))
+    text += "behavior {\n" + "".join(f"E{i} -> E{i + 1};\n" for i in range(n - 1)) + "}\n"
+    doc = lower(parse(text))
+    assert len(doc.behavior.edges) == n - 1
+    nodes = _CountingNodes(doc.behavior.nodes)
+    counted = BehaviorGraph(nodes, doc.behavior.edges)
+    plain = BehaviorGraph(tuple(doc.behavior.nodes), doc.behavior.edges)
+    report, events = validate_document(doc.model, doc.events, counted)
+    assert events == () and len(report.diagnostics) == n
+    assert {d.code for d in report.diagnostics} == {DUP_NAME}
+    assert nodes.lookups == 0
+    assert report == validate_document(doc.model, doc.events, plain)[0]
