@@ -66,9 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     render_cmd.add_argument("--format", choices=(render.DOT, render.JSON),
                             default=render.DOT, help="output format (default dot)")
     render_cmd.add_argument("--overlay", action="store_true",
-                            help="color stages by the declared event regions")
+                            help="dot only: color stages by the declared event regions")
     render_cmd.add_argument("--flat", action="store_true",
-                            help="plain nodes instead of one cluster per thimac")
+                            help="dot only: plain nodes instead of one cluster per thimac")
 
     add("fmt", "rewrite the file in canonical form")
     return parser

@@ -30,11 +30,11 @@ reached, a character other than space, tab, CR or LF between tokens
 (form feed and vertical tab included), a keyword or stage kind where a
 name belongs, whitespace inside a stage path such as "A . create", and
 any text in which a numeral outside ASCII may lead a word. The token
-parser reads each declaration that the scanner declines, and it alone
-reports syntax errors. Each declaration is read once, and only the text
-from the first declined declaration on is tokenized, once. AST nodes carry
-offsets, which become a :class:`Span` only where a diagnostic or an event
-needs one.
+parser reads each declaration that the scanner declines, one token ahead,
+and it alone reports syntax errors. Each declaration is read once, and
+only the declarations the scanner declines are tokenized: a run of them
+is one stream of tokens. AST nodes carry offsets, which become a
+:class:`Span` only where a diagnostic or an event needs one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import add
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, Span, TmError, error
 from .model import (
@@ -185,16 +185,15 @@ class Ast:
 
 # -- tokenizer ----------------------------------------------------------------
 
-# Only text from the first declaration that the scanner declines on is
-# tokenized, one regex match per token: each match is the whitespace and
-# comments before a token, then the token, a single character that starts
-# none, or the end of the input. '\f' and '\v' are not whitespace, so
-# each is such a character. A name starts with a letter or '_':
-# ``[^\W\d]`` also admits numerals that are not decimal digits (such as
-# '²'), so each leading character of a word that cannot start a name is
-# reported and the rest of the word kept, as a scan starting there would
-# find. A comment ending the input leaves the end-of-input position at
-# its '#'.
+# Only the declarations that the scanner declines are tokenized, one regex
+# match per token: each match is the whitespace and comments before a
+# token, then the token, a single character that starts none, or the end
+# of the input. '\f' and '\v' are not whitespace, so each is such a
+# character. A name starts with a letter or '_': ``[^\W\d]`` also admits
+# numerals that are not decimal digits (such as '²'), so each leading
+# character of a word that cannot start a name is reported and the rest
+# of the word kept, as a scan starting there would find. A comment ending
+# the input leaves the end-of-input position at its '#'.
 _TOKEN = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*(->|~>|[{}();.]|[^\W\d]\w*|.|\Z)", re.DOTALL)
 _COMMENT = re.compile(r"#[^\n]*")
 _WHITESPACE = " \t\r\n"
@@ -202,40 +201,37 @@ _NOT_ASCII = re.compile(r"[^\x00-\x7f]")
 _TYPES = {**{p: p for p in ("->", "~>", "{", "}", "(", ")", ";", ".")},
           **{word: word for word in KEYWORDS}, **dict.fromkeys(KIND_BY_NAME, "kind")}
 
+# A token: its type, its text, and its start and end offsets.
+_Token = tuple[str, str, int, int]
+
 
 def _blank(comment: re.Match) -> str:
     return " " * len(comment[0])
 
 
-def _tokenize(text: str, start: int) -> tuple[list[str], list[str], list[int], list[int]]:
-    """Token types, texts and start offsets from offset ``start`` on,
-    ending in "eof", and the offsets of the characters that start no token."""
-    types: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    bad: list[int] = []
+def _tokens(text: str, start: int, bad: list[int]) -> Iterator[_Token]:
+    """The tokens of ``text`` from offset ``start`` on, ending in "eof";
+    the offset of each character that starts no token is appended to ``bad``."""
     for m in _TOKEN.finditer(text, start):
-        word, start = m[1], m.start(1)
+        word = m[1]
         ttype = _TYPES.get(word)
         if ttype is None:
             if not word:
                 break
-            ttype = "name"
+            at, ttype = m.start(1), "name"
             if not (word[0].isalpha() or word[0] == "_"):
                 lead = next((i for i, c in enumerate(word) if c.isalpha() or c == "_"), len(word))
-                bad.extend(range(start, start + lead))
+                bad.extend(range(at, at + lead))
                 if lead == len(word):
                     continue
-                word, start = word[lead:], start + lead
+                word, at = word[lead:], at + lead
                 ttype = _TYPES.get(word, "name")
-        types.append(ttype)
-        texts.append(word)
-        starts.append(start)
+            yield ttype, word, at, m.end(1)
+        else:
+            yield ttype, word, m.start(1), m.end(1)
     comment = text.find("#", text.rfind("\n") + 1)
-    types.append("eof")
-    texts.append("")
-    starts.append(comment if comment >= 0 else len(text))
-    return types, texts, starts, bad
+    end = comment if comment >= 0 else len(text)
+    yield "eof", "", end, end
 
 
 def _may_lead_with_numerals(scan: str) -> bool:
@@ -263,39 +259,51 @@ def _position(newlines: Sequence[int], offset: int) -> tuple[int, int]:
 # -- parser -------------------------------------------------------------------
 
 class _Syntax(Exception):
-    def __init__(self, err: ParseError, pos: int):
-        self.err, self.pos = err, pos
+    """A syntax error, raised at the token where recovery starts."""
 
 
 class _Parser:
-    """Reads the flat token lists by index. Each rule takes the position of
-    its first token and returns its node and the position after it; line
+    """Reads a stream of tokens one token ahead. Each rule starts at its
+    first token and returns its node, having taken every token of it; line
     and column are derived only for errors."""
 
-    def __init__(self, text: str, start: int, newlines: list[int]):
-        self.types, self.texts, self.starts, bad = _tokenize(text, start)
-        self.newlines, self.end = newlines, len(text)
-        self.errors = [ParseError(*_position(newlines, at), ("a declaration",), repr(text[at]))
-                       for at in bad]
+    def __init__(self, text: str, newlines: list[int]):
+        self.text, self.newlines = text, newlines
+        self.bad: list[int] = []
+        self.syntax: list[ParseError] = []
+        self.stop = -1  # where the last declaration() stopped: the current token
 
-    def span(self, first: int, last: int) -> tuple[int, int]:
-        """The offsets of the text from token ``first`` to token ``last``."""
-        return self.starts[first], self.starts[last] + len(self.texts[last])
+    def errors(self) -> list[ParseError]:
+        """Every character that starts no token, in text order, then every
+        syntax error."""
+        text, newlines = self.text, self.newlines
+        return [ParseError(*_position(newlines, at), ("a declaration",), repr(text[at]))
+                for at in self.bad] + self.syntax
 
-    def fail(self, pos: int, *expected: str) -> _Syntax:
-        """The error at token ``pos``, where recovery then starts."""
-        found = "end of input" if self.types[pos] == "eof" else f"'{self.texts[pos]}'"
-        return _Syntax(ParseError(*_position(self.newlines, self.starts[pos]), expected, found), pos)
+    def take(self, ttype: str, *expected: str) -> _Token:
+        """The current token, which must be of type ``ttype``; the next one
+        becomes current."""
+        token = self.token
+        if token[0] != ttype:
+            raise self.fail(*expected)
+        self.token = next(self.tokens)
+        return token
 
-    def recover(self, pos: int) -> int:
-        """The next declaration boundary from token ``pos``: past a top-level
+    def fail(self, *expected: str) -> _Syntax:
+        """The error at the current token, where recovery then starts."""
+        ttype, word, start, _ = self.token
+        found = "end of input" if ttype == "eof" else f"'{word}'"
+        return _Syntax(ParseError(*_position(self.newlines, start), expected, found))
+
+    def recover(self) -> None:
+        """Take tokens up to the next declaration boundary: past a top-level
         ';' or the '}' closing the declaration the error occurred in."""
-        types, depth = self.types, 0
+        tokens, token, depth = self.tokens, self.token, 0
         while True:
-            ttype = types[pos]
+            ttype = token[0]
             if ttype == "eof" or (depth == 0 and ttype in self.RULES):
                 break
-            pos += 1
+            token = next(tokens)
             if ttype == "{":
                 depth += 1
             elif ttype == "}":
@@ -304,131 +312,111 @@ class _Parser:
                 depth -= 1
             elif ttype == ";" and depth == 0:
                 break
-        return pos
+        self.token = token
 
     def declaration(self, offset: int, decls: list[Declaration]) -> int:
         """Read the declaration at character ``offset`` into ``decls``, or
         record its error and recover; the offset of the next token, or the
-        length of the text at the end of the input."""
-        types, pos = self.types, bisect_left(self.starts, offset)
-        if types[pos] != "eof":
+        length of the text at the end of the input. Tokens are read on from
+        the last call's stop, or afresh where ``offset`` is elsewhere."""
+        if offset != self.stop:
+            self.tokens = _tokens(self.text, offset, self.bad)
+            self.token = next(self.tokens)
+        ttype = self.token[0]
+        if ttype != "eof":
             try:
-                rule = self.RULES.get(types[pos])
+                rule = self.RULES.get(ttype)
                 if rule is None:
-                    raise self.fail(pos, "a declaration")
-                decl, pos = rule(self, pos)
-                decls.append(decl)
+                    raise self.fail("a declaration")
+                decls.append(rule(self))
             except _Syntax as exc:
-                self.errors.append(exc.err)
-                pos = self.recover(exc.pos)
-        return self.end if types[pos] == "eof" else self.starts[pos]
+                self.syntax.append(exc.args[0])
+                self.recover()
+        ttype, _, self.stop, _ = self.token
+        return len(self.text) if ttype == "eof" else self.stop
 
-    def thimac(self, pos: int) -> tuple[ThimacNode, int]:
-        types, texts = self.types, self.texts
-        # The open thimacs, innermost last: first token, name, body so far.
+    def thimac(self) -> ThimacNode:
+        take = self.take
+        # The open thimacs, innermost last: start, name, body so far.
         open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = []
         while True:
-            ttype = types[pos]
+            ttype, word, start, end = self.token
             if ttype == "kind":
-                label, end = self.optional_label(pos + 1)
-                if types[end] != ";":
-                    raise self.fail(end, "';'")
-                open_[-1][2].append(StageNode(KIND_BY_NAME[texts[pos]], label, *self.span(pos, end)))
-                pos = end + 1
+                take("kind")
+                label, _ = self.optional_label(end)
+                end = take(";", "';'")[3]
+                open_[-1][2].append(StageNode(KIND_BY_NAME[word], label, start, end))
             elif ttype == "thimac":
-                if types[pos + 1] != "name":
-                    raise self.fail(pos + 1, "a thimac name")
-                if types[pos + 2] != "{":
-                    raise self.fail(pos + 2, "'{'")
-                open_.append((pos, texts[pos + 1], []))
-                pos += 3
+                take("thimac")
+                name = take("name", "a thimac name")[1]
+                take("{", "'{'")
+                open_.append((start, name, []))
             elif ttype == "}":
+                take("}")
                 first, name, body = open_.pop()
-                node = ThimacNode(name, tuple(body), *self.span(first, pos))
-                pos += 1
+                node = ThimacNode(name, tuple(body), first, end)
                 if not open_:
-                    return node, pos
+                    return node
                 open_[-1][2].append(node)
             else:
-                raise self.fail(pos, "a stage", "'thimac'", "'}'")
+                raise self.fail("a stage", "'thimac'", "'}'")
 
-    def optional_label(self, pos: int) -> tuple[str | None, int]:
-        """An optional '(' NAME ')' at ``pos``."""
-        types = self.types
-        if types[pos] != "(":
-            return None, pos
-        if types[pos + 1] != "name":
-            raise self.fail(pos + 1, "a label")
-        if types[pos + 2] != ")":
-            raise self.fail(pos + 2, "')'")
-        return self.texts[pos + 1], pos + 3
+    def optional_label(self, end: int) -> tuple[str | None, int]:
+        """An optional '(' NAME ')' after a token ending at ``end``, and the
+        end of the last token read."""
+        if self.token[0] != "(":
+            return None, end
+        self.take("(")
+        label = self.take("name", "a label")[1]
+        return label, self.take(")", "')'")[3]
 
-    def stage_ref(self, pos: int) -> tuple[StageRef, int]:
-        types, texts, first = self.types, self.texts, pos
-        if types[pos] != "name":
-            raise self.fail(pos, "a stage reference")
-        path = [texts[pos]]
+    def stage_ref(self) -> StageRef:
+        take = self.take
+        _, word, start, _ = take("name", "a stage reference")
+        path = [word]
         while True:
-            if types[pos + 1] != ".":
-                raise self.fail(pos + 1, "'.'")
-            pos += 2
-            ttype = types[pos]
+            take(".", "'.'")
+            ttype, word, _, end = self.token
             if ttype == "kind":
+                take("kind")
                 break
-            if ttype != "name":
-                raise self.fail(pos, "a thimac name", "a stage kind")
-            path.append(texts[pos])
-        label, end = self.optional_label(pos + 1)
-        sid = stage_ref_text(".".join(path), KIND_BY_NAME[texts[pos]], label)
-        return StageRef(sid, *self.span(first, end - 1)), end
+            path.append(take("name", "a thimac name", "a stage kind")[1])
+        label, end = self.optional_label(end)
+        return StageRef(stage_ref_text(".".join(path), KIND_BY_NAME[word], label), start, end)
 
-    def edge(self, pos: int) -> tuple[FlowNode | TriggerNode, int]:
-        types, first = self.types, pos
-        node, arrow, _ = EDGES[types[pos]]
-        source, pos = self.stage_ref(pos + 1)
-        if types[pos] != arrow:
-            raise self.fail(pos, f"'{arrow}'")
-        target, pos = self.stage_ref(pos + 1)
-        if types[pos] != ";":
-            raise self.fail(pos, "';'")
-        return node(source, target, *self.span(first, pos)), pos + 1
+    def edge(self) -> FlowNode | TriggerNode:
+        ttype, _, start, _ = self.take(self.token[0])
+        node, arrow, _ = EDGES[ttype]
+        source = self.stage_ref()
+        self.take(arrow, f"'{arrow}'")
+        target = self.stage_ref()
+        return node(source, target, start, self.take(";", "';'")[3])
 
-    def event(self, pos: int) -> tuple[EventNode, int]:
-        types, first = self.types, pos
-        if types[pos + 1] != "name":
-            raise self.fail(pos + 1, "an event name")
-        if types[pos + 2] != "{":
-            raise self.fail(pos + 2, "'{'")
+    def event(self) -> EventNode:
+        take = self.take
+        start = take("event")[2]
+        name = take("name", "an event name")[1]
+        take("{", "'{'")
         refs: list[StageRef] = []
-        pos += 3
-        while not refs or types[pos] != "}":
-            ref, pos = self.stage_ref(pos)
-            if types[pos] != ";":
-                raise self.fail(pos, "';'")
-            refs.append(ref)
-            pos += 1
-        return EventNode(self.texts[first + 1], tuple(refs), *self.span(first, pos)), pos + 1
+        while not refs or self.token[0] != "}":
+            refs.append(self.stage_ref())
+            take(";", "';'")
+        return EventNode(name, tuple(refs), start, take("}")[3])
 
-    def behavior(self, pos: int) -> tuple[BehaviorNode, int]:
-        types, texts, first = self.types, self.texts, pos
-        if types[pos + 1] != "{":
-            raise self.fail(pos + 1, "'{'")
-        pos += 2
+    def behavior(self) -> BehaviorNode:
+        take = self.take
+        start = take("behavior")[2]
+        take("{", "'{'")
         edges: list[BehaviorEdgeNode] = []
-        while types[pos] != "}":
-            if types[pos] != "name":
-                raise self.fail(pos, "an event name")
-            if types[pos + 1] != "->":
-                raise self.fail(pos + 1, "'->'")
-            if types[pos + 2] != "name":
-                raise self.fail(pos + 2, "an event name")
-            repeat = types[pos + 3] == "repeat"
-            end = pos + 4 if repeat else pos + 3
-            if types[end] != ";":
-                raise self.fail(end, "';'")
-            edges.append(BehaviorEdgeNode(texts[pos], texts[pos + 2], repeat, *self.span(pos, end)))
-            pos = end + 1
-        return BehaviorNode(tuple(edges), *self.span(first, pos)), pos + 1
+        while self.token[0] != "}":
+            _, before, first, _ = take("name", "an event name")
+            take("->", "'->'")
+            after = take("name", "an event name")[1]
+            repeat = self.token[0] == "repeat"
+            if repeat:
+                take("repeat")
+            edges.append(BehaviorEdgeNode(before, after, repeat, first, take(";", "';'")[3]))
+        return BehaviorNode(tuple(edges), start, take("}")[3])
 
     # Declaration keyword -> rule; recover() also stops at each keyword.
     # Plain functions, not bound methods: a table of bound methods on the
@@ -541,8 +529,8 @@ def parse(text: str) -> Ast:
     """Parse model text into an AST.
 
     Each declaration is read once, by the scanner (:func:`_scan`) or, where
-    it declines, by the token parser, built at the first declined
-    declaration. Parsing recovers at declaration boundaries so one bad
+    it declines, by the token parser, which hands the next declaration
+    back. Parsing recovers at declaration boundaries so one bad
     declaration does not hide later ones; if anything failed, a
     :class:`ParseFailure` carrying every error is raised at the end.
     """
@@ -555,10 +543,10 @@ def parse(text: str) -> Ast:
             pos = _scan(scan, pos, decls)
         if pos >= len(text):
             break
-        parser = parser or _Parser(text, pos, newlines)
+        parser = parser or _Parser(text, newlines)
         pos = parser.declaration(pos, decls)
-    if parser is not None and parser.errors:
-        raise ParseFailure(parser.errors)
+    if parser is not None and (errors := parser.errors()):
+        raise ParseFailure(errors)
     return Ast(tuple(decls), newlines)
 
 

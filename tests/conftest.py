@@ -171,12 +171,12 @@ def token_parse(text: str) -> tuple[Ast, list[ParseError]]:
     of ``text`` from its start, with no scanner: the reference that
     ``parse``, scanner and token parser together, must reproduce."""
     newlines = dsl._newlines(text)
-    parser = dsl._Parser(text, 0, newlines)
+    parser = dsl._Parser(text, newlines)
     decls: list = []
     pos = 0
     while pos < len(text):
         pos = parser.declaration(pos, decls)
-    return Ast(tuple(decls), newlines), parser.errors
+    return Ast(tuple(decls), newlines), parser.errors()
 
 
 class _Declined(Exception):
@@ -189,7 +189,7 @@ def scanned(text: str) -> Ast | None:
     def refuse(*args):
         raise _Declined
 
-    with mock.patch.object(dsl, "_tokenize", refuse):
+    with mock.patch.object(dsl, "_tokens", refuse):
         try:
             return parse(text)
         except _Declined:

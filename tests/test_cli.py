@@ -219,6 +219,13 @@ def test_render_overlay_adds_fills(run_cli, corpus_paths):
     assert "fillcolor" in out
 
 
+def test_overlay_and_flat_shape_dot_output_only(run_cli, corpus_paths):
+    for path in corpus_paths.values():
+        plain = run_cli("render", str(path), "--format", "json")
+        assert run_cli("render", str(path), "--format", "json", "--overlay", "--flat") == plain
+        assert plain[0] == 0
+
+
 JSON_COMMANDS = (("validate",), ("events",), ("simplify",), ("render", "--format", "json"))
 # The corpus (exit 0), the diagnostic fixtures (exit 1 with a report, but
 # for the warnings-only stage_orphan.tm) and one input that fails to parse
@@ -358,7 +365,7 @@ def test_benchmark_commands_never_reach_the_token_parser(monkeypatch, tmp_path, 
     def refuse(*args):
         raise AssertionError("the token parser ran")
 
-    monkeypatch.setattr(dsl, "_tokenize", refuse)
+    monkeypatch.setattr(dsl, "_Parser", refuse)
     out = tmp_path / "out.txt"
     for n in BENCHMARK_SIZES[shape]:
         for seed in (0, 1):

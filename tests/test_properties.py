@@ -53,7 +53,8 @@ from test_golden_parse import BASES, _variants
 from tmkit import dsl, render
 from tmkit.cli import corpus, main
 from tmkit.diagnostics import Diagnostic, ModelError, Span
-from tmkit.dsl import KEYWORDS, Ast, Document, ParseFailure, ThimacNode, format_model, lower, parse
+from tmkit.dsl import (KEYWORDS, Ast, Document, ParseError, ParseFailure, ThimacNode, format_model,
+                       lower, parse)
 from tmkit.dynamics import Trace, TraceRecord
 from tmkit.model import KIND_BY_NAME
 from tmkit.validator import validate_document
@@ -109,8 +110,7 @@ def bundled_texts() -> list[str]:
 
 def with_stray_characters(text: str) -> list[str]:
     """``text`` with a '$', a '²' or a '\\f' after every token."""
-    _, words, starts, _ = dsl._tokenize(text, 0)
-    ends = sorted({start + len(word) for word, start in zip(words, starts)})
+    ends = sorted({end for _, _, _, end in dsl._tokens(text, 0, [])})
     pieces = [text[a:b] for a, b in zip([0, *ends], [*ends, len(text)])]
     return [bad.join(pieces) for bad in ("$", "²", "\f")]
 
@@ -119,14 +119,16 @@ def assert_tokens_cover_the_text(text: str) -> None:
     """The tokens are pieces of ``text`` in order, typed by their words,
     and every character outside the tokens and the comments is either
     whitespace or reported, in order, as starting no token."""
-    types, words, starts, bad = dsl._tokenize(text, 0)
-    assert types[-1] == "eof"
+    bad: list[int] = []
+    tokens = list(dsl._tokens(text, 0, bad))
+    assert tokens[-1][0] == "eof"
     covered = [False] * len(text)
-    for ttype, word, start in zip(types[:-1], words, starts):
-        assert word and text[start:start + len(word)] == word
+    for ttype, word, start, end in tokens[:-1]:
+        assert word and text[start:end] == word
         assert ttype == dsl._TYPES.get(word, "name")
-        assert not any(covered[start:start + len(word)])
-        covered[start:start + len(word)] = [True] * len(word)
+        assert not any(covered[start:end])
+        covered[start:end] = [True] * len(word)
+    starts = [start for _, _, start, _ in tokens]
     assert all(a < b for a, b in zip(starts, starts[1:]))
     for m in re.finditer(r"#[^\n]*", text):
         assert not any(covered[m.start():m.end()])
@@ -251,6 +253,11 @@ def without_last_semicolon(text: str) -> str:
     return text[:last] + text[last + 1:]
 
 
+def without_first_semicolon(text: str) -> str:
+    first = text.index(";")
+    return text[:first] + text[first + 1:]
+
+
 def test_scan_and_fallback_neither_recurse_nor_blow_up():
     """A 20,000-name stage path and thimacs nested 20,000 deep are
     scanned and read by the token parser alike; the authoring shape
@@ -297,20 +304,72 @@ def test_parse_is_the_token_parse_on_stray_characters_and_spliced_texts():
             assert_scan_is_the_token_parse(broken)
 
 
+class ReadSpy:
+    """Records, while a text is parsed, each offset where the scanner stops
+    short of the end and each token stream: where it starts and the tokens
+    it yields."""
+
+    def __init__(self, monkeypatch):
+        self.declined: list[int] = []
+        self.streams: list[tuple[int, list]] = []
+        scan, tokens = dsl._scan, dsl._tokens
+
+        def scan_spy(text, pos, decls):
+            stop = scan(text, pos, decls)
+            if stop < len(text):
+                self.declined.append(stop)
+            return stop
+
+        def tokens_spy(text, start, bad):
+            read: list = []
+            self.streams.append((start, read))
+            for token in tokens(text, start, bad):
+                read.append(token)
+                yield token
+
+        monkeypatch.setattr(dsl, "_scan", scan_spy)
+        monkeypatch.setattr(dsl, "_tokens", tokens_spy)
+
+    def failures(self, text: str) -> tuple[ParseError, ...]:
+        """The parse errors of ``text``, read afresh."""
+        self.declined.clear()
+        self.streams.clear()
+        with pytest.raises(ParseFailure) as exc:
+            parse(text)
+        return exc.value.errors
+
+
 def test_parse_tokenizes_once_from_the_first_declined_declaration(monkeypatch):
     """One missing ';' at the end of a large model costs the scanner plus
     the tokens of the chronology, not a second parse of the whole text."""
     text = without_last_semicolon(load_shapes().authoring(200, 0).text)
-    calls, tokenize = [], dsl._tokenize
+    spy = ReadSpy(monkeypatch)
+    spy.failures(text)
+    at = text.rindex("behavior")
+    assert [start for start, _ in spy.streams] == [at]
+    assert spy.streams[0][1] == list(dsl._tokens(text, at, []))
 
-    def spy(*args):
-        calls.append(args)
-        return tokenize(*args)
 
-    monkeypatch.setattr(dsl, "_tokenize", spy)
-    with pytest.raises(ParseFailure):
-        parse(text)
-    assert calls == [(text, text.rindex("behavior"))]
+def test_parse_reads_a_declined_run_once_and_the_rest_with_the_scanner(monkeypatch):
+    """One missing ';' at the start of a large model costs the tokens of
+    the declarations the scanner declines, one token ahead, not a
+    tokenization of the rest of the text: each token stream starts where
+    the scanner declined, no token is yielded twice, and the streams yield
+    as many tokens at n = 200 as at n = 400."""
+    texts = {n: without_first_semicolon(load_shapes().authoring(n, 0).text) for n in (200, 400)}
+    spy, read = ReadSpy(monkeypatch), {}
+    for n, text in texts.items():
+        assert [str(e) for e in spy.failures(text)] == [
+            "2:17: expected ';', found 'process'",
+            "2:31: expected a declaration, found 'release'",
+            "2:45: expected a declaration, found 'transfer'",
+            "9:1: expected a declaration, found '}'",
+        ]
+        assert spy.streams and all(start in spy.declined for start, _ in spy.streams)
+        starts = [token[2] for _, tokens in spy.streams for token in tokens]
+        assert len(starts) == len(set(starts))
+        read[n] = len(starts)
+    assert read[200] == read[400]
 
 
 stages = st.lists(
