@@ -17,11 +17,11 @@ code assigns to them, so a model is safe to share between readers;
 every other module of the toolchain works against the types defined
 here. Its :class:`ModelIndex`, built on first use, answers adjacency
 in stage ids: which stages a stage's flows or triggers lead to or come
-from. Its ``refs``, a table built on first use apart from the index, so
-that formatting never builds the index, gives each stage's reference
-text once per model. Stage kinds hash by identity, in C. :func:`walk`
-is the one graph search: reachability, connected components, chronology
-paths and simplification all use it.
+from, or, as ``adjacent``, both. Its ``refs``, a table built on first
+use apart from the index, so that formatting never builds the index,
+gives each stage's reference text once per model. Stage kinds hash by
+identity, in C. :func:`walk` is the one graph search: reachability,
+connected components, chronology paths and simplification all use it.
 :class:`EdgeSet` is the one rule that an edge is declared once, and
 :func:`declared_twice` the diagnostic of a repeat, shared by the text
 and JSON readers.
@@ -291,7 +291,7 @@ class ModelIndex:
     its flows or triggers lead to or come from, in edge declaration
     order; a stage with no such edge has no entry. ``flow_indices_from``
     gives, per stage, the positions in ``model.flows`` of the flows
-    leaving it. ``neighbors`` ignores arrow direction and counts flows and
+    leaving it. ``adjacent`` ignores arrow direction and counts flows and
     triggers alike; ``component`` labels every stage with the first stage,
     in declaration order, of its connected component in that undirected
     graph. ``spontaneous_creates`` are the create stages no trigger points
@@ -307,19 +307,19 @@ class ModelIndex:
 
         self.edge_by_id: dict[str, FlowEdge | TriggerEdge] = {
             edge.id: edge for edge in (*model.flows, *model.triggers)}
-        self.neighbors: dict[str, set[str]] = {s.id: set() for s in model.stages}
-        for edge in (*model.flows, *model.triggers):
-            self.neighbors[edge.source].add(edge.target)
-            self.neighbors[edge.target].add(edge.source)
         self.component: dict[str, str] = {}
         for s in model.stages:
             if s.id not in self.component:
-                self.component.update(
-                    dict.fromkeys(walk(self.neighbors.__getitem__, [s.id]), s.id))
+                self.component.update(dict.fromkeys(walk(self.adjacent, [s.id]), s.id))
 
         self.spontaneous_creates = tuple(
             s.id for s in model.stages
             if s.kind is StageKind.CREATE and s.id not in self.trigger_sources)
+
+    def adjacent(self, stage_id: str) -> tuple[str, ...]:
+        """A stage's flow targets, flow sources, trigger targets, then trigger sources."""
+        return (self.flow_targets.get(stage_id, ()) + self.flow_sources.get(stage_id, ())
+                + self.trigger_targets.get(stage_id, ()) + self.trigger_sources.get(stage_id, ()))
 
 
 def try_build_model(

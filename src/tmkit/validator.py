@@ -215,7 +215,7 @@ def define_event(
     stages = tuple(filter(model.has_stage, region))
     if constituents:
         level, parts = COMPOSITE, tuple(c.id for c in constituents)
-    elif len(stages) == 1 and touched <= {stages[0]} | index.neighbors[stages[0]]:
+    elif len(stages) == 1 and touched <= {stages[0], *index.adjacent(stages[0])}:
         level, parts = ELEMENTARY, ()
     else:
         # Implicitly composed of the per-stage elementary events, whose ids

@@ -1,7 +1,8 @@
 """Shared fixtures: corpus access, a seeded random-model generator,
 brute-force oracles kept deliberately independent of the library code
-they check, and the token parser read from the start of a text, the
-reference for the declaration scanner."""
+they check, the token parser read from the start of a text, the
+reference for the declaration scanner, and a spy on where the scanner
+declines and what the token parser reads."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import pytest
 from tmkit import dsl
 from tmkit.cli import corpus
 from tmkit.diagnostics import Diagnostic, ModelError
-from tmkit.dsl import Ast, Document, ParseError, load, parse
+from tmkit.dsl import Ast, Document, ParseError, ParseFailure, load, parse
 from tmkit.dynamics import STAGE_EXECUTED, TOKEN_REJECTED, Candidate, SimState
 from tmkit.model import (
     FlowEdge,
@@ -194,6 +195,41 @@ def scanned(text: str) -> Ast | None:
             return parse(text)
         except _Declined:
             return None
+
+
+class ReadSpy:
+    """Records, while a text is parsed, each offset where the scanner stops
+    short of the end and each token stream: where it starts and the tokens
+    it yields."""
+
+    def __init__(self, monkeypatch):
+        self.declined: list[int] = []
+        self.streams: list[tuple[int, list]] = []
+        scan, tokens = dsl._scan, dsl._tokens
+
+        def scan_spy(text, pos, decls):
+            stop = scan(text, pos, decls)
+            if stop < len(text):
+                self.declined.append(stop)
+            return stop
+
+        def tokens_spy(text, start, bad):
+            read: list = []
+            self.streams.append((start, read))
+            for token in tokens(text, start, bad):
+                read.append(token)
+                yield token
+
+        monkeypatch.setattr(dsl, "_scan", scan_spy)
+        monkeypatch.setattr(dsl, "_tokens", tokens_spy)
+
+    def failures(self, text: str) -> tuple[ParseError, ...]:
+        """The parse errors of ``text``, read afresh."""
+        self.declined.clear()
+        self.streams.clear()
+        with pytest.raises(ParseFailure) as exc:
+            parse(text)
+        return exc.value.errors
 
 
 def closure_pairs(nodes: list[str], edges: list[tuple[str, str]]) -> set[tuple[str, str]]:

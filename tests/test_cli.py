@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_NAMES, FIXTURES, load_shapes
+from conftest import CORPUS_NAMES, FIXTURES, ReadSpy, load_shapes
 from tmkit import cli, dsl
 from tmkit.cli import corpus, main
 from tmkit.dsl import lower, parse
@@ -307,6 +308,89 @@ def test_unwritable_output_is_reported_and_exits_two(capsys, corpus_paths, tmp_p
 def test_corpus_bundles_exactly_the_four_models():
     assert sorted(corpus()) == [
         "dough_cookie", "heating_water", "reservation", "tendering"]
+
+
+def spaced(text: str) -> str:
+    """``text`` with spaces around every '.', '(' and ')' and CRLF line
+    ends: a layout the declaration scanner declines, so that the token
+    parser reads it."""
+    return re.sub(r"[.()]", r" \g<0> ", text).replace("\n", "\r\n")
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_spaced_copy_is_read_by_the_token_parser_to_the_same_output(
+        run_cli, monkeypatch, tmp_path, name):
+    """Each token stream of the spaced copy starts at an offset where the
+    scanner declined, and no token is yielded twice. Its canonical text,
+    JSON rendering, events and report equal the original's, byte for byte,
+    so the stage ids, event regions and diagnostics it lowers to are the
+    scanned text's."""
+    original, copy = corpus()[name], tmp_path / "spaced.tm"
+    copy.write_bytes(spaced(original.read_text(encoding="utf-8")).encode("utf-8"))
+    spy = ReadSpy(monkeypatch)
+    parse(copy.read_text(encoding="utf-8-sig"))
+    assert spy.streams and all(start in spy.declined for start, _ in spy.streams)
+    starts = [token[2] for _, tokens in spy.streams for token in tokens]
+    assert len(starts) == len(set(starts))
+    for command in (("fmt",), ("render", "--format", "json"), ("events",), ("validate",)):
+        expected = run_cli(*command, str(original))
+        assert expected[0] == 0
+        assert run_cli(*command, str(copy)) == expected
+
+
+def broken(text: str) -> dict[str, str]:
+    """``text`` with "flow ;" appended, with its last ';' removed, and with
+    its first ';' outside a comment removed."""
+    last = text.rindex(";")
+    first = re.sub(r"#[^\n]*", lambda m: " " * len(m[0]), text).index(";")
+    return {
+        "flow": text + "\nflow ;\n",
+        "last": text[:last] + text[last + 1:],
+        "first": text[:first] + text[first + 1:],
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_broken_copies_report_parse_errors_and_exit_two(capsys, tmp_path, name):
+    """An appended "flow ;" runs the tokenizer and the error path end to
+    end. Without its last ';' a model is scanned up to the declaration that
+    held it, which the token parser reads, so one error is reported; without
+    its first, the token parser reads from the first declaration. Nothing
+    is written to standard error."""
+    for kind, text in broken(corpus()[name].read_text(encoding="utf-8")).items():
+        path = tmp_path / f"{kind}.tm"
+        path.write_text(text, encoding="utf-8")
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, ""), kind
+        report = json.loads(captured.out)
+        assert report["ok"] is False, kind
+        assert isinstance(report["parse_errors"], list) and report["parse_errors"], kind
+        if kind == "last":
+            assert len(report["parse_errors"]) == 1
+
+
+def test_fixture_spans_give_the_line_and_column_of_their_start(run_cli, tmp_path):
+    """Each fixture model, and its spaced copy, which the token parser
+    reads, validates with exit code 0 or 1, and every span in its report
+    gives the line and column that counting newlines before its start gives
+    in the text as ``tm`` reads it: spans built on demand from node offsets
+    are checked end to end on both readers."""
+    checked = 0
+    for fixture in sorted(FIXTURES.glob("*.tm")):
+        copy = tmp_path / fixture.name
+        copy.write_bytes(spaced(fixture.read_text(encoding="utf-8")).encode("utf-8"))
+        for path in (fixture, copy):
+            code, out = run_cli("validate", str(path))
+            assert code in (0, 1), path
+            text = path.read_text(encoding="utf-8-sig")
+            for span in (d["span"] for d in json.loads(out)["diagnostics"] if d["span"]):
+                start = span["start"]
+                assert (span["line"], span["column"]) == (
+                    text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)), path
+                checked += 1
+    assert checked >= 2
 
 
 # The seven commands the benchmark times, with its simulate flags per shape.

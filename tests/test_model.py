@@ -10,7 +10,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import arbitrary_model, closure_pairs, load_shapes, random_model
+from conftest import (
+    arbitrary_model,
+    closure_pairs,
+    load_shapes,
+    random_model,
+    undirected_components,
+)
 from tmkit import dsl, dynamics, model as model_module, render, transform, validator
 from tmkit.diagnostics import (
     DUP_NAME,
@@ -375,8 +381,34 @@ def test_adjacency_lookups_match_a_scan_of_the_edges(corpus_docs):
             assert model.trigger_sources(s) == tuple(t.source for t in triggers if t.target == s)
             assert model.index.flow_indices_from.get(s, ()) == tuple(
                 i for i, f in enumerate(flows) if f.source == s)
-            untouched += not model.index.neighbors[s]
+            assert model.index.adjacent(s) == (
+                *(f.target for f in flows if f.source == s),
+                *(f.source for f in flows if f.target == s),
+                *(t.target for t in triggers if t.source == s),
+                *(t.source for t in triggers if t.target == s))
+            untouched += not model.index.adjacent(s)
     assert untouched
+
+
+def test_component_labels_match_the_undirected_components(corpus_docs):
+    """Two stages share a label exactly when the sweep oracle puts them in
+    one component, and the label is that component's first stage in
+    declaration order."""
+    rng = random.Random(17)
+    models = [doc.model for doc in corpus_docs.values()]
+    models += [make(rng) for _ in range(100) for make in (random_model, arbitrary_model)]
+    split = 0
+    for model in models:
+        order = [s.id for s in model.stages]
+        edges = [(e.source, e.target) for e in (*model.flows, *model.triggers)]
+        components = undirected_components(set(order), edges)
+        label = model.index.component
+        assert label.keys() == set(order)
+        for component in components:
+            first = min(component, key=order.index)
+            assert {label[s] for s in component} == {first}
+        split += len(components) > 1
+    assert split
 
 
 def test_reachable_always_contains_start(corpus_docs):

@@ -48,7 +48,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_NAMES, FIXTURES, load_shapes, scanned, token_parse
+from conftest import CORPUS_NAMES, FIXTURES, ReadSpy, load_shapes, scanned, token_parse
 from test_golden_parse import BASES, _variants
 from tmkit import dsl, render
 from tmkit.cli import corpus, main
@@ -302,41 +302,6 @@ def test_parse_is_the_token_parse_on_stray_characters_and_spliced_texts():
             assert_scan_is_the_token_parse(each)
         for broken in with_stray_characters(text):
             assert_scan_is_the_token_parse(broken)
-
-
-class ReadSpy:
-    """Records, while a text is parsed, each offset where the scanner stops
-    short of the end and each token stream: where it starts and the tokens
-    it yields."""
-
-    def __init__(self, monkeypatch):
-        self.declined: list[int] = []
-        self.streams: list[tuple[int, list]] = []
-        scan, tokens = dsl._scan, dsl._tokens
-
-        def scan_spy(text, pos, decls):
-            stop = scan(text, pos, decls)
-            if stop < len(text):
-                self.declined.append(stop)
-            return stop
-
-        def tokens_spy(text, start, bad):
-            read: list = []
-            self.streams.append((start, read))
-            for token in tokens(text, start, bad):
-                read.append(token)
-                yield token
-
-        monkeypatch.setattr(dsl, "_scan", scan_spy)
-        monkeypatch.setattr(dsl, "_tokens", tokens_spy)
-
-    def failures(self, text: str) -> tuple[ParseError, ...]:
-        """The parse errors of ``text``, read afresh."""
-        self.declined.clear()
-        self.streams.clear()
-        with pytest.raises(ParseFailure) as exc:
-            parse(text)
-        return exc.value.errors
 
 
 def test_parse_tokenizes_once_from_the_first_declined_declaration(monkeypatch):
