@@ -177,9 +177,9 @@ class SimState:
     order, each with the stages it needs to fire.
 
     Three lookups that every step reads are taken from ``model`` once, by
-    :func:`init_state`: ``flows_from`` is ``model.index.flow_indices_from``
+    :func:`init_state`: ``flows_from`` is ``model.flow_indices_from``
     (a stage id to the positions in ``model.flows`` of the flows leaving
-    it), ``trigger_targets`` is ``model.index.trigger_targets`` (a stage
+    it), ``trigger_targets`` is ``model.trigger_targets`` (a stage
     id to the stages its triggers activate) and ``stage_count`` is
     ``len(model.stages)``, the first position after the stages in
     ``counts``.
@@ -218,11 +218,10 @@ def init_state(
         for stage_id in needed[e.id]:
             state.firing.setdefault(stage_id, []).append((e.id, needed[e.id]))
     state.coverage = {e.id: set() for e in events}
-    index = model.index
-    state.flows_from = index.flow_indices_from
-    state.trigger_targets = index.trigger_targets
+    state.flows_from = model.flow_indices_from
+    state.trigger_targets = model.trigger_targets
     state.stage_count = stages = len(model.stages)
-    creates = index.spontaneous_creates
+    creates = model.spontaneous_creates
     state.position = {s.id: i for i, s in enumerate(model.stages)}
     state.create_slot = {sid: stages + j for j, sid in enumerate(creates)}
     state.counts = _Fenwick(stages + len(creates))
@@ -258,7 +257,7 @@ def _candidate(state: SimState, k: int) -> tuple[str, str | None, int | None, in
     position, k = state.counts.find(k)
     stages = state.stage_count
     if position >= stages:
-        return "create", state.model.index.spontaneous_creates[position - stages], None, None
+        return "create", state.model.spontaneous_creates[position - stages], None, None
     for token_id, untaken in state.frontier[position].items():
         if k < len(untaken):
             break

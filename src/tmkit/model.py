@@ -15,13 +15,11 @@ value records (thimacs, stages, flows, triggers; events and chronology
 edges likewise). These records compare and hash by value, and no tmkit
 code assigns to them, so a model is safe to share between readers;
 every other module of the toolchain works against the types defined
-here. Its :class:`ModelIndex`, built on first use, answers adjacency
-in stage ids: which stages a stage's flows or triggers lead to or come
-from, or, as ``adjacent``, both. Its ``refs``, a table built on first
-use apart from the index, so that formatting never builds the index,
-gives each stage's reference text once per model. Stage kinds hash by
-identity, in C. :func:`walk` is the one graph search: reachability,
-connected components, chronology paths and simplification all use it.
+here. Each table derived from a model (adjacency in stage ids, stage
+references, connected components) is a cached property of it, built
+only by a command that reads it. Stage kinds hash by identity, in C.
+:func:`walk` is the one graph search: reachability, connected
+components, chronology paths and simplification all use it.
 :class:`EdgeSet` is the one rule that an edge is declared once, and
 :func:`declared_twice` the diagnostic of a repeat, shared by the text
 and JSON readers.
@@ -137,22 +135,22 @@ class TriggerEdge:
 
 
 class EdgeSet:
-    """The rule that an edge is declared once: keeps the first flow or
-    trigger of each id, in declaration order, sorted into ``flows`` and
-    ``triggers``."""
+    """The rule that an edge is declared once: keeps the first of each
+    equal flow or trigger, in declaration order, sorted into ``flows`` and
+    ``triggers``. A flow and a trigger between the same stages are two
+    edges, since records of different classes never compare equal."""
 
     def __init__(self) -> None:
         self.flows: list[FlowEdge] = []
         self.triggers: list[TriggerEdge] = []
-        self._ids: set[str] = set()
+        self._seen: set[FlowEdge | TriggerEdge] = set()
 
     def add(self, edge: FlowEdge | TriggerEdge) -> bool:
         """Keep ``edge`` and return True, or return False for a repeat,
         which earns the DUP_NAME of :func:`declared_twice`."""
-        eid = edge.id
-        if eid in self._ids:
+        if edge in self._seen:
             return False
-        self._ids.add(eid)
+        self._seen.add(edge)
         (self.flows if isinstance(edge, FlowEdge) else self.triggers).append(edge)
         return True
 
@@ -170,13 +168,25 @@ def stage_ref_text(owner_path: str, kind: StageKind, label: str | None) -> str:
 
 @dataclass(frozen=True)
 class TmModel:
-    """An immutable, index-accelerated model.
+    """An immutable model and the lookup tables derived from it.
 
     The whole model acts as the grand thimac: an implicit root owns every
     parentless thimac. Collections keep a canonical order (thimacs in
     pre-order of the containment forest, stages grouped by owner) so that
     equal declarations always build structurally equal models.
-    ``stage_by_id`` maps each stage id to its stage.
+
+    Each derived table is a cached property, built the first time it is
+    read and kept in the instance ``__dict__``, outside the four fields
+    that equality, hashing and ``repr`` see. Adjacency is in stage ids:
+    ``flow_targets``, ``flow_sources``, ``trigger_targets`` and
+    ``trigger_sources`` map a stage to the stages its flows or triggers
+    lead to or come from, in edge declaration order; a stage with no such
+    edge has no entry, so readers ask ``.get(stage_id, ())``.
+    ``flow_indices_from`` gives, per stage, the positions in ``flows`` of
+    the flows leaving it. ``component`` labels every stage with the first
+    stage, in declaration order, of its connected component in the graph
+    of :meth:`adjacent`. ``spontaneous_creates`` are the create stages no
+    trigger points at, which fire on their own.
     """
 
     thimacs: tuple[Thimac, ...]
@@ -184,30 +194,71 @@ class TmModel:
     flows: tuple[FlowEdge, ...]
     triggers: tuple[TriggerEdge, ...]
 
-    def __post_init__(self) -> None:
-        thimac_by_id = {t.id: t for t in self.thimacs}
-        stage_by_id = {s.id: s for s in self.stages}
+    @cached_property
+    def stage_by_id(self) -> dict[str, Stage]:
+        return {s.id: s for s in self.stages}
+
+    @cached_property
+    def _thimac_by_id(self) -> dict[str, Thimac]:
+        return {t.id: t for t in self.thimacs}
+
+    @cached_property
+    def _paths(self) -> dict[str, str]:
         paths: dict[str, str] = {}
         for t in self.thimacs:
             paths[t.id] = t.name if t.parent is None else f"{paths[t.parent]}.{t.name}"
-        object.__setattr__(self, "_thimac_by_id", thimac_by_id)
-        object.__setattr__(self, "stage_by_id", stage_by_id)
-        object.__setattr__(self, "_paths", paths)
-
-    @cached_property
-    def index(self) -> ModelIndex:
-        """Adjacency, edge lookup and connectivity, built on first use.
-
-        Formatting never asks for it, so ``fmt`` does not pay for it.
-        """
-        return ModelIndex(self)
+        return paths
 
     @cached_property
     def refs(self) -> dict[str, str]:
-        """Each stage id's reference text, built on first use; stage ids
-        of JSON models need not be references."""
+        """Each stage id's reference text; stage ids of JSON models need
+        not be references."""
         paths = self._paths
         return {s.id: stage_ref_text(paths[s.owner], s.kind, s.label) for s in self.stages}
+
+    @cached_property
+    def flow_targets(self) -> dict[str, tuple[str, ...]]:
+        return _grouped((f.source, f.target) for f in self.flows)
+
+    @cached_property
+    def flow_sources(self) -> dict[str, tuple[str, ...]]:
+        return _grouped((f.target, f.source) for f in self.flows)
+
+    @cached_property
+    def trigger_targets(self) -> dict[str, tuple[str, ...]]:
+        return _grouped((t.source, t.target) for t in self.triggers)
+
+    @cached_property
+    def trigger_sources(self) -> dict[str, tuple[str, ...]]:
+        return _grouped((t.target, t.source) for t in self.triggers)
+
+    @cached_property
+    def flow_indices_from(self) -> dict[str, tuple[int, ...]]:
+        return _grouped((f.source, i) for i, f in enumerate(self.flows))
+
+    @cached_property
+    def edge_by_id(self) -> dict[str, FlowEdge | TriggerEdge]:
+        """Each flow and trigger id's edge, for regions that name an edge."""
+        return {edge.id: edge for edge in (*self.flows, *self.triggers)}
+
+    @cached_property
+    def component(self) -> dict[str, str]:
+        label: dict[str, str] = {}
+        for s in self.stages:
+            if s.id not in label:
+                label.update(dict.fromkeys(walk(self.adjacent, [s.id]), s.id))
+        return label
+
+    @cached_property
+    def spontaneous_creates(self) -> tuple[str, ...]:
+        triggered = self.trigger_sources
+        return tuple(s.id for s in self.stages
+                     if s.kind is StageKind.CREATE and s.id not in triggered)
+
+    def adjacent(self, stage_id: str) -> tuple[str, ...]:
+        """A stage's flow targets, flow sources, trigger targets, then trigger sources."""
+        return (self.flow_targets.get(stage_id, ()) + self.flow_sources.get(stage_id, ())
+                + self.trigger_targets.get(stage_id, ()) + self.trigger_sources.get(stage_id, ()))
 
     # -- lookups ---------------------------------------------------------
 
@@ -222,7 +273,7 @@ class TmModel:
 
     def has_element(self, element_id: str) -> bool:
         """Whether ``element_id`` names a stage, flow or trigger of this model."""
-        return element_id in self.stage_by_id or element_id in self.index.edge_by_id
+        return element_id in self.stage_by_id or element_id in self.edge_by_id
 
     @property
     def root_thimacs(self) -> tuple[Thimac, ...]:
@@ -251,18 +302,6 @@ class TmModel:
     def stage_ref(self, stage_id: str) -> str:
         return self.refs[stage_id]
 
-    def flow_targets(self, stage_id: str) -> tuple[str, ...]:
-        return self.index.flow_targets.get(stage_id, ())
-
-    def flow_sources(self, stage_id: str) -> tuple[str, ...]:
-        return self.index.flow_sources.get(stage_id, ())
-
-    def trigger_targets(self, stage_id: str) -> tuple[str, ...]:
-        return self.index.trigger_targets.get(stage_id, ())
-
-    def trigger_sources(self, stage_id: str) -> tuple[str, ...]:
-        return self.index.trigger_sources.get(stage_id, ())
-
     def element_ids(self) -> tuple[str, ...]:
         """Every addressable element: stages first, then flow and trigger edges."""
         return (
@@ -281,45 +320,6 @@ def _grouped(pairs: Iterable[tuple[str, T]]) -> dict[str, tuple[T, ...]]:
     for key, value in pairs:
         out.setdefault(key, []).append(value)
     return {key: tuple(group) for key, group in out.items()}
-
-
-class ModelIndex:
-    """Lookups derived from one model, built together and never changed.
-
-    Adjacency is answered in stage ids: ``flow_targets``, ``flow_sources``,
-    ``trigger_targets`` and ``trigger_sources`` map a stage to the stages
-    its flows or triggers lead to or come from, in edge declaration
-    order; a stage with no such edge has no entry. ``flow_indices_from``
-    gives, per stage, the positions in ``model.flows`` of the flows
-    leaving it. ``adjacent`` ignores arrow direction and counts flows and
-    triggers alike; ``component`` labels every stage with the first stage,
-    in declaration order, of its connected component in that undirected
-    graph. ``spontaneous_creates`` are the create stages no trigger points
-    at, which fire on their own.
-    """
-
-    def __init__(self, model: TmModel) -> None:
-        self.flow_targets = _grouped((f.source, f.target) for f in model.flows)
-        self.flow_sources = _grouped((f.target, f.source) for f in model.flows)
-        self.trigger_targets = _grouped((t.source, t.target) for t in model.triggers)
-        self.trigger_sources = _grouped((t.target, t.source) for t in model.triggers)
-        self.flow_indices_from = _grouped((f.source, i) for i, f in enumerate(model.flows))
-
-        self.edge_by_id: dict[str, FlowEdge | TriggerEdge] = {
-            edge.id: edge for edge in (*model.flows, *model.triggers)}
-        self.component: dict[str, str] = {}
-        for s in model.stages:
-            if s.id not in self.component:
-                self.component.update(dict.fromkeys(walk(self.adjacent, [s.id]), s.id))
-
-        self.spontaneous_creates = tuple(
-            s.id for s in model.stages
-            if s.kind is StageKind.CREATE and s.id not in self.trigger_sources)
-
-    def adjacent(self, stage_id: str) -> tuple[str, ...]:
-        """A stage's flow targets, flow sources, trigger targets, then trigger sources."""
-        return (self.flow_targets.get(stage_id, ()) + self.flow_sources.get(stage_id, ())
-                + self.trigger_targets.get(stage_id, ()) + self.trigger_sources.get(stage_id, ()))
 
 
 def try_build_model(
@@ -392,7 +392,7 @@ def try_build_model(
         if s.id in stage_by_id:
             diags.append(error(DUP_NAME, f"duplicate stage '{s.id}'", s.id))
             continue
-        slot = (s.owner, s.kind, s.label)
+        slot = (s.owner, s.kind, s.label or None)
         if slot in seen_slots:
             labelled = f" labelled '{s.label}'" if s.label else ""
             diags.append(error(
@@ -487,7 +487,7 @@ def reachable(model: TmModel, start: str) -> set[str]:
     """
     if not model.has_stage(start):
         raise ModelError([error(REF_UNRESOLVED, f"unknown stage '{start}'", start)])
-    return set(walk(model.flow_targets, [start]))
+    return set(walk(lambda s: model.flow_targets.get(s, ()), [start]))
 
 
 # -- events and chronologies --------------------------------------------------

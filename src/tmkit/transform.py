@@ -10,7 +10,7 @@ for rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .model import (
     Event,
@@ -78,9 +78,10 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     removable = {s.id for s in model.stages if s.kind in REMOVED_KINDS}
     retained = [s for s in model.stages if s.id not in removable]
     retained_ids = {s.id for s in retained}
+    flow_targets, flow_sources = model.flow_targets, model.flow_sources
 
     def through_removable(stage: str) -> Iterable[str]:
-        return model.flow_targets(stage) if stage in removable else ()
+        return flow_targets.get(stage, ()) if stage in removable else ()
 
     # Collapse: walk from each retained stage's flow targets through
     # removable interiors only; a path back to the stage itself yields a
@@ -88,7 +89,7 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     new_flows = [
         FlowEdge(stage.id, reached)
         for stage in retained
-        for reached in walk(through_removable, model.flow_targets(stage.id))
+        for reached in walk(through_removable, flow_targets.get(stage.id, ()))
         if reached in retained_ids
     ]
 
@@ -96,10 +97,11 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
                      if f.source in retained_ids and f.target in retained_ids}
     rewired = sum(1 for f in new_flows if (f.source, f.target) not in direct_before)
 
-    def nearest_retained(start: str, succ: Callable[[str], Iterable[str]]) -> str | None:
-        """Closest retained stage along ``succ``, breadth first; ties
-        resolve by flow declaration order."""
-        return next((n for n in walk(succ, [start]) if n in retained_ids), None)
+    def nearest_retained(start: str, succ: dict[str, tuple[str, ...]]) -> str | None:
+        """Closest retained stage along the ``succ`` table, breadth first;
+        ties resolve by flow declaration order."""
+        return next((n for n in walk(lambda s: succ.get(s, ()), [start])
+                     if n in retained_ids), None)
 
     new_triggers: list[TriggerEdge] = []
     seen_triggers: set[tuple[str, str]] = set()
@@ -107,10 +109,10 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     for trigger in model.triggers:
         source = trigger.source
         if source in removable:
-            source = nearest_retained(trigger.source, model.flow_sources)
+            source = nearest_retained(trigger.source, flow_sources)
         target = trigger.target
         if target in removable:
-            target = nearest_retained(trigger.target, model.flow_targets)
+            target = nearest_retained(trigger.target, flow_targets)
         if source is None:
             dropped.append(DroppedTrigger(
                 trigger.source, trigger.target,

@@ -97,12 +97,12 @@ def check_connectivity(model: TmModel) -> list[Diagnostic]:
     transfer of another thimac.
     """
     diags: list[Diagnostic] = []
-    stage_by_id, index = model.stage_by_id, model.index
-    flow_targets, flow_sources = index.flow_targets, index.flow_sources
+    stage_by_id, trigger_sources = model.stage_by_id, model.trigger_sources
+    flow_targets, flow_sources = model.flow_targets, model.flow_sources
     for stage in model.stages:
         sid, kind = stage.id, stage.kind
         if kind is not StageKind.CREATE:
-            if sid not in flow_sources and sid not in index.trigger_sources:
+            if sid not in flow_sources and sid not in trigger_sources:
                 diags.append(warning(
                     STAGE_ORPHAN,
                     f"{kind.value} stage has no incoming flow or trigger",
@@ -142,13 +142,11 @@ def _touched_stages(model: TmModel, region: Iterable[str]) -> set[str]:
     Used for connectivity and path questions, where an edge in the region
     stands for its two ends.
     """
-    edge_by_id = model.index.edge_by_id
     out: set[str] = set()
     for element in region:
         if model.has_stage(element):
             out.add(element)
-        elif element in edge_by_id:
-            edge = edge_by_id[element]
+        elif (edge := model.edge_by_id.get(element)) is not None:
             out.update((edge.source, edge.target))
     return out
 
@@ -201,10 +199,9 @@ def define_event(
     if problems:
         raise ModelError(problems)
 
-    index = model.index
     touched = _touched_stages(model, region)
     warnings: list[Diagnostic] = []
-    if len({index.component[sid] for sid in touched}) > 1:
+    if len({model.component[sid] for sid in touched}) > 1:
         warnings.append(warning(
             REGION_DISCONNECTED,
             f"event '{name}' covers elements with no connecting flow or trigger",
@@ -215,7 +212,7 @@ def define_event(
     stages = tuple(filter(model.has_stage, region))
     if constituents:
         level, parts = COMPOSITE, tuple(c.id for c in constituents)
-    elif len(stages) == 1 and touched <= {stages[0], *index.adjacent(stages[0])}:
+    elif len(stages) == 1 and touched <= {stages[0], *model.adjacent(stages[0])}:
         level, parts = ELEMENTARY, ()
     else:
         # Implicitly composed of the per-stage elementary events, whose ids
@@ -292,7 +289,7 @@ def check_behavior(
             BEHAVIOR_INCONSISTENT, "chronology edges form a cycle with no repeat mark"))
 
     def targets(stage: str) -> tuple[str, ...]:
-        return (*model.flow_targets(stage), *model.trigger_targets(stage))
+        return (*model.flow_targets.get(stage, ()), *model.trigger_targets.get(stage, ()))
 
     touched = {name: _touched_stages(model, by_id[name].region)
                for name in {n for e in plain for n in (e.before, e.after)}}

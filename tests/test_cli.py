@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -19,6 +20,7 @@ from conftest import CORPUS_NAMES, FIXTURES, ReadSpy, load_shapes
 from tmkit import cli, dsl
 from tmkit.cli import corpus, main
 from tmkit.dsl import lower, parse
+from tmkit.model import FlowEdge, TmModel, TriggerEdge
 from tmkit.validator import validate_document
 
 
@@ -292,6 +294,42 @@ def test_output_flag_writes_the_file(run_cli, corpus_paths, tmp_path, variant):
     assert run_cli(*argv, "--output", str(target)) == (code, "")
     assert code == 0
     assert target.read_bytes() == stdout.encode("utf-8")
+
+
+def test_no_command_spells_an_edge_id(capsys, monkeypatch, corpus_paths):
+    """Lowered regions name stages only, so no command on a corpus model
+    builds the id text of a flow or trigger: repeats are found by
+    comparing edge records, and no table keyed by edge id is built."""
+    spelled = []
+    for record in (FlowEdge, TriggerEdge):
+        monkeypatch.setattr(record, "id", property(
+            lambda edge, text=record.id.fget: spelled.append(edge) or text(edge)))
+    for path in corpus_paths.values():
+        for variant in _OUTPUT_VARIANTS.values():
+            assert main([*variant, str(path)]) == 0
+            assert not spelled, (path.name, variant)
+    capsys.readouterr()
+
+
+_UNBUILT = {
+    "fmt": {"flow_targets", "flow_sources", "trigger_targets", "trigger_sources",
+            "flow_indices_from", "component", "spontaneous_creates", "edge_by_id"},
+    "simulate": {"edge_by_id"},
+}
+
+
+@pytest.mark.parametrize("variant", _OUTPUT_VARIANTS)
+def test_each_command_builds_only_the_tables_it_reads(corpus_paths, variant):
+    """The model's derived tables are built on first read, so a command
+    leaves in the model's ``__dict__`` only the tables it reads: ``fmt``
+    no adjacency, and only ``simulate`` the simulator's tables."""
+    argv = _OUTPUT_VARIANTS[variant]
+    unbuilt = _UNBUILT.get(argv[0], {"edge_by_id", "flow_indices_from", "spontaneous_creates"})
+    assert all(isinstance(vars(TmModel).get(name), functools.cached_property) for name in unbuilt)
+    for path in corpus_paths.values():
+        doc = dsl.load(path)
+        assert cli._command(cli._build_parser().parse_args([*argv, str(path)]), doc)[1] == 0
+        assert not unbuilt & vars(doc.model).keys(), path.name
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

@@ -117,6 +117,19 @@ def test_duplicate_stage_slot_per_owner_and_label():
     assert exc.value.codes() == (DUP_NAME,)
 
 
+def test_an_empty_label_takes_the_unlabelled_slot():
+    """A stage labelled "" has the reference of the unlabelled stage of its
+    kind, so the two may not share a thimac."""
+    stages = [
+        Stage(id="T.create", kind=StageKind.CREATE, owner="T"),
+        Stage(id="T.create2", kind=StageKind.CREATE, owner="T", label=""),
+    ]
+    with pytest.raises(ModelError) as exc:
+        build_model([Thimac(id="T", name="T")], stages, [], [])
+    assert [(d.code, d.message, d.element) for d in exc.value.diagnostics] == [
+        (DUP_NAME, "thimac 'T' already has a create stage", "T.create2")]
+
+
 def test_unknown_stage_owner():
     stages = [Stage(id="ghost.create", kind=StageKind.CREATE, owner="ghost")]
     with pytest.raises(ModelError) as exc:
@@ -286,7 +299,7 @@ def test_each_stage_reference_is_built_once_per_model(corpus_paths, monkeypatch,
     """``to_dot`` (clustered, flat and with an overlay), ``format_model``
     and ``elementary_events`` share one reference table per model, on the
     corpus and on the three benchmark shapes at their benchmark sizes;
-    formatting builds no index."""
+    formatting builds no adjacency table."""
     built = []
     monkeypatch.setattr(model_module, "stage_ref_text",
                         lambda *args: built.append(args) or stage_ref_text(*args))
@@ -299,7 +312,7 @@ def test_each_stage_reference_is_built_once_per_model(corpus_paths, monkeypatch,
         model = doc.model
         built.clear()
         dsl.format_model(model, doc.events, doc.behavior)
-        assert "index" not in vars(model), path.name
+        assert not {"flow_targets", "flow_sources", "component"} & vars(model).keys(), path.name
         events, _ = validator.build_events(model, doc.events)
         for options in (render.RenderOptions(), render.RenderOptions(cluster_thimacs=False),
                         render.RenderOptions(overlay=transform.make_overlay(model, events))):
@@ -375,18 +388,20 @@ def test_adjacency_lookups_match_a_scan_of_the_edges(corpus_docs):
     for model in models:
         flows, triggers = model.flows, model.triggers
         for s in (stage.id for stage in model.stages):
-            assert model.flow_targets(s) == tuple(f.target for f in flows if f.source == s)
-            assert model.flow_sources(s) == tuple(f.source for f in flows if f.target == s)
-            assert model.trigger_targets(s) == tuple(t.target for t in triggers if t.source == s)
-            assert model.trigger_sources(s) == tuple(t.source for t in triggers if t.target == s)
-            assert model.index.flow_indices_from.get(s, ()) == tuple(
+            assert model.flow_targets.get(s, ()) == tuple(f.target for f in flows if f.source == s)
+            assert model.flow_sources.get(s, ()) == tuple(f.source for f in flows if f.target == s)
+            assert model.trigger_targets.get(s, ()) == tuple(
+                t.target for t in triggers if t.source == s)
+            assert model.trigger_sources.get(s, ()) == tuple(
+                t.source for t in triggers if t.target == s)
+            assert model.flow_indices_from.get(s, ()) == tuple(
                 i for i, f in enumerate(flows) if f.source == s)
-            assert model.index.adjacent(s) == (
+            assert model.adjacent(s) == (
                 *(f.target for f in flows if f.source == s),
                 *(f.source for f in flows if f.target == s),
                 *(t.target for t in triggers if t.source == s),
                 *(t.source for t in triggers if t.target == s))
-            untouched += not model.index.adjacent(s)
+            untouched += not model.adjacent(s)
     assert untouched
 
 
@@ -402,7 +417,7 @@ def test_component_labels_match_the_undirected_components(corpus_docs):
         order = [s.id for s in model.stages]
         edges = [(e.source, e.target) for e in (*model.flows, *model.triggers)]
         components = undirected_components(set(order), edges)
-        label = model.index.component
+        label = model.component
         assert label.keys() == set(order)
         for component in components:
             first = min(component, key=order.index)

@@ -255,3 +255,18 @@ def test_repeated_edge_in_json_is_a_duplicate(corpus_docs, section):
     kind, arrow = ("flow", "->") if section == "flows" else ("trigger", "~>")
     assert [(d.code, d.element) for d in info.value.diagnostics] == [
         (DUP_NAME, f"{kind}:{edge['source']}{arrow}{edge['target']}")]
+
+
+def test_json_stages_labelled_null_and_empty_share_a_slot():
+    """``"label": null`` and ``"label": ""`` both give the reference
+    ``T.create``, so the second stage is a duplicate."""
+    data = {
+        "thimacs": [{"id": "T", "name": "T", "parent": None}],
+        "stages": [{"id": "a", "kind": "create", "owner": "T", "label": None},
+                   {"id": "b", "kind": "create", "owner": "T", "label": ""}],
+        "flows": [], "triggers": [], "events": [], "behavior": [],
+    }
+    with pytest.raises(ModelError) as info:
+        from_json(json.dumps(data))
+    assert [(d.code, d.message, d.element) for d in info.value.diagnostics] == [
+        (DUP_NAME, "thimac 'T' already has a create stage", "b")]
