@@ -649,6 +649,7 @@ def format_model(
     indented, one declaration per line. Formatting then re-parsing yields a
     structurally equal document, and formatting is idempotent.
     """
+    stage_by_id, refs = model.stage_by_id, model.refs
     sections: list[list[str]] = []
     for depth, thimac in model.nesting():
         pad = _INDENT * depth
@@ -660,7 +661,7 @@ def format_model(
         block = sections[-1]
         block.append(f"{pad}thimac {thimac.name} {{")
         for sid in thimac.stages:
-            stage = model.stage(sid)
+            stage = stage_by_id[sid]
             label = f"({stage.label})" if stage.label else ""
             block.append(f"{pad}{_INDENT}{stage.kind.value}{label};")
 
@@ -668,15 +669,15 @@ def format_model(
         arrow = EDGES[keyword][1]
         if edges:
             sections.append([
-                f"{keyword} {model.stage_ref(e.source)} {arrow} {model.stage_ref(e.target)};"
+                f"{keyword} {refs[e.source]} {arrow} {refs[e.target]};"
                 for e in edges
             ])
 
     for event in events:
         body = [f"event {event.name} {{"]
         for element in event.region:
-            if model.has_stage(element):
-                body.append(f"{_INDENT}{model.stage_ref(element)};")
+            if element in stage_by_id:
+                body.append(f"{_INDENT}{refs[element]};")
         body.append("}")
         sections.append(body)
 

@@ -213,7 +213,7 @@ def init_state(
     events = tuple(events)
     state = SimState(model=model, options=options)
     state.rng.seed(options.seed)
-    needed = {e.id: frozenset(filter(model.has_stage, e.region)) for e in events}
+    needed = {e.id: frozenset(s for s in e.region if s in model.stage_by_id) for e in events}
     for e in events:
         for stage_id in needed[e.id]:
             state.firing.setdefault(stage_id, []).append((e.id, needed[e.id]))
@@ -263,23 +263,6 @@ def _candidate(state: SimState, k: int) -> tuple[str, str | None, int | None, in
             break
         k -= len(untaken)
     return "move", None, token_id, untaken[k]
-
-
-def _is_enabled(state: SimState, c: Candidate) -> bool:
-    """Whether ``c`` is in ``enabled(state)``, checked in O(1) for its kind."""
-    if c.kind == "trigger":
-        return bool(state.pending) and c == Candidate(kind="trigger", stage=state.pending[0])
-    if c.kind == "create":
-        return (c == Candidate(kind="create", stage=c.stage) and isinstance(c.stage, str)
-                and c.stage in state.create_slot
-                and state.creations_used.get(c.stage, 0) < state.options.creation_cap)
-    flows = state.model.flows
-    if (c.kind != "move" or c.stage is not None
-            or type(c.token) is not int or type(c.flow_index) is not int
-            or not 0 <= c.flow_index < len(flows)):
-        return False
-    waiting = state.frontier.get(state.position[flows[c.flow_index].source], {})
-    return c.flow_index in waiting.get(c.token, ())
 
 
 def _execute_stage(state: SimState, stage_id: str, token_id: int) -> list[TraceRecord]:
@@ -333,7 +316,7 @@ def _fire(state: SimState, kind: str, stage: str | None, token: int | None,
     if not waiting:
         del state.frontier[position]
     if (flow.target in state.options.reject_accept
-            and state.model.stage(flow.target).kind is StageKind.ACCEPT):
+            and state.model.stage_by_id[flow.target].kind is StageKind.ACCEPT):
         del state.tokens[token]
         state.step_count += 1
         return [TraceRecord(state.step_count, TOKEN_REJECTED, flow.target, (token,))]
@@ -342,8 +325,13 @@ def _fire(state: SimState, kind: str, stage: str | None, token: int | None,
 
 
 def step(state: SimState, candidate: Candidate) -> tuple[SimState, list[TraceRecord]]:
-    """Execute one candidate, mutating and returning the state plus new records."""
-    if not _is_enabled(state, candidate):
+    """Execute one candidate, mutating and returning the state plus new records.
+
+    Raises :class:`NotEnabledError` unless ``candidate`` is in ``enabled(state)``,
+    an O(candidates) check, with a move's token and flow index exact ints:
+    ``True`` and ``1.0`` equal 1, and would otherwise reach the trace."""
+    if candidate not in enabled(state) or (candidate.kind == "move" and (
+            type(candidate.token) is not int or type(candidate.flow_index) is not int)):
         raise NotEnabledError(f"candidate {candidate} is not currently enabled")
     return state, _fire(state, candidate.kind, candidate.stage, candidate.token,
                         candidate.flow_index)

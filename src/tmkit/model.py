@@ -15,9 +15,9 @@ value records (thimacs, stages, flows, triggers; events and chronology
 edges likewise). These records compare and hash by value, and no tmkit
 code assigns to them, so a model is safe to share between readers;
 every other module of the toolchain works against the types defined
-here. Each table derived from a model (adjacency in stage ids, stage
-references, connected components) is a cached property of it, built
-only by a command that reads it. Stage kinds hash by identity, in C.
+here. Each table derived from a model (stages by id, paths, references,
+adjacency, components) is a cached property that callers read directly,
+built only by a command that reads it. Stage kinds hash by identity, in C.
 :func:`walk` is the one graph search: reachability, connected
 components, chronology paths and simplification all use it.
 :class:`EdgeSet` is the one rule that an edge is declared once, and
@@ -177,8 +177,10 @@ class TmModel:
 
     Each derived table is a cached property, built the first time it is
     read and kept in the instance ``__dict__``, outside the four fields
-    that equality, hashing and ``repr`` see. Adjacency is in stage ids:
-    ``flow_targets``, ``flow_sources``, ``trigger_targets`` and
+    that equality, hashing and ``repr`` see. ``stage_by_id`` maps a stage
+    id to its stage, ``paths`` a thimac id to its dotted path of names
+    and ``refs`` a stage id to its reference text. Adjacency is in stage
+    ids: ``flow_targets``, ``flow_sources``, ``trigger_targets`` and
     ``trigger_sources`` map a stage to the stages its flows or triggers
     lead to or come from, in edge declaration order; a stage with no such
     edge has no entry, so readers ask ``.get(stage_id, ())``.
@@ -199,11 +201,7 @@ class TmModel:
         return {s.id: s for s in self.stages}
 
     @cached_property
-    def _thimac_by_id(self) -> dict[str, Thimac]:
-        return {t.id: t for t in self.thimacs}
-
-    @cached_property
-    def _paths(self) -> dict[str, str]:
+    def paths(self) -> dict[str, str]:
         paths: dict[str, str] = {}
         for t in self.thimacs:
             paths[t.id] = t.name if t.parent is None else f"{paths[t.parent]}.{t.name}"
@@ -213,7 +211,7 @@ class TmModel:
     def refs(self) -> dict[str, str]:
         """Each stage id's reference text; stage ids of JSON models need
         not be references."""
-        paths = self._paths
+        paths = self.paths
         return {s.id: stage_ref_text(paths[s.owner], s.kind, s.label) for s in self.stages}
 
     @cached_property
@@ -260,24 +258,9 @@ class TmModel:
         return (self.flow_targets.get(stage_id, ()) + self.flow_sources.get(stage_id, ())
                 + self.trigger_targets.get(stage_id, ()) + self.trigger_sources.get(stage_id, ()))
 
-    # -- lookups ---------------------------------------------------------
-
-    def thimac(self, thimac_id: str) -> Thimac:
-        return self._thimac_by_id[thimac_id]
-
-    def stage(self, stage_id: str) -> Stage:
-        return self.stage_by_id[stage_id]
-
-    def has_stage(self, stage_id: str) -> bool:
-        return stage_id in self.stage_by_id
-
     def has_element(self, element_id: str) -> bool:
         """Whether ``element_id`` names a stage, flow or trigger of this model."""
         return element_id in self.stage_by_id or element_id in self.edge_by_id
-
-    @property
-    def root_thimacs(self) -> tuple[Thimac, ...]:
-        return tuple(t for t in self.thimacs if t.parent is None)
 
     def nesting(self) -> Iterator[tuple[int, Thimac | None]]:
         """Walk the containment forest without recursion: ``(depth, thimac)``
@@ -294,13 +277,6 @@ class TmModel:
         while open_ids:
             open_ids.pop()
             yield len(open_ids), None
-
-    def thimac_path(self, thimac_id: str) -> str:
-        """Dotted path of thimac names from the root down."""
-        return self._paths[thimac_id]
-
-    def stage_ref(self, stage_id: str) -> str:
-        return self.refs[stage_id]
 
     def element_ids(self) -> tuple[str, ...]:
         """Every addressable element: stages first, then flow and trigger edges."""
@@ -485,7 +461,7 @@ def reachable(model: TmModel, start: str) -> set[str]:
 
     Triggers do not count as movement, so they are excluded.
     """
-    if not model.has_stage(start):
+    if start not in model.stage_by_id:
         raise ModelError([error(REF_UNRESOLVED, f"unknown stage '{start}'", start)])
     return set(walk(lambda s: model.flow_targets.get(s, ()), [start]))
 

@@ -237,10 +237,11 @@ def from_json(text: str) -> tuple[TmModel, tuple[Event, ...], BehaviorGraph]:
 
     Text that is not JSON raises :class:`json.JSONDecodeError`. Text nested
     too deeply for the decoder's recursion, and JSON of the wrong shape (a
-    value of the wrong type, a missing key, an unknown stage kind), raise
-    :class:`ModelError` with REF_UNRESOLVED; a repeated flow or trigger
-    raises it with DUP_NAME, and a model that does not build with the
-    diagnostics of :func:`try_build_model`.
+    value of the wrong type, a missing key, an unknown stage kind, a stage
+    id with ``->`` or ``~>``, which could make two edge ids one) raise
+    :class:`ModelError` with REF_UNRESOLVED, a repeated flow or trigger
+    with DUP_NAME, and a model that does not build with the diagnostics
+    of :func:`try_build_model`.
     """
     try:
         data = json.loads(text)
@@ -259,7 +260,10 @@ def from_json(text: str) -> tuple[TmModel, tuple[Event, ...], BehaviorGraph]:
         kind = r.text(w, s, "kind")
         if kind is not None and kind not in KIND_BY_NAME:
             r.bad(f"{w}.kind", f"a stage kind, not '{kind}'")
-        stages.append(Stage(id=r.text(w, s, "id"), kind=KIND_BY_NAME.get(kind),
+        sid = r.text(w, s, "id")
+        if sid is not None and ("->" in sid or "~>" in sid):
+            r.bad(f"{w}.id", "a stage id without '->' or '~>'")
+        stages.append(Stage(id=sid, kind=KIND_BY_NAME.get(kind),
                             owner=r.text(w, s, "owner"), label=r.text(w, s, "label", optional=True)))
     edges, repeated = EdgeSet(), []
     for section, make in (("flows", FlowEdge), ("triggers", TriggerEdge)):

@@ -137,7 +137,7 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     simplified = build_model(model.thimacs, retained, new_flows, new_triggers)
     removed_counts = {kind.value: 0 for kind in REMOVED_KINDS}
     for sid in removable:
-        removed_counts[model.stage(sid).kind.value] += 1
+        removed_counts[model.stage_by_id[sid].kind.value] += 1
     report = SimplifyReport(
         removed=removed_counts,
         rewired=rewired,

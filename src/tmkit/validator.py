@@ -144,7 +144,7 @@ def _touched_stages(model: TmModel, region: Iterable[str]) -> set[str]:
     """
     out: set[str] = set()
     for element in region:
-        if model.has_stage(element):
+        if element in model.stage_by_id:
             out.add(element)
         elif (edge := model.edge_by_id.get(element)) is not None:
             out.update((edge.source, edge.target))
@@ -153,8 +153,9 @@ def _touched_stages(model: TmModel, region: Iterable[str]) -> set[str]:
 
 def elementary_events(model: TmModel) -> list[Event]:
     """One event per stage, in declaration order; its region is that stage alone."""
+    refs = model.refs
     return [
-        Event(id=s.id, name=model.stage_ref(s.id), region=(s.id,), level=ELEMENTARY)
+        Event(id=s.id, name=refs[s.id], region=(s.id,), level=ELEMENTARY)
         for s in model.stages
     ]
 
@@ -209,7 +210,7 @@ def define_event(
             span,
         ))
 
-    stages = tuple(filter(model.has_stage, region))
+    stages = tuple(element for element in region if element in model.stage_by_id)
     if constituents:
         level, parts = COMPOSITE, tuple(c.id for c in constituents)
     elif len(stages) == 1 and touched <= {stages[0], *model.adjacent(stages[0])}:

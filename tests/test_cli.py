@@ -311,10 +311,16 @@ def test_no_command_spells_an_edge_id(capsys, monkeypatch, corpus_paths):
     capsys.readouterr()
 
 
+_UNBUILT_BY_DEFAULT = {"edge_by_id", "flow_indices_from", "spontaneous_creates"}
+_REFERENCES = {"refs", "paths"}
 _UNBUILT = {
+    "validate": _UNBUILT_BY_DEFAULT | _REFERENCES,
+    "simplify": _UNBUILT_BY_DEFAULT | _REFERENCES,
     "fmt": {"flow_targets", "flow_sources", "trigger_targets", "trigger_sources",
             "flow_indices_from", "component", "spontaneous_creates", "edge_by_id"},
-    "simulate": {"edge_by_id"},
+    "simulate": {"edge_by_id", *_REFERENCES},
+    "simulate-random": {"edge_by_id", *_REFERENCES},
+    "render-json": _UNBUILT_BY_DEFAULT | _REFERENCES,
 }
 
 
@@ -322,9 +328,10 @@ _UNBUILT = {
 def test_each_command_builds_only_the_tables_it_reads(corpus_paths, variant):
     """The model's derived tables are built on first read, so a command
     leaves in the model's ``__dict__`` only the tables it reads: ``fmt``
-    no adjacency, and only ``simulate`` the simulator's tables."""
+    no adjacency, only ``simulate`` the simulator's tables, and only
+    ``events``, ``fmt`` and dot output the stage references."""
     argv = _OUTPUT_VARIANTS[variant]
-    unbuilt = _UNBUILT.get(argv[0], {"edge_by_id", "flow_indices_from", "spontaneous_creates"})
+    unbuilt = _UNBUILT.get(variant, _UNBUILT_BY_DEFAULT)
     assert all(isinstance(vars(TmModel).get(name), functools.cached_property) for name in unbuilt)
     for path in corpus_paths.values():
         doc = dsl.load(path)

@@ -116,9 +116,9 @@ def test_lower_minimal_heat():
 
 def test_lower_heating_water_structure(corpus_docs):
     model = corpus_docs["heating_water"].model
-    assert [t.name for t in model.root_thimacs] == ["Heat", "Water"]
-    water = model.thimac("Water")
-    assert [model.thimac(c).name for c in water.children] == ["heat", "temperature"]
+    thimac_by_id = {t.id: t for t in model.thimacs}
+    assert [t.name for t in model.thimacs if t.parent is None] == ["Heat", "Water"]
+    assert [thimac_by_id[c].name for c in thimac_by_id["Water"].children] == ["heat", "temperature"]
 
 
 def test_lower_dough_trigger_runs_cutter_to_cookie(corpus_docs):

@@ -327,10 +327,12 @@ def test_rerun_move_and_drained_trigger_raise_not_enabled(corpus_docs):
         step(state, trigger)
 
 
-@pytest.mark.parametrize("field", ["token", "flow_index"])
-def test_bool_token_or_flow_index_raises_not_enabled(corpus_docs, field):
-    # True == 1 and hashes like it, so only an exact int check keeps a
-    # bool from standing in for token 1 or flow 1.
+@pytest.mark.parametrize("field, value", [
+    ("token", True), ("flow_index", True), ("token", 1.0), ("flow_index", 1.0),
+], ids=["token", "flow_index", "token-1.0", "flow_index-1.0"])
+def test_bool_token_or_flow_index_raises_not_enabled(corpus_docs, field, value):
+    # True and 1.0 equal 1 and hash like it, so only an exact int check
+    # keeps one from standing in for token 1 or flow 1.
     doc = corpus_docs["dough_cookie"]
     state = init_state(doc.model, SimOptions(), events_of(doc))
     move = _step_until(state, "move")
@@ -338,7 +340,7 @@ def test_bool_token_or_flow_index_raises_not_enabled(corpus_docs, field):
         step(state, move)
         move = _step_until(state, "move")
     with pytest.raises(NotEnabledError):
-        step(state, dataclasses.replace(move, **{field: True}))
+        step(state, dataclasses.replace(move, **{field: value}))
     step(state, move)
 
 

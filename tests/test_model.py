@@ -69,10 +69,10 @@ def test_empty_inputs_build_an_empty_model():
 def test_single_thimac_chain_builds():
     model = build_model(*heat_decls())
     assert [t.name for t in model.thimacs] == ["Heat"]
-    heat = model.thimac("Heat")
+    (heat,) = model.thimacs
     assert heat.stages == ("Heat.create", "Heat.release", "Heat.transfer")
     assert heat.children == ()
-    assert model.stage("Heat.create").kind is StageKind.CREATE
+    assert model.stage_by_id["Heat.create"].kind is StageKind.CREATE
 
 
 def test_dangling_flow_endpoint_is_collected_not_raised_first():
@@ -173,8 +173,8 @@ def test_thimac_path_and_stage_ref_follow_names():
         flows=[],
         triggers=[],
     )
-    assert model.thimac_path("h") == "Water.heat"
-    assert model.stage_ref("s1") == "Water.heat.receive(x)"
+    assert model.paths["h"] == "Water.heat"
+    assert model.refs["s1"] == "Water.heat.receive(x)"
 
 
 def test_stage_kinds_hash_by_identity_without_a_python_call():
@@ -250,7 +250,7 @@ def test_reference_table_is_built_from_paths_kinds_and_labels():
     opaque, events, _ = render.from_json(OPAQUE_IDS_JSON)
     for model in (*draws, opaque):
         assert model.refs == {
-            s.id: stage_ref_text(model.thimac_path(s.owner), s.kind, s.label)
+            s.id: stage_ref_text(model.paths[s.owner], s.kind, s.label)
             for s in model.stages}
     assert list(opaque.refs.values()) == [
         "Water.heat.create(x)", "Water.heat.release", "Water.heat.transfer",

@@ -270,3 +270,22 @@ def test_json_stages_labelled_null_and_empty_share_a_slot():
         from_json(json.dumps(data))
     assert [(d.code, d.message, d.element) for d in info.value.diagnostics] == [
         (DUP_NAME, "thimac 'T' already has a create stage", "b")]
+
+
+def test_json_stage_ids_with_an_edge_arrow_are_unresolved():
+    """Flows ``a->b -> c`` and ``a -> b->c`` would both get the id
+    ``flow:a->b->c``, so a stage id may hold neither ``->`` nor ``~>``
+    (the trigger arrow, for the same reason)."""
+    data = {
+        "thimacs": [{"id": "T", "name": "T", "parent": None}],
+        "stages": [{"id": sid, "kind": kind, "owner": "T", "label": None} for sid, kind in (
+            ("a", "create"), ("a->b", "process"), ("c", "release"), ("b->c", "transfer"),
+            ("d~>e", "receive"))],
+        "flows": [{"source": "a->b", "target": "c"}, {"source": "a", "target": "b->c"}],
+        "triggers": [], "events": [], "behavior": [],
+    }
+    with pytest.raises(ModelError) as info:
+        from_json(json.dumps(data))
+    assert [(d.code, d.message, d.element) for d in info.value.diagnostics] == [
+        (REF_UNRESOLVED, f"JSON stages[{i}].id: expected a stage id without '->' or '~>'",
+         f"stages[{i}].id") for i in (1, 3, 4)]
