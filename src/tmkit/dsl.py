@@ -25,15 +25,15 @@ the start of a file is ignored.
 
 Text is read in one of two ways, to the same AST. A scanner
 matches whole declarations, stages and references with a few regexes,
-without making a token list. It declines, at the first place it is
-reached, a character other than space, tab, CR or LF between tokens
-(form feed and vertical tab included), a keyword or stage kind where a
-name belongs, whitespace inside a stage path such as "A . create", and
-any text in which a numeral outside ASCII may lead a word. The token
-parser reads each declaration that the scanner declines, one token ahead,
-and it alone reports syntax errors. Each declaration is read once, and
-only the declarations the scanner declines are tokenized: a run of them
-is one stream of tokens. AST nodes carry offsets, which become a
+without making a token list, and reads every well-formed declaration.
+It declines only a declaration that holds an error: a character other
+than space, tab, CR or LF between tokens (form feed and vertical tab
+included), a keyword or stage kind where a name belongs, or a word led
+by a character outside ASCII that is not a letter. The token parser
+reads each declaration that the scanner declines, one token ahead, and
+it alone reports syntax errors. Each declaration is read once, and only
+the declarations the scanner declines are tokenized: a run of them is
+one stream of tokens. AST nodes carry offsets, which become a
 :class:`Span` only where a diagnostic or an event needs one.
 """
 
@@ -197,7 +197,6 @@ class Ast:
 _TOKEN = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*(->|~>|[{}();.]|[^\W\d]\w*|.|\Z)", re.DOTALL)
 _COMMENT = re.compile(r"#[^\n]*")
 _WHITESPACE = " \t\r\n"
-_NOT_ASCII = re.compile(r"[^\x00-\x7f]")
 _TYPES = {**{p: p for p in ("->", "~>", "{", "}", "(", ")", ";", ".")},
           **{word: word for word in KEYWORDS}, **dict.fromkeys(KIND_BY_NAME, "kind")}
 
@@ -232,13 +231,6 @@ def _tokens(text: str, start: int, bad: list[int]) -> Iterator[_Token]:
     comment = text.find("#", text.rfind("\n") + 1)
     end = comment if comment >= 0 else len(text)
     yield "eof", "", end, end
-
-
-def _may_lead_with_numerals(scan: str) -> bool:
-    """Whether a token of ``scan`` may start with a numeral outside ASCII:
-    only such a numeral leads a token without starting a name, and it is
-    neither ASCII nor a letter."""
-    return not scan.isascii() and not "".join(_NOT_ASCII.findall(scan)).isalpha()
 
 
 def _newlines(text: str) -> list[int]:
@@ -432,24 +424,26 @@ class _Parser:
 # edge or a closing brace, with the whitespace after it. A name is never
 # a keyword or a stage kind, and no match ends where a word character
 # follows, so each match holds exactly the tokens that the tokenizer
-# finds there. A stage path is matched without whitespace, so a
-# reference with no whitespace in its label is its stage id as written.
-# Anything else, such as a character other than ' \t\r\n' between
-# tokens, a keyword where a name belongs or a space inside a stage path,
-# matches nothing, and then the token parser reads that declaration.
+# finds there. A stage reference without its whitespace is its stage id.
+# Only an error matches nothing: a character other than ' \t\r\n'
+# between tokens, a keyword or kind where a name belongs, or a word led
+# by a character outside ASCII that is not a letter, which ``parse``
+# replaces with '\0' in the scanned text. The token parser then reads
+# that declaration.
 _S = f"[{_WHITESPACE}]"
 _NAME = rf"(?!(?:{'|'.join((*KEYWORDS, *KIND_BY_NAME))})\b)[^\W\d]\w*"
 _KINDS = "|".join(KIND_BY_NAME)
 _LABEL = rf"(?:{_S}*\({_S}*({_NAME}){_S}*\))?"
-# Groups: a stage reference, its path and kind, and its label.
-_REF = rf"(({_NAME}(?:\.{_NAME})*\.(?:{_KINDS})){_LABEL})"
+# Group: a stage reference, with whitespace allowed around each '.' and
+# around its label.
+_REF = rf"({_NAME}(?:{_S}*\.{_S}*{_NAME})*{_S}*\.{_S}*(?:{_KINDS})(?:{_S}*\({_S}*{_NAME}{_S}*\))?)"
 _SPACES = re.compile(f"{_S}*")
-# Groups: 1 the keyword, 2-4 the source, 5 the arrow, 6-8 the target, 9 the end.
+# Groups: 1 the keyword, 2 the source, 3 the arrow, 4 the target, 5 the end.
 _EDGE = re.compile(rf"(flow|trigger){_S}+{_REF}{_S}*(->|~>){_S}*{_REF}{_S}*;(){_S}*")
 # Groups: 1 a thimac name, 2 an event name, 3 "behavior".
 _DECLARATION = re.compile(
     rf"(?:thimac{_S}+({_NAME}){_S}*\{{|event{_S}+({_NAME}){_S}*\{{|(behavior){_S}*\{{){_S}*")
-# Groups: 1-3 a stage reference; none for '}'.
+# Group: 1 a stage reference; none for '}'.
 _REF_ITEM = re.compile(rf"(?:{_REF}{_S}*;|\}}){_S}*")
 # Groups: 1 a stage kind, 2 its label, 3 its end, 4 a thimac name; none for '}'.
 _THIMAC_ITEM = re.compile(
@@ -457,6 +451,15 @@ _THIMAC_ITEM = re.compile(
 # Groups: 1 and 2 the events, 3 "repeat", 4 the end; none for '}'.
 _CHRONOLOGY_ITEM = re.compile(
     rf"(?:({_NAME}){_S}*->{_S}*({_NAME})(?:{_S}+(repeat))?{_S}*;()|\}}){_S}*")
+# A character outside ASCII that leads a word or stands between tokens;
+# unless it is a letter, the token parser reports it.
+_LEAD = re.compile(r"[^\x00-\x7f](?<!\w.)")
+
+
+def _may_lead_with_numerals(scan: str) -> bool:
+    """Whether a word of ``scan`` may start with a numeral outside ASCII:
+    whether a character that ``_LEAD`` finds is not a letter."""
+    return not scan.isascii() and not all(map(str.isalpha, _LEAD.findall(scan)))
 
 
 def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
@@ -465,20 +468,17 @@ def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
     offset of the first one the patterns above do not match, or ``len(scan)``."""
 
     def ref(m: re.Match, group: int) -> StageRef:
-        """The reference of ``_REF``'s groups from ``group`` on."""
-        sid, head, label = m.group(group, group + 1, group + 2)
-        if label is not None and len(sid) != len(head) + len(label) + 2:
-            sid = f"{head}({label})"  # written with whitespace around the label
-        return StageRef(sid, *m.span(group))
+        """The reference of ``_REF``'s group ``group``."""
+        return StageRef("".join(m[group].split()), *m.span(group))
 
     stop = len(scan)
     while pos < stop:
         first = pos
         if (m := _EDGE.match(scan, pos)) is not None:
             node, arrow, _ = EDGES[m[1]]
-            if m[5] != arrow:
+            if m[3] != arrow:
                 return first
-            decls.append(node(ref(m, 2), ref(m, 6), first, m.start(9)))
+            decls.append(node(ref(m, 2), ref(m, 4), first, m.start(5)))
             pos = m.end()
             continue
         m = _DECLARATION.match(scan, pos)
@@ -529,18 +529,20 @@ def parse(text: str) -> Ast:
     """Parse model text into an AST.
 
     Each declaration is read once, by the scanner (:func:`_scan`) or, where
-    it declines, by the token parser, which hands the next declaration
-    back. Parsing recovers at declaration boundaries so one bad
-    declaration does not hide later ones; if anything failed, a
+    it declines one that holds an error, by the token parser, which hands
+    the next declaration back. Parsing recovers at declaration boundaries
+    so one bad declaration does not hide later ones; if anything failed, a
     :class:`ParseFailure` carrying every error is raised at the end.
     """
     scan = _COMMENT.sub(_blank, text) if "#" in text else text
-    newlines, scanning = _newlines(text), not _may_lead_with_numerals(scan)
+    if _may_lead_with_numerals(scan):
+        # '\0', which no scanner pattern matches, for each non-letter.
+        scan = _LEAD.sub(lambda lead: lead[0] if lead[0].isalpha() else "\0", scan)
+    newlines = _newlines(text)
     decls: list[Declaration] = []
     pos, parser = _SPACES.match(scan).end(), None
     while True:
-        if scanning:
-            pos = _scan(scan, pos, decls)
+        pos = _scan(scan, pos, decls)
         if pos >= len(text):
             break
         parser = parser or _Parser(text, newlines)

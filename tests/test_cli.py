@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_NAMES, FIXTURES, ReadSpy, load_shapes
+from conftest import CORPUS_NAMES, FIXTURES, load_shapes, scanned, token_parse
 from tmkit import cli, dsl
 from tmkit.cli import corpus, main
 from tmkit.dsl import lower, parse
@@ -357,26 +357,23 @@ def test_corpus_bundles_exactly_the_four_models():
 
 def spaced(text: str) -> str:
     """``text`` with spaces around every '.', '(' and ')' and CRLF line
-    ends: a layout the declaration scanner declines, so that the token
-    parser reads it."""
+    ends: a layout that the declaration scanner reads to the stage ids of
+    ``text``."""
     return re.sub(r"[.()]", r" \g<0> ", text).replace("\n", "\r\n")
 
 
 @pytest.mark.parametrize("name", sorted(corpus()))
-def test_spaced_copy_is_read_by_the_token_parser_to_the_same_output(
-        run_cli, monkeypatch, tmp_path, name):
-    """Each token stream of the spaced copy starts at an offset where the
-    scanner declined, and no token is yielded twice. Its canonical text,
-    JSON rendering, events and report equal the original's, byte for byte,
-    so the stage ids, event regions and diagnostics it lowers to are the
-    scanned text's."""
+def test_spaced_copy_is_read_by_the_token_parser_to_the_same_output(run_cli, tmp_path, name):
+    """The scanner alone reads the spaced copy, to the AST that the token
+    parser reads from its start without errors. Its canonical text, JSON
+    rendering, events and report equal the original's, byte for byte, so
+    the stage ids, event regions and diagnostics it lowers to are the
+    original's."""
     original, copy = corpus()[name], tmp_path / "spaced.tm"
     copy.write_bytes(spaced(original.read_text(encoding="utf-8")).encode("utf-8"))
-    spy = ReadSpy(monkeypatch)
-    parse(copy.read_text(encoding="utf-8-sig"))
-    assert spy.streams and all(start in spy.declined for start, _ in spy.streams)
-    starts = [token[2] for _, tokens in spy.streams for token in tokens]
-    assert len(starts) == len(set(starts))
+    text = copy.read_text(encoding="utf-8-sig")
+    ast, (parsed, errors) = scanned(text), token_parse(text)
+    assert ast is not None and errors == [] and repr(ast) == repr(parsed)
     for command in (("fmt",), ("render", "--format", "json"), ("events",), ("validate",)):
         expected = run_cli(*command, str(original))
         assert expected[0] == 0
@@ -417,11 +414,11 @@ def test_broken_copies_report_parse_errors_and_exit_two(capsys, tmp_path, name):
 
 
 def test_fixture_spans_give_the_line_and_column_of_their_start(run_cli, tmp_path):
-    """Each fixture model, and its spaced copy, which the token parser
-    reads, validates with exit code 0 or 1, and every span in its report
-    gives the line and column that counting newlines before its start gives
-    in the text as ``tm`` reads it: spans built on demand from node offsets
-    are checked end to end on both readers."""
+    """Each fixture model, and its spaced copy with CRLF line ends,
+    validates with exit code 0 or 1, and every span in its report gives
+    the line and column that counting newlines before its start gives in
+    the text as ``tm`` reads it: spans built on demand from node offsets
+    are checked end to end."""
     checked = 0
     for fixture in sorted(FIXTURES.glob("*.tm")):
         copy = tmp_path / fixture.name

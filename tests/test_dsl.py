@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from conftest import load_shapes, random_model, scanned
+from conftest import load_shapes, random_model, scanned, token_parse
 from tmkit import dsl
 from tmkit.diagnostics import DUP_NAME, REF_UNRESOLVED, ModelError, Span
 from tmkit.dynamics import BehaviorEdge
@@ -215,17 +215,19 @@ def test_a_clean_load_builds_a_span_per_event_only(corpus_paths, monkeypatch, tm
 def test_lowered_references_share_the_stage_id_strings(corpus_paths):
     """Every flow and trigger endpoint and every event-region element is
     the declared ``Stage.id`` object itself, not an equal copy, from the
-    scanner and from the token parser."""
+    scanner and from the token parser, also where the references are
+    written with whitespace."""
     labelled = "thimac A { create(job); process; }\nflow A.create( job ) -> A.process;\n"
     assert scanned(labelled).declarations[1].source.text == "A.create(job)"
     texts = [labelled, *(path.read_text(encoding="utf-8") for path in corpus_paths.values())]
     texts += [make(n, 0).text for make in load_shapes().GENERATORS.values() for n in (3, 12)]
     for text in texts:
-        # CRLF line ends and spaces around '.', '(' and ')': the token parser reads it.
+        # CRLF line ends and spaces around '.', '(' and ')'.
         spaced = re.sub(r"[.()]", r" \g<0> ", text).replace("\n", "\r\n")
-        assert scanned(text) is not None and scanned(spaced) is None
-        for each in (text, spaced):
-            doc = lower(parse(each))
+        assert scanned(text) is not None and scanned(spaced) is not None
+        parsed, errors = token_parse(spaced)
+        assert errors == []
+        for doc in (lower(parse(text)), lower(parse(spaced)), lower(parsed)):
             ids = {s.id: s.id for s in doc.model.stages}
             edges = (*doc.model.flows, *doc.model.triggers)
             refs = [sid for e in edges for sid in (e.source, e.target)]

@@ -15,12 +15,14 @@ whitespace nor in a comment is reported as starting no token, on drawn
 texts, on every bundled text and on those texts with a stray character
 after every token. Where the declaration scanner alone reads a text, it
 returns the AST, offsets included, that the token parser builds from the
-start without errors; it declines no bundled text and no benchmark
-shape, and neither it nor the token parser recurses or backtracks
-without bound. Where the scanner hands declarations to the token parser
+start without errors; it reads every text that the token parser reads
+without errors, names written with characters outside ASCII included,
+and neither it nor the token parser recurses or backtracks without
+bound. Where the scanner hands declarations to the token parser
 and takes them back, the result is the token parser's from the start:
 the same AST or the same errors, and the text is tokenized once, from
-the first declined declaration.
+the first declined declaration, in streams that start where the scanner
+declined.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
 makes of the record's JSON dict, whatever strings and integers the record
@@ -100,12 +102,15 @@ TOKEN_ALPHABET = (
 )
 
 
+def written_texts() -> list[str]:
+    """The corpus and the fixtures."""
+    texts = [corpus()[name].read_text(encoding="utf-8") for name in CORPUS_NAMES]
+    return texts + [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
+
+
 def bundled_texts() -> list[str]:
     """The corpus, the fixtures and the three benchmark shapes at n = 12."""
-    texts = [corpus()[name].read_text(encoding="utf-8") for name in CORPUS_NAMES]
-    texts += [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
-    texts += [make(12, 1).text for make in load_shapes().GENERATORS.values()]
-    return texts
+    return written_texts() + [make(12, 1).text for make in load_shapes().GENERATORS.values()]
 
 
 def with_stray_characters(text: str) -> list[str]:
@@ -281,14 +286,15 @@ def test_scan_and_fallback_neither_recurse_nor_blow_up():
 def spliced(text: str) -> list[str]:
     """``text`` with its middle declaration broken in each of three ways,
     so that the scanner reads the declarations before it, declines it, and
-    takes back the ones after it from the token parser: spaces around
-    each '.', one ';' dropped, a '\f' after its first word."""
+    takes back the ones after it from the token parser: a '²' leading its
+    first name, one ';' dropped, a '\f' after its first word."""
     starts = [m.start() for m in re.finditer(r"^(?:thimac|flow|trigger|event|behavior)\b",
                                              text, re.MULTILINE)] + [len(text)]
-    at, end = starts[len(starts) // 2 - 1], starts[len(starts) // 2]
+    at = starts[len(starts) // 2 - 1]
     semicolon, word = text.index(";", at), text.index(" ", at)
+    name = re.compile(r"\w").search(text, word).start()
     broken = [
-        text[:at] + text[at:end].replace(".", " . ") + text[end:],
+        text[:name] + "²" + text[name:],
         text[:semicolon] + text[semicolon + 1:],
         text[:word] + "\f" + text[word:],
     ]
@@ -335,6 +341,19 @@ def test_parse_reads_a_declined_run_once_and_the_rest_with_the_scanner(monkeypat
         assert len(starts) == len(set(starts))
         read[n] = len(starts)
     assert read[200] == read[400]
+
+
+def test_token_streams_start_where_the_scanner_declined_on_spliced_texts(monkeypatch):
+    """Each token stream of a bundled text with its middle declaration
+    broken starts at an offset where the scanner declined, and no token
+    is yielded twice."""
+    spy = ReadSpy(monkeypatch)
+    for text in bundled_texts():
+        for each in spliced(text):
+            spy.failures(each)
+            assert spy.streams and all(start in spy.declined for start, _ in spy.streams)
+            starts = [token[2] for _, tokens in spy.streams for token in tokens]
+            assert len(starts) == len(set(starts))
 
 
 stages = st.lists(
@@ -403,6 +422,78 @@ def test_format_parse_format_is_stable(text):
 @given(st.one_of(fragment_texts, documents()))
 def test_scan_is_the_token_parse_on_drawn_texts(text):
     assert_scan_is_the_token_parse(text)
+
+
+def assert_scan_reads_what_the_token_parser_reads(text: str) -> None:
+    """Where the token parser reads ``text`` from the start without an
+    error, the scanner alone reads it: the converse of
+    :func:`assert_scan_is_the_token_parse`, so that the token parser reads
+    only declarations that hold an error."""
+    if not token_parse(text)[1]:
+        assert scanned(text) is not None
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_scan_reads_what_the_token_parser_reads_on_golden_inputs_and_their_layouts(base):
+    for text in _variants(base).values():
+        for layout in layouts(text):
+            assert_scan_reads_what_the_token_parser_reads(layout)
+
+
+@fixed(1000)
+@given(st.one_of(fragment_texts, documents()))
+def test_scan_reads_what_the_token_parser_reads_on_drawn_texts_and_their_layouts(text):
+    for layout in layouts(text):
+        assert_scan_reads_what_the_token_parser_reads(layout)
+
+
+# Characters outside ASCII for names: letters ('é', '一', 'ª'), numerals
+# that are not decimal digits ('²', '½', 'Ⅻ'), a decimal digit ('٣') and a
+# combining mark. Only a letter may lead a name, and only a word
+# character may follow its first.
+NAME_CHARACTERS = ("é", "一", "ª", "²", "½", "Ⅻ", "٣", "\u0301")
+_ASCII_NAME = re.compile(r"[A-Za-z_]\w*")
+renamable = st.one_of(st.deferred(lambda: st.sampled_from(written_texts())), documents())
+
+
+@st.composite
+def renamed_texts(draw) -> str:
+    """A corpus, fixture or drawn text in which some of the names are renamed
+    alike, each with one of ``NAME_CHARACTERS`` at its start or after its
+    first character."""
+    text = draw(renamable)
+    words = set(_ASCII_NAME.findall(dsl._COMMENT.sub("", text))) - KEYWORDS - set(KIND_BY_NAME)
+    names = draw(st.sets(st.sampled_from(sorted(words)), min_size=1))
+    character, at = draw(st.sampled_from(NAME_CHARACTERS)), draw(st.sampled_from((0, 1)))
+    return _ASCII_NAME.sub(
+        lambda m: m[0][:at] + character + m[0][at:] if m[0] in names else m[0], text)
+
+
+@fixed(400)
+@given(renamed_texts())
+def test_scan_is_the_token_parse_on_names_outside_ascii(text):
+    for layout in layouts(text):
+        assert_scan_is_the_token_parse(layout)
+        assert_scan_reads_what_the_token_parser_reads(layout)
+
+
+def test_scan_reads_a_name_with_a_numeral_inside():
+    """A numeral outside ASCII after a name's first character turns
+    nothing off: the renamed benchmark shape is scanned whole."""
+    text = re.sub(r"\bG0\b", "G0²", load_shapes().authoring(200, 1).text)
+    assert "G0²." in text
+    ast = scanned(text)
+    assert ast is not None and preorder(ast) == preorder(token_parse(text)[0])
+
+
+def test_parse_tokenizes_only_the_declaration_whose_name_a_numeral_leads(monkeypatch):
+    text = load_shapes().authoring(200, 1).text
+    at = text.index("thimac G7 {")
+    text = text[:at] + "thimac ²" + text[at + len("thimac "):]
+    spy = ReadSpy(monkeypatch)
+    (error,) = spy.failures(text)
+    assert (error.expected, error.found) == (("a declaration",), "'²'")
+    assert [start for start, _ in spy.streams] == [at]
 
 
 def spanned_nodes(ast: Ast):
@@ -502,9 +593,9 @@ SPANNED = (
 
 def test_diagnostic_spans_hold_the_construct_they_name():
     """The golden front end's inputs, and the fixture files and the texts
-    above in every layout, the spaced one read by the token parser: each
-    spanned diagnostic is placed at the newlines counted before its start
-    and covers the construct it names; every kind of construct occurs."""
+    above in every layout: each spanned diagnostic is placed at the
+    newlines counted before its start and covers the construct it names;
+    every kind of construct occurs."""
     texts = [text for base in BASES for text in _variants(base).values()]
     fixtures = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
     texts += [layout for text in (*fixtures, *SPANNED) for layout in layouts(text)]
