@@ -50,6 +50,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, Span, TmError, error
 from .model import (
     KIND_BY_NAME,
+    NAME_BY_KIND,
     BehaviorEdge,
     BehaviorGraph,
     EdgeSet,
@@ -665,7 +666,7 @@ def format_model(
         for sid in thimac.stages:
             stage = stage_by_id[sid]
             label = f"({stage.label})" if stage.label else ""
-            block.append(f"{pad}{_INDENT}{stage.kind.value}{label};")
+            block.append(f"{pad}{_INDENT}{NAME_BY_KIND[stage.kind]}{label};")
 
     for keyword, edges in (("flow", model.flows), ("trigger", model.triggers)):
         arrow = EDGES[keyword][1]

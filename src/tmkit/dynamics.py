@@ -116,7 +116,9 @@ class Trace:
 class _Fenwick:
     """Counts at positions 0..n-1 under point updates, with the position
     that holds the k-th unit of their running sum, both in O(log n)
-    (Fenwick, *Softw. Pract. Exper.* 1994). Counts never go negative."""
+    (Fenwick, *Softw. Pract. Exper.* 1994). Counts never go negative.
+    :meth:`move` updates two positions in one climb, which stops where
+    their update paths meet if the net change is zero."""
 
     __slots__ = ("tree", "length", "top", "total")
 
@@ -136,6 +138,28 @@ class _Fenwick:
         while i < length:
             tree[i] += delta
             i += i & -i
+
+    def move(self, source: int, taken: int, target: int, added: int) -> None:
+        """``add(source, -taken)`` then ``add(target, added)``, in one climb:
+        the lower index climbs until the two paths meet, and only the net
+        change climbs on from there. Both paths end at ``length``, so they
+        always meet, at ``length`` at the latest."""
+        delta = added - taken
+        self.total += delta
+        tree = self.tree
+        i, j = source + 1, target + 1
+        while i != j:
+            if i < j:
+                tree[i] -= taken
+                i += i & -i
+            else:
+                tree[j] += added
+                j += j & -j
+        if delta:
+            length = self.length
+            while i < length:
+                tree[i] += delta
+                i += i & -i
 
     def find(self, k: int) -> tuple[int, int]:
         """For ``0 <= k < total``: the position whose count covers unit k of
@@ -172,9 +196,11 @@ class SimState:
     waiting at each stage position, followed by one unit for each
     spontaneous create still under its cap (at position ``create_slot``),
     so the k-th candidate of :func:`enabled` is found without listing the
-    others. ``position`` maps a stage id to its declaration position, and
-    ``firing`` maps a stage to the events that name it, in declaration
-    order, each with the stages it needs to fire.
+    others. A move changes its source and target counts in one climb of
+    the tree that stops where the two update paths meet, so a step still
+    costs O(log n). ``position`` maps a stage id to its declaration
+    position, and ``firing`` maps a stage to the events that name it, in
+    declaration order, each with the stages it needs to fire.
 
     Three lookups that every step reads are taken from ``model`` once, by
     :func:`init_state`: ``flows_from`` is ``model.flow_indices_from``
@@ -265,19 +291,26 @@ def _candidate(state: SimState, k: int) -> tuple[str, str | None, int | None, in
     return "move", None, token_id, untaken[k]
 
 
-def _execute_stage(state: SimState, stage_id: str, token_id: int) -> list[TraceRecord]:
+def _execute_stage(state: SimState, stage_id: str, token_id: int,
+                   source: int = 0, left: int = 0) -> list[TraceRecord]:
     """A token arriving at (or minted in) a stage executes it. The token
     joins the frontier unless it has already taken every flow out of the
     stage, the stage's outgoing triggers are enqueued and covering events
-    may fire."""
+    may fire. A moving token hands over the ``left`` moves it no longer
+    waits for at position ``source``, and both counts change in one climb."""
     taken = state.tokens[token_id]
     untaken = state.flows_from.get(stage_id, ())
-    if taken:
+    if not taken.isdisjoint(untaken):
         untaken = tuple(i for i in untaken if i not in taken)
     if untaken:
         position = state.position[stage_id]
         state.frontier.setdefault(position, {})[token_id] = untaken
-        state.counts.add(position, len(untaken))
+        if left:
+            state.counts.move(source, left, position, len(untaken))
+        else:
+            state.counts.add(position, len(untaken))
+    elif left:
+        state.counts.add(source, -left)
     state.step_count += 1
     records = [TraceRecord(state.step_count, STAGE_EXECUTED, stage_id, (token_id,))]
     state.pending.extend(state.trigger_targets.get(stage_id, ()))
@@ -312,16 +345,17 @@ def _fire(state: SimState, kind: str, stage: str | None, token: int | None,
     flow = state.model.flows[flow_index]
     position = state.position[flow.source]
     waiting = state.frontier[position]
-    state.counts.add(position, -len(waiting.pop(token)))
+    left = len(waiting.pop(token))
     if not waiting:
         del state.frontier[position]
     if (flow.target in state.options.reject_accept
             and state.model.stage_by_id[flow.target].kind is StageKind.ACCEPT):
+        state.counts.add(position, -left)
         del state.tokens[token]
         state.step_count += 1
         return [TraceRecord(state.step_count, TOKEN_REJECTED, flow.target, (token,))]
     state.tokens[token].add(flow_index)
-    return _execute_stage(state, flow.target, token)
+    return _execute_stage(state, flow.target, token, position, left)
 
 
 def step(state: SimState, candidate: Candidate) -> tuple[SimState, list[TraceRecord]]:

@@ -61,6 +61,8 @@ class StageKind(Enum):
 
 
 KIND_BY_NAME = {kind.value: kind for kind in StageKind}
+# A plain dict read: on Python 3.10-3.11 ``kind.value`` is a Python-level property call.
+NAME_BY_KIND = {kind: name for name, kind in KIND_BY_NAME.items()}
 
 # Flow edges allowed between stage kinds. Inside one thimac the machine
 # wires up in fixed directions; between thimacs only the transfer ports
@@ -162,7 +164,7 @@ def declared_twice(edge_id: str, span: Span | None = None) -> Diagnostic:
 
 def stage_ref_text(owner_path: str, kind: StageKind, label: str | None) -> str:
     """Canonical textual reference for a stage: ``Path.kind`` or ``Path.kind(label)``."""
-    ref = f"{owner_path}.{kind.value}"
+    ref = f"{owner_path}.{NAME_BY_KIND[kind]}"
     return f"{ref}({label})" if label else ref
 
 
@@ -535,7 +537,7 @@ def model_to_dict(model: TmModel) -> dict:
             for t in model.thimacs
         ],
         "stages": [
-            {"id": s.id, "kind": s.kind.value, "owner": s.owner, "label": s.label}
+            {"id": s.id, "kind": NAME_BY_KIND[s.kind], "owner": s.owner, "label": s.label}
             for s in model.stages
         ],
         "flows": [{"source": f.source, "target": f.target} for f in model.flows],

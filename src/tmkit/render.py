@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Mapping
 from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, error
 from .model import (
     KIND_BY_NAME,
+    NAME_BY_KIND,
     BehaviorEdge,
     BehaviorGraph,
     EdgeSet,
@@ -60,7 +61,8 @@ def to_dot(model: TmModel, options: RenderOptions = RenderOptions()) -> str:
     lines = ["digraph tm {", "    rankdir=LR;", "    node [shape=box];"]
 
     def node_line(stage: Stage, pad: str) -> str:
-        label = f"{stage.kind.value}({stage.label})" if stage.label else stage.kind.value
+        kind = NAME_BY_KIND[stage.kind]
+        label = f"{kind}({stage.label})" if stage.label else kind
         fill = colors.get(stage.id)
         style = f", style=filled, fillcolor={_quote(':'.join(fill))}" if fill else ""
         return f"{pad}{quoted[stage.id]} [label={_quote(label)}{style}];"

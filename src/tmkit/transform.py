@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import (
+    NAME_BY_KIND,
     Event,
     FlowEdge,
     StageKind,
@@ -135,9 +136,9 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
     # build_model derives children and stages of each thimac afresh, so
     # the input's thimacs and retained stages pass through as they are.
     simplified = build_model(model.thimacs, retained, new_flows, new_triggers)
-    removed_counts = {kind.value: 0 for kind in REMOVED_KINDS}
+    removed_counts = {NAME_BY_KIND[kind]: 0 for kind in REMOVED_KINDS}
     for sid in removable:
-        removed_counts[model.stage_by_id[sid].kind.value] += 1
+        removed_counts[NAME_BY_KIND[model.stage_by_id[sid].kind]] += 1
     report = SimplifyReport(
         removed=removed_counts,
         rewired=rewired,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_NAMES, FIXTURES, load_shapes, scanned, token_parse
+from conftest import CORPUS_NAMES, FIXTURES, SHAPES_PY, load_shapes, scanned, token_parse
 from tmkit import cli, dsl
 from tmkit.cli import corpus, main
 from tmkit.dsl import lower, parse
@@ -502,6 +503,32 @@ def test_benchmark_commands_never_reach_the_token_parser(monkeypatch, tmp_path, 
                 if command == ("simulate",):
                     argv += SIMULATE_FLAGS[shape]
                 assert main(argv) == 0, (n, seed, command)
+
+
+# perfbench/golden.json names each benchmarked command by its metric.
+GOLDEN_METRICS = dict(zip(("validate_s", "events_s", "simulate_s", "simplify_s",
+                           "render_dot_s", "render_json_s", "fmt_s"), BENCHMARKED))
+
+
+@pytest.mark.parametrize("shape", sorted(SIMULATE_FLAGS))
+def test_benchmark_outputs_match_the_golden_digests(run_cli, tmp_path, shape):
+    """Every benchmarked command, on the full-size model at the benchmark's
+    golden seed (model seed 0, simulator seed 0), prints output whose
+    SHA-256 ``perfbench/golden.json`` records, so a change that moves a
+    trace or any other output fails here and not first in the benchmark."""
+    golden = json.loads(SHAPES_PY.with_name("golden.json").read_text(encoding="utf-8"))
+    path = tmp_path / f"{shape}.tm"
+    text = load_shapes().GENERATORS[shape](BENCHMARK_SIZES[shape][0], 0).text
+    path.write_text(text, encoding="utf-8")
+    digests = {}
+    for metric, command in GOLDEN_METRICS.items():
+        argv = [*command, str(path)]
+        if command == ("simulate",):
+            argv += [*SIMULATE_FLAGS[shape], "--seed", "0"]
+        code, out = run_cli(*argv)
+        assert code == 0, metric
+        digests[metric] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == golden[shape]
 
 
 # Below what each command prints at n = 200, from 76 kB (`fmt` on

@@ -478,13 +478,20 @@ def test_rejecting_accept_discards_the_token():
 
 def _replay(model, events, options: SimOptions) -> Trace:
     """Run through init_state/enabled/step, choosing as ``run`` does. Before
-    every step, check ``enabled`` against the full-scan oracle, and check
-    that ``step`` refuses each candidate of the step before that is gone."""
+    every step, check ``enabled`` against the full-scan oracle, check that
+    the Fenwick tree counts every untaken flow on the frontier and every
+    spontaneous create still under the cap, and check that ``step``
+    refuses each candidate of the step before that is gone."""
     state = init_state(model, options, events)
     at: dict[str, list[int]] = {}
     records = []
     candidates = []
     while state.step_count < options.max_steps:
+        waiting = sum(len(untaken) for tokens in state.frontier.values()
+                      for untaken in tokens.values())
+        creatable = sum(state.creations_used.get(sid, 0) < options.creation_cap
+                        for sid in model.spontaneous_creates)
+        assert state.counts.total == waiting + creatable, state.step_count
         expected = scan_candidates(state, at)
         stale = [c for c in candidates if c not in expected]
         candidates = enabled(state)
@@ -573,6 +580,46 @@ def test_fenwick_matches_a_linear_prefix_scan(size):
         assert tree.total == sum(counts)
         assert [tree.find(k) for k in range(tree.total)] == [
             _scan(counts, k) for k in range(tree.total)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65])
+def test_fenwick_move_matches_a_linear_prefix_scan(size):
+    """Random ``move(source, taken, target, added)`` calls, each taking no
+    more than the source's count, interleaved with ``add`` calls. After
+    every call, ``total`` and ``find(k)`` for every unit k agree with a
+    linear scan, and the tree equals one built by two ``add`` calls per
+    move. The draws include moves within one position, moves with zero net
+    change, and moves from and to the last position, which lies beyond
+    ``top`` at sizes one past a power of two."""
+    rng = random.Random(size)
+    tree, twice, counts = _Fenwick(size), _Fenwick(size), [0] * size
+    last = size - 1
+    drawn = set()
+    for n in range(4 * size + 24):
+        if n % 3 == 0:
+            position = rng.randrange(size)
+            delta = rng.randint(-counts[position], 3)
+            tree.add(position, delta)
+            twice.add(position, delta)
+            counts[position] += delta
+        else:
+            source = rng.choice((last, rng.randrange(size)))
+            target = rng.choice((source, last, rng.randrange(size)))
+            taken = rng.randint(0, counts[source])
+            added = rng.choice((taken, rng.randint(0, 3)))
+            tree.move(source, taken, target, added)
+            twice.add(source, -taken)
+            twice.add(target, added)
+            counts[source] -= taken
+            counts[target] += added
+            drawn.update(tag for tag, hit in (
+                ("same", source == target), ("net zero", taken == added > 0),
+                ("from last", source == last), ("to last", target == last)) if hit)
+        assert tree.total == sum(counts)
+        assert tree.tree == twice.tree
+        assert [tree.find(k) for k in range(tree.total)] == [
+            _scan(counts, k) for k in range(tree.total)]
+    assert drawn == {"same", "net zero", "from last", "to last"}
 
 
 # -- soundness properties -------------------------------------------------------------
