@@ -4,13 +4,15 @@ Subcommands tie the pipeline together: ``validate`` a model file,
 ``events`` to enumerate its events, ``simulate`` a run, ``simplify`` the
 transport stages away, ``render`` to dot or JSON, and ``fmt`` to the
 canonical text. Exit codes: 0 success, 1 validation errors (the report is
-still emitted), 2 usage or parse failure, or an input or output file that
-cannot be read or written.
+still emitted), 2 usage or parse failure, an input that cannot be read,
+or an output that cannot be written: ``--output`` is written as UTF-8,
+standard output in its stream's encoding.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import sys
@@ -30,6 +32,17 @@ def corpus() -> dict[str, Path]:
     root = resources.files(__package__) / "corpus"
     return {path.stem: Path(str(path)) for path in sorted(root.iterdir())
             if path.name.endswith(".tm")}
+
+
+def _non_negative(text: str) -> int:
+    """The value of ``--seed``, ``--steps`` or ``--cap``: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
 
 
 @functools.cache
@@ -52,12 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add("events", "list elementary and declared events")
 
     simulate = add("simulate", "run the token-flow simulation and emit the trace")
-    simulate.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    simulate.add_argument("--steps", type=int, default=1000,
+    simulate.add_argument("--seed", type=_non_negative, default=0,
+                          help="random seed (default 0)")
+    simulate.add_argument("--steps", type=_non_negative, default=1000,
                           help="step bound before truncation (default 1000)")
     simulate.add_argument("--policy", choices=(dynamics.FIFO, dynamics.RANDOM),
                           default=dynamics.FIFO, help="candidate selection policy")
-    simulate.add_argument("--cap", type=int, default=1,
+    simulate.add_argument("--cap", type=_non_negative, default=1,
                           help="spontaneous creations per create stage (default 1)")
 
     add("simplify", "remove transport stages and emit the collapsed model")
@@ -146,10 +160,6 @@ def _main(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
 
-    if getattr(args, "seed", 0) < 0 or getattr(args, "steps", 0) < 0 or getattr(args, "cap", 0) < 0:
-        print("numeric options must be non-negative", file=sys.stderr)
-        return 2
-
     try:
         doc = load(args.input)
     except (OSError, UnicodeDecodeError) as exc:
@@ -165,13 +175,12 @@ def _main(argv: list[str] | None) -> int:
     else:
         text, code = _command(args, doc)
 
-    if not args.output:
-        sys.stdout.write(text)
-        return code
     try:
-        Path(args.output).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
+        with (open(args.output, "w", encoding="utf-8") if args.output
+              else contextlib.nullcontext(sys.stdout)) as out:
+            out.write(text)
+    except (OSError, UnicodeEncodeError) as exc:
+        print(f"cannot write {args.output or 'standard output'}: {exc}", file=sys.stderr)
         return 2
     return code
 

@@ -201,34 +201,22 @@ class SimState:
     costs O(log n). ``position`` maps a stage id to its declaration
     position, and ``firing`` maps a stage to the events that name it, in
     declaration order, each with the stages it needs to fire.
-
-    Three lookups that every step reads are taken from ``model`` once, by
-    :func:`init_state`: ``flows_from`` is ``model.flow_indices_from``
-    (a stage id to the positions in ``model.flows`` of the flows leaving
-    it), ``trigger_targets`` is ``model.trigger_targets`` (a stage
-    id to the stages its triggers activate) and ``stage_count`` is
-    ``len(model.stages)``, the first position after the stages in
-    ``counts``.
     """
 
     model: TmModel
     options: SimOptions
+    position: dict[str, int] = field(compare=False)
+    create_slot: dict[str, int] = field(compare=False)
+    firing: dict[str, list[tuple[str, frozenset[str]]]] = field(compare=False)
+    coverage: dict[str, set[str]]
+    counts: _Fenwick = field(compare=False)
+    rng: random.Random = field(compare=False)
     tokens: dict[int, set[int]] = field(default_factory=dict)
     frontier: dict[int, dict[int, tuple[int, ...]]] = field(default_factory=dict)
     pending: deque = field(default_factory=deque)
     creations_used: dict[str, int] = field(default_factory=dict)
-    coverage: dict[str, set[str]] = field(default_factory=dict)
-    counts: _Fenwick = field(default_factory=lambda: _Fenwick(0), compare=False)
-    position: dict[str, int] = field(default_factory=dict, compare=False)
-    create_slot: dict[str, int] = field(default_factory=dict, compare=False)
-    firing: dict[str, list[tuple[str, frozenset[str]]]] = field(
-        default_factory=dict, compare=False)
-    flows_from: dict[str, tuple[int, ...]] = field(default_factory=dict, compare=False)
-    trigger_targets: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False)
-    stage_count: int = field(default=0, compare=False)
     step_count: int = 0
     next_token: int = 1
-    rng: random.Random = field(default_factory=random.Random, compare=False)
 
 
 def init_state(
@@ -237,24 +225,21 @@ def init_state(
     events: Iterable[Event] = (),
 ) -> SimState:
     events = tuple(events)
-    state = SimState(model=model, options=options)
-    state.rng.seed(options.seed)
     needed = {e.id: frozenset(s for s in e.region if s in model.stage_by_id) for e in events}
+    firing: dict[str, list[tuple[str, frozenset[str]]]] = {}
     for e in events:
         for stage_id in needed[e.id]:
-            state.firing.setdefault(stage_id, []).append((e.id, needed[e.id]))
-    state.coverage = {e.id: set() for e in events}
-    state.flows_from = model.flow_indices_from
-    state.trigger_targets = model.trigger_targets
-    state.stage_count = stages = len(model.stages)
-    creates = model.spontaneous_creates
-    state.position = {s.id: i for i, s in enumerate(model.stages)}
-    state.create_slot = {sid: stages + j for j, sid in enumerate(creates)}
-    state.counts = _Fenwick(stages + len(creates))
+            firing.setdefault(stage_id, []).append((e.id, needed[e.id]))
+    stages = len(model.stages)
+    create_slot = {sid: stages + j for j, sid in enumerate(model.spontaneous_creates)}
+    counts = _Fenwick(stages + len(create_slot))
     if options.creation_cap > 0:
-        for slot in state.create_slot.values():
-            state.counts.add(slot, 1)
-    return state
+        for slot in create_slot.values():
+            counts.add(slot, 1)
+    return SimState(model, options, position={s.id: i for i, s in enumerate(model.stages)},
+                    create_slot=create_slot, firing=firing,
+                    coverage={e.id: set() for e in events}, counts=counts,
+                    rng=random.Random(options.seed))
 
 
 def enabled(state: SimState) -> list[Candidate]:
@@ -281,10 +266,11 @@ def _candidate(state: SimState, k: int) -> tuple[str, str | None, int | None, in
             return "trigger", state.pending[0], None, None
         k -= 1
     position, k = state.counts.find(k)
-    stages = state.stage_count
-    if position >= stages:
+    waiting = state.frontier.get(position)
+    if waiting is None:  # a stage position with a count always has waiting tokens
+        stages = len(state.model.stages)
         return "create", state.model.spontaneous_creates[position - stages], None, None
-    for token_id, untaken in state.frontier[position].items():
+    for token_id, untaken in waiting.items():
         if k < len(untaken):
             break
         k -= len(untaken)
@@ -299,7 +285,7 @@ def _execute_stage(state: SimState, stage_id: str, token_id: int,
     may fire. A moving token hands over the ``left`` moves it no longer
     waits for at position ``source``, and both counts change in one climb."""
     taken = state.tokens[token_id]
-    untaken = state.flows_from.get(stage_id, ())
+    untaken = state.model.flow_indices_from.get(stage_id, ())
     if not taken.isdisjoint(untaken):
         untaken = tuple(i for i in untaken if i not in taken)
     if untaken:
@@ -313,7 +299,7 @@ def _execute_stage(state: SimState, stage_id: str, token_id: int,
         state.counts.add(source, -left)
     state.step_count += 1
     records = [TraceRecord(state.step_count, STAGE_EXECUTED, stage_id, (token_id,))]
-    state.pending.extend(state.trigger_targets.get(stage_id, ()))
+    state.pending.extend(state.model.trigger_targets.get(stage_id, ()))
     for event_id, needed in state.firing.get(stage_id, ()):
         covered = state.coverage[event_id]
         covered.add(stage_id)

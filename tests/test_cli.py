@@ -72,6 +72,30 @@ def test_module_entry_point_behaves_as_main(run_cli, corpus_paths, tmp_path):
     assert module("validate", str(tmp_path / "missing.tm")).returncode == 2
 
 
+@pytest.mark.parametrize("command", ["fmt", "render"])
+def test_unencodable_standard_output_is_reported_and_exits_two(run_cli, tmp_path, command):
+    """Text that standard output's encoding cannot hold exits 2 with one
+    line on stderr, as an unwritable ``--output`` file does; ``--output``
+    itself is always UTF-8."""
+    env = {**os.environ, "PYTHONIOENCODING": "ascii",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    path = tmp_path / "cafe.tm"
+    path.write_text("thimac Café { create; process; }\n", encoding="utf-8")
+
+    def module(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "tmkit.cli", command, str(path), *argv],
+                              capture_output=True, text=True, env=env)
+
+    done = module()
+    assert done.returncode == 2
+    assert done.stderr.startswith("cannot write standard output:")
+    assert "Traceback" not in done.stderr
+    out = tmp_path / "out.txt"
+    done = module("--output", str(out))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == run_cli(command, str(path))[1]
+
+
 def test_parse_failure_reports_and_exits_two(run_cli, tmp_path):
     bad = tmp_path / "bad.tm"
     bad.write_text("flow ->", encoding="utf-8")
@@ -179,9 +203,13 @@ def test_simulate_is_byte_deterministic(run_cli, corpus_paths):
     assert first == second
 
 
-def test_simulate_rejects_negative_numbers(run_cli, corpus_paths):
-    code, _ = run_cli("simulate", str(corpus_paths["dough_cookie"]), "--seed", "-1")
-    assert code == 2
+@pytest.mark.parametrize("option", ["--seed", "--steps", "--cap"])
+def test_simulate_rejects_negative_numbers(capsys, corpus_paths, option):
+    assert main(["simulate", str(corpus_paths["dough_cookie"]), option, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be non-negative" in captured.err
+    assert main(["simulate", str(corpus_paths["dough_cookie"]), option, "0"]) == 0
 
 
 def test_simulate_on_invalid_model_reports_and_exits_one(run_cli):
