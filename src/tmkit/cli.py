@@ -5,16 +5,19 @@ Subcommands tie the pipeline together: ``validate`` a model file,
 transport stages away, ``render`` to dot or JSON, and ``fmt`` to the
 canonical text. Exit codes: 0 success, 1 validation errors (the report is
 still emitted), 2 usage or parse failure, an input that cannot be read,
-or an output that cannot be written: ``--output`` is written as UTF-8,
-standard output in its stream's encoding.
+or an output that cannot be written, standard output closed included:
+``--output`` is written as UTF-8, standard output in its stream's
+encoding.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import gc
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -176,6 +179,8 @@ def _main(argv: list[str] | None) -> int:
         text, code = _command(args, doc)
 
     try:
+        if not (args.output or sys.stdout):  # Python sets it to None when fd 1 is closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         with (open(args.output, "w", encoding="utf-8") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:
             out.write(text)

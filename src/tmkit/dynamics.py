@@ -179,6 +179,7 @@ class _Fenwick:
 @dataclass(slots=True)
 class SimState:
     """Mutable run state with a single owner; never shared between runs.
+    :func:`_fire` is the one place a step changes it.
 
     ``tokens`` maps each live token to the indices of the flows it has
     already taken, because a thing never takes the same passage twice
@@ -225,11 +226,11 @@ def init_state(
     events: Iterable[Event] = (),
 ) -> SimState:
     events = tuple(events)
-    needed = {e.id: frozenset(s for s in e.region if s in model.stage_by_id) for e in events}
     firing: dict[str, list[tuple[str, frozenset[str]]]] = {}
     for e in events:
-        for stage_id in needed[e.id]:
-            firing.setdefault(stage_id, []).append((e.id, needed[e.id]))
+        needed = frozenset(s for s in e.region if s in model.stage_by_id)
+        for stage_id in needed:
+            firing.setdefault(stage_id, []).append((e.id, needed))
     stages = len(model.stages)
     create_slot = {sid: stages + j for j, sid in enumerate(model.spontaneous_creates)}
     counts = _Fenwick(stages + len(create_slot))
@@ -277,45 +278,34 @@ def _candidate(state: SimState, k: int) -> tuple[str, str | None, int | None, in
     return "move", None, token_id, untaken[k]
 
 
-def _execute_stage(state: SimState, stage_id: str, token_id: int,
-                   source: int = 0, left: int = 0) -> list[TraceRecord]:
-    """A token arriving at (or minted in) a stage executes it. The token
-    joins the frontier unless it has already taken every flow out of the
-    stage, the stage's outgoing triggers are enqueued and covering events
-    may fire. A moving token hands over the ``left`` moves it no longer
-    waits for at position ``source``, and both counts change in one climb."""
-    taken = state.tokens[token_id]
-    untaken = state.model.flow_indices_from.get(stage_id, ())
-    if not taken.isdisjoint(untaken):
-        untaken = tuple(i for i in untaken if i not in taken)
-    if untaken:
-        position = state.position[stage_id]
-        state.frontier.setdefault(position, {})[token_id] = untaken
-        if left:
-            state.counts.move(source, left, position, len(untaken))
-        else:
-            state.counts.add(position, len(untaken))
-    elif left:
-        state.counts.add(source, -left)
-    state.step_count += 1
-    records = [TraceRecord(state.step_count, STAGE_EXECUTED, stage_id, (token_id,))]
-    state.pending.extend(state.model.trigger_targets.get(stage_id, ()))
-    for event_id, needed in state.firing.get(stage_id, ()):
-        covered = state.coverage[event_id]
-        covered.add(stage_id)
-        if covered >= needed:
-            state.step_count += 1
-            records.append(TraceRecord(state.step_count, EVENT_FIRED, event_id, (token_id,)))
-            covered.clear()
-    return records
-
-
 def _fire(state: SimState, kind: str, stage: str | None, token: int | None,
           flow_index: int | None) -> list[TraceRecord]:
-    """Apply the effects of the enabled candidate with these fields. ``run``
-    fires the tuples that ``_candidate`` selects and ``step`` fires the
-    fields of a :class:`Candidate`; both go through here."""
-    if kind != "move":  # a creation or a trigger mints a token in its stage
+    """Apply one whole step for the enabled candidate with these fields, the
+    one place a step changes the state: ``run`` fires the tuples that
+    ``_candidate`` selects and ``step`` the fields of a :class:`Candidate`.
+    A creation or a trigger mints a token; a move takes its token off the
+    source's frontier, with the ``left`` moves it no longer waits for. The
+    token executes the stage: it joins the frontier unless it has taken
+    every flow out, a move's two counts change in one climb, the stage's
+    triggers are enqueued and covering events may fire."""
+    model = state.model
+    if kind == "move":
+        flow = model.flows[flow_index]
+        source = state.position[flow.source]
+        waiting = state.frontier[source]
+        left = len(waiting.pop(token))
+        if not waiting:
+            del state.frontier[source]
+        stage = flow.target
+        if (stage in state.options.reject_accept
+                and model.stage_by_id[stage].kind is StageKind.ACCEPT):
+            state.counts.add(source, -left)
+            del state.tokens[token]
+            state.step_count += 1
+            return [TraceRecord(state.step_count, TOKEN_REJECTED, stage, (token,))]
+        taken = state.tokens[token]
+        taken.add(flow_index)
+    else:  # a creation or a trigger mints a token in its stage
         if kind == "trigger":
             stage = state.pending.popleft()
         else:
@@ -325,23 +315,31 @@ def _fire(state: SimState, kind: str, stage: str | None, token: int | None,
                 state.counts.add(state.create_slot[stage], -1)
         token = state.next_token
         state.next_token += 1
-        state.tokens[token] = set()
-        return _execute_stage(state, stage, token)
-
-    flow = state.model.flows[flow_index]
-    position = state.position[flow.source]
-    waiting = state.frontier[position]
-    left = len(waiting.pop(token))
-    if not waiting:
-        del state.frontier[position]
-    if (flow.target in state.options.reject_accept
-            and state.model.stage_by_id[flow.target].kind is StageKind.ACCEPT):
-        state.counts.add(position, -left)
-        del state.tokens[token]
-        state.step_count += 1
-        return [TraceRecord(state.step_count, TOKEN_REJECTED, flow.target, (token,))]
-    state.tokens[token].add(flow_index)
-    return _execute_stage(state, flow.target, token, position, left)
+        state.tokens[token] = taken = set()
+        left = 0
+    untaken = model.flow_indices_from.get(stage, ())
+    if not taken.isdisjoint(untaken):
+        untaken = tuple(i for i in untaken if i not in taken)
+    if untaken:
+        position = state.position[stage]
+        state.frontier.setdefault(position, {})[token] = untaken
+        if left:
+            state.counts.move(source, left, position, len(untaken))
+        else:
+            state.counts.add(position, len(untaken))
+    elif left:
+        state.counts.add(source, -left)
+    state.step_count += 1
+    records = [TraceRecord(state.step_count, STAGE_EXECUTED, stage, (token,))]
+    state.pending.extend(model.trigger_targets.get(stage, ()))
+    for event_id, needed in state.firing.get(stage, ()):
+        covered = state.coverage[event_id]
+        covered.add(stage)
+        if covered >= needed:
+            state.step_count += 1
+            records.append(TraceRecord(state.step_count, EVENT_FIRED, event_id, (token,)))
+            covered.clear()
+    return records
 
 
 def step(state: SimState, candidate: Candidate) -> tuple[SimState, list[TraceRecord]]:

@@ -375,7 +375,7 @@ def try_build_model(
             labelled = f" labelled '{s.label}'" if s.label else ""
             diags.append(error(
                 DUP_NAME,
-                f"thimac '{s.owner}' already has a {s.kind.value} stage{labelled}",
+                f"thimac '{s.owner}' already has a {NAME_BY_KIND[s.kind]} stage{labelled}",
                 s.id,
             ))
             continue

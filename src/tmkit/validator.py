@@ -38,6 +38,7 @@ from .diagnostics import (
 from .model import (
     LEGAL_FLOWS_ACROSS,
     LEGAL_FLOWS_WITHIN,
+    NAME_BY_KIND,
     TRIGGER_TARGET_KINDS,
     BehaviorEdge,
     BehaviorGraph,
@@ -71,7 +72,7 @@ def check_flow_legality(model: TmModel) -> list[Diagnostic]:
         if (src.kind, dst.kind) not in table:
             diags.append(error(
                 FLOW_ILLEGAL,
-                f"{src.kind.value} may not flow to {dst.kind.value} {where}",
+                f"{NAME_BY_KIND[src.kind]} may not flow to {NAME_BY_KIND[dst.kind]} {where}",
                 flow.id,
             ))
     for trigger in model.triggers:
@@ -83,7 +84,7 @@ def check_flow_legality(model: TmModel) -> list[Diagnostic]:
         if dst.kind not in TRIGGER_TARGET_KINDS:
             diags.append(error(
                 TRIGGER_ILLEGAL,
-                f"only create or process stages can be triggered, not {dst.kind.value}",
+                f"only create or process stages can be triggered, not {NAME_BY_KIND[dst.kind]}",
                 trigger.id,
             ))
     return diags
@@ -105,7 +106,7 @@ def check_connectivity(model: TmModel) -> list[Diagnostic]:
             if sid not in flow_sources and sid not in trigger_sources:
                 diags.append(warning(
                     STAGE_ORPHAN,
-                    f"{kind.value} stage has no incoming flow or trigger",
+                    f"{NAME_BY_KIND[kind]} stage has no incoming flow or trigger",
                     sid,
                 ))
         if kind is StageKind.RELEASE:

@@ -96,6 +96,24 @@ def test_unencodable_standard_output_is_reported_and_exits_two(run_cli, tmp_path
     assert out.read_text(encoding="utf-8") == run_cli(command, str(path))[1]
 
 
+def test_closed_standard_output_is_reported_and_exits_two(capsys, monkeypatch, corpus_paths):
+    """With standard output closed, Python sets ``sys.stdout`` to None; the
+    command exits 2 with one line on stderr, as an unwritable one does."""
+    path = str(corpus_paths["dough_cookie"])
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", None)
+        code = main(["fmt", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("cannot write standard output:")
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(["sh", "-c", 'exec "$0" -m tmkit.cli fmt "$1" >&-', sys.executable, path],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert done.stderr.startswith("cannot write standard output:")
+    assert "Traceback" not in done.stderr
+
+
 def test_parse_failure_reports_and_exits_two(run_cli, tmp_path):
     bad = tmp_path / "bad.tm"
     bad.write_text("flow ->", encoding="utf-8")
