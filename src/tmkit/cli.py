@@ -48,26 +48,64 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _json(payload: dict) -> str:
+    return render.indented_json(payload) + "\n"
+
+
+def _validate(args, doc, report, events) -> str:
+    return _json(report.to_json_dict())
+
+
+def _events(args, doc, report, events) -> str:
+    return _json({
+        "elementary": [e.to_json_dict() for e in elementary_events(doc.model)],
+        "declared": [e.to_json_dict() for e in events],
+    })
+
+
+def _simulate(args, doc, report, events) -> str:
+    options = dynamics.SimOptions(seed=args.seed, max_steps=args.steps,
+                                  creation_cap=args.cap, policy=args.policy)
+    return dynamics.run(doc.model, events, options).to_ndjson()
+
+
+def _simplify(args, doc, report, events) -> str:
+    simplified, sreport = simplify(doc.model)
+    return _json({"model": model_to_dict(simplified), "report": sreport.to_json_dict()})
+
+
+def _render(args, doc, report, events) -> str:
+    if args.format == render.JSON:
+        return render.to_json(doc.model, events, doc.behavior)
+    overlay = make_overlay(doc.model, events) if args.overlay else None
+    options = render.RenderOptions(cluster_thimacs=not args.flat, overlay=overlay)
+    return render.to_dot(doc.model, options)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The ``tm`` parser, built on the first call and reused by every later
-    ``main`` in the process; ``parse_args`` leaves it unchanged."""
+    ``main`` in the process; ``parse_args`` leaves it unchanged. Each
+    subcommand but ``fmt`` binds its work as ``args.work``: the output text
+    on a valid model, from the arguments, the document, its report and its
+    events."""
     parser = argparse.ArgumentParser(
         prog="tm",
         description="Toolchain for thing/machine conceptual models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, work=None) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input", help="model file (.tm)")
         cmd.add_argument("--output", help="write here instead of standard output")
+        cmd.set_defaults(work=work)
         return cmd
 
-    add("validate", "check a model file and report diagnostics")
-    add("events", "list elementary and declared events")
+    add("validate", "check a model file and report diagnostics", _validate)
+    add("events", "list elementary and declared events", _events)
 
-    simulate = add("simulate", "run the token-flow simulation and emit the trace")
+    simulate = add("simulate", "run the token-flow simulation and emit the trace", _simulate)
     simulate.add_argument("--seed", type=_non_negative, default=0,
                           help="random seed (default 0)")
     simulate.add_argument("--steps", type=_non_negative, default=1000,
@@ -77,9 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--cap", type=_non_negative, default=1,
                           help="spontaneous creations per create stage (default 1)")
 
-    add("simplify", "remove transport stages and emit the collapsed model")
+    add("simplify", "remove transport stages and emit the collapsed model", _simplify)
 
-    render_cmd = add("render", "emit dot graph text or canonical JSON")
+    render_cmd = add("render", "emit dot graph text or canonical JSON", _render)
     render_cmd.add_argument("--format", choices=(render.DOT, render.JSON),
                             default=render.DOT, help="output format (default dot)")
     render_cmd.add_argument("--overlay", action="store_true",
@@ -91,51 +129,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json(payload: dict) -> str:
-    return render.indented_json(payload) + "\n"
-
-
 def _command(args: argparse.Namespace, doc: Document) -> tuple[str, int]:
-    """The output text and exit code of a command on a loaded document."""
+    """The output text and exit code of a command on a loaded document:
+    ``fmt`` formats any model that loads, every other command validates it
+    and does its work only on a valid model."""
     if args.command == "fmt":
         return format_model(doc.model, doc.events, doc.behavior), 0
-
     report, events = validate_document(doc.model, doc.events, doc.behavior)
-    if args.command == "validate" or not report.ok:
-        return _json(report.to_json_dict()), 0 if report.ok else 1
-
-    if args.command == "events":
-        return _json({
-            "elementary": [e.to_json_dict() for e in elementary_events(doc.model)],
-            "declared": [e.to_json_dict() for e in events],
-        }), 0
-
-    if args.command == "simulate":
-        options = dynamics.SimOptions(
-            seed=args.seed,
-            max_steps=args.steps,
-            creation_cap=args.cap,
-            policy=args.policy,
-        )
-        return dynamics.run(doc.model, events, options).to_ndjson(), 0
-
-    if args.command == "simplify":
-        simplified, sreport = simplify(doc.model)
-        return _json({
-            "model": model_to_dict(simplified),
-            "report": sreport.to_json_dict(),
-        }), 0
-
-    if args.command == "render":
-        if args.format == render.JSON:
-            return render.to_json(doc.model, events, doc.behavior), 0
-        options = render.RenderOptions(
-            cluster_thimacs=not args.flat,
-            overlay=make_overlay(doc.model, events) if args.overlay else None,
-        )
-        return render.to_dot(doc.model, options), 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+    if not report.ok:
+        return _json(report.to_json_dict()), 1
+    return args.work(args, doc, report, events), 0
 
 
 def main(argv: list[str] | None = None) -> int:

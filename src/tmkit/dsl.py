@@ -649,8 +649,12 @@ def format_model(
     behavior: BehaviorGraph | None = None,
 ) -> str:
     """Canonical text for a model: declaration order, nested thimacs
-    indented, one declaration per line. Formatting then re-parsing yields a
-    structurally equal document, and formatting is idempotent.
+    indented, one declaration per line. Formatting is idempotent; re-parsing
+    the text of a document that :func:`lower` built yields a structurally
+    equal document. Other models need not: ``build_model`` accepts a
+    repeated edge, written twice and refused as DUP_NAME on re-parsing, and
+    ``from_json`` any string as a name or label (an empty label reloads as
+    none) and opaque stage ids, which reload under their references.
     """
     stage_by_id, refs = model.stage_by_id, model.refs
     sections: list[list[str]] = []

@@ -86,7 +86,7 @@ class Trace:
     """Ordered record of stage executions and event firings from one run."""
 
     records: tuple[TraceRecord, ...]
-    truncated: bool = False
+    truncated: bool = False  # only when the step bound stopped a run with candidates left
 
     def event_firings(self) -> tuple[str, ...]:
         return tuple(r.element for r in self.records if r.kind == EVENT_FIRED)
@@ -356,7 +356,7 @@ def step(state: SimState, candidate: Candidate) -> tuple[SimState, list[TraceRec
 
 
 def run(model: TmModel, events: Iterable[Event] = (), options: SimOptions = SimOptions()) -> Trace:
-    """Run to exhaustion (or the step bound), returning the full trace.
+    """Run to exhaustion or the step bound, returning the full trace.
 
     The fifo policy always takes the first enabled candidate; the random
     policy picks uniformly with the seeded generator. Either way the trace
@@ -369,17 +369,10 @@ def run(model: TmModel, events: Iterable[Event] = (), options: SimOptions = SimO
     counts, pending = state.counts, state.pending
     draw = state.rng.randrange if options.policy == RANDOM else None
     records: list[TraceRecord] = []
-    truncated = False
-    while True:
-        if state.step_count >= options.max_steps:
-            truncated = True
-            break
-        total = bool(pending) + counts.total  # len(enabled(state))
-        if not total:
-            break
-        k = draw(total) if draw else 0
+    while (total := bool(pending) + counts.total) and state.step_count < options.max_steps:
+        k = draw(total) if draw else 0  # total is len(enabled(state))
         records.extend(_fire(state, *_candidate(state, k)))
-    return Trace(tuple(records), truncated)
+    return Trace(tuple(records), bool(total))
 
 
 # -- trace conformance ------------------------------------------------------

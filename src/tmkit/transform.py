@@ -104,8 +104,7 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
         return next((n for n in walk(lambda s: succ.get(s, ()), [start])
                      if n in retained_ids), None)
 
-    new_triggers: list[TriggerEdge] = []
-    seen_triggers: set[tuple[str, str]] = set()
+    new_triggers: dict[TriggerEdge, None] = {}  # insertion-ordered, first of each pair
     dropped: list[DroppedTrigger] = []
     for trigger in model.triggers:
         source = trigger.source
@@ -129,13 +128,11 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
                 trigger.source, trigger.target,
                 "re-anchoring would collapse the trigger to a self-loop"))
             continue
-        if (source, target) not in seen_triggers:
-            seen_triggers.add((source, target))
-            new_triggers.append(TriggerEdge(source, target))
+        new_triggers.setdefault(TriggerEdge(source, target))
 
     # build_model derives children and stages of each thimac afresh, so
     # the input's thimacs and retained stages pass through as they are.
-    simplified = build_model(model.thimacs, retained, new_flows, new_triggers)
+    simplified = build_model(model.thimacs, retained, new_flows, new_triggers.keys())
     removed_counts = {NAME_BY_KIND[kind]: 0 for kind in REMOVED_KINDS}
     for sid in removable:
         removed_counts[NAME_BY_KIND[model.stage_by_id[sid].kind]] += 1

@@ -230,6 +230,37 @@ def test_simulate_rejects_negative_numbers(capsys, corpus_paths, option):
     assert main(["simulate", str(corpus_paths["dough_cookie"]), option, "0"]) == 0
 
 
+@pytest.mark.parametrize("value", ["x", "1.5", ""])
+@pytest.mark.parametrize("option", ["--seed", "--steps", "--cap"])
+def test_simulate_rejects_non_integers(capsys, corpus_paths, option, value):
+    assert main(["simulate", str(corpus_paths["dough_cookie"]), option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: invalid int value: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("steps, truncated", [(10, True), (11, False)])
+def test_simulate_is_truncated_only_when_candidates_remain_at_the_bound(
+        run_cli, corpus_paths, steps, truncated):
+    """dough_cookie's run exhausts at exactly 11 records: a bound of 11 stops
+    it with nothing left to fire, which is no cut."""
+    code, out = run_cli("simulate", str(corpus_paths["dough_cookie"]), "--steps", str(steps))
+    ended = json.loads(out.splitlines()[-1])
+    assert (code, ended) == (0, {"kind": "run-ended", "truncated": truncated,
+                                 "records": steps})
+
+
+def test_simulate_with_nothing_to_fire_is_not_truncated_at_zero_steps(run_cli, tmp_path):
+    """A create that a trigger points at never fires on its own, so this
+    model has no candidate at all."""
+    path = tmp_path / "idle.tm"
+    path.write_text("thimac A { create; process; }\n"
+                    "flow A.create -> A.process;\n"
+                    "trigger A.process ~> A.create;\n", encoding="utf-8")
+    assert run_cli("simulate", str(path), "--steps", "0") == (
+        0, '{"kind": "run-ended", "truncated": false, "records": 0}\n')
+
+
 def test_simulate_on_invalid_model_reports_and_exits_one(run_cli):
     code, out = run_cli("simulate", str(FIXTURES / "flow_illegal.tm"))
     assert code == 1

@@ -508,7 +508,7 @@ def _replay(model, events, options: SimOptions) -> Trace:
         new = step(state, chosen)[1]
         track_arrivals(at, new)
         records.extend(new)
-    return Trace(tuple(records), True)
+    return Trace(tuple(records), bool(enabled(state)))
 
 
 def test_enabled_matches_full_scan_and_replay_matches_run(corpus_docs):
@@ -537,8 +537,14 @@ def test_enabled_matches_full_scan_and_replay_matches_run(corpus_docs):
             options = SimOptions(
                 seed=seed, max_steps=(60, 400)[n % 2], creation_cap=1 + seed % 2,
                 policy=policy, reject_accept=frozenset({"B.accept"}) if seed == 2 else frozenset())
-            assert (_replay(model, events, options).to_ndjson()
-                    == run(model, events, options).to_ndjson()), (n, options)
+            trace = run(model, events, options)
+            assert _replay(model, events, options).to_ndjson() == trace.to_ndjson(), (n, options)
+            if seed == 0 and not trace.truncated:
+                # A bound equal to the run's length stops it exactly as it
+                # exhausts, which is no cut.
+                exact = dataclasses.replace(options, max_steps=len(trace.records))
+                assert (_replay(model, events, exact).to_ndjson()
+                        == run(model, events, exact).to_ndjson() == trace.to_ndjson()), (n, exact)
 
 
 @pytest.mark.parametrize("shape", ["authoring", "sim-fanout", "sim-relay"])
