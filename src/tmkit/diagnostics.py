@@ -41,6 +41,8 @@ class Span:
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One problem found: a stable code, a severity, a message, and where it is."""
+
     code: str
     severity: str
     message: str

@@ -104,6 +104,8 @@ class ParseFailure(TmError):
 
 @dataclass(slots=True, unsafe_hash=True)
 class StageRef:
+    """A stage reference as written, by its canonical text."""
+
     text: str  # the canonical stage id, such as "A.B.process(job)"
     start: int = field(compare=False)
     end: int = field(compare=False)
@@ -111,6 +113,8 @@ class StageRef:
 
 @dataclass(slots=True, unsafe_hash=True)
 class StageNode:
+    """A stage declared in a thimac body: its kind and optional label."""
+
     kind: StageKind
     label: str | None
     start: int = field(compare=False)
@@ -119,6 +123,8 @@ class StageNode:
 
 @dataclass(slots=True, unsafe_hash=True)
 class ThimacNode:
+    """A thimac declaration: its name and its stages and nested thimacs, in order."""
+
     name: str
     body: tuple[Union["ThimacNode", StageNode], ...]
     start: int = field(compare=False)
@@ -127,6 +133,8 @@ class ThimacNode:
 
 @dataclass(slots=True, unsafe_hash=True)
 class FlowNode:
+    """A ``flow`` declaration: the references of its two ends."""
+
     source: StageRef
     target: StageRef
     start: int = field(compare=False)
@@ -135,6 +143,8 @@ class FlowNode:
 
 @dataclass(slots=True, unsafe_hash=True)
 class TriggerNode:
+    """A ``trigger`` declaration: the references of its two ends."""
+
     source: StageRef
     target: StageRef
     start: int = field(compare=False)
@@ -143,6 +153,8 @@ class TriggerNode:
 
 @dataclass(slots=True, unsafe_hash=True)
 class EventNode:
+    """An ``event`` declaration: its name and the references of its region."""
+
     name: str
     refs: tuple[StageRef, ...]
     start: int = field(compare=False)
@@ -151,6 +163,8 @@ class EventNode:
 
 @dataclass(slots=True, unsafe_hash=True)
 class BehaviorEdgeNode:
+    """One ``before -> after`` edge of a ``behavior`` block, maybe marked ``repeat``."""
+
     before: str
     after: str
     repeat: bool
@@ -160,6 +174,8 @@ class BehaviorEdgeNode:
 
 @dataclass(slots=True, unsafe_hash=True)
 class BehaviorNode:
+    """A ``behavior`` block: its chronology edges, in order."""
+
     edges: tuple[BehaviorEdgeNode, ...]
     start: int = field(compare=False)
     end: int = field(compare=False)
@@ -174,6 +190,8 @@ EDGES = {"flow": (FlowNode, "->", FlowEdge), "trigger": (TriggerNode, "~>", Trig
 
 @dataclass(frozen=True)
 class Ast:
+    """The declarations of one text, in order, as :func:`parse` reads them."""
+
     declarations: tuple[Declaration, ...]
     # The text's _newlines, which turn node offsets into lines and columns;
     # the default is that of a text of one line.
@@ -469,8 +487,13 @@ def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
     offset of the first one the patterns above do not match, or ``len(scan)``."""
 
     def ref(m: re.Match, group: int) -> StageRef:
-        """The reference of ``_REF``'s group ``group``."""
-        return StageRef("".join(m[group].split()), *m.span(group))
+        """The reference of ``_REF``'s group ``group``, without the
+        whitespace ``_REF`` admits."""
+        text = m[group]
+        if " " in text or "\t" in text or "\r" in text or "\n" in text:
+            text = "".join(text.split())
+        start, end = m.span(group)
+        return StageRef(text, start, end)
 
     stop = len(scan)
     while pos < stop:
@@ -488,7 +511,8 @@ def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
         at, pos = m.lastindex, m.end()
         if at == 1:
             # The open thimacs, innermost last: first offset, name, body so far.
-            open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = [(first, m[1], [])]
+            body: list = []  # that of the innermost open thimac
+            open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = [(first, m[1], body)]
             while open_:
                 m = _THIMAC_ITEM.match(scan, pos)
                 if m is None:
@@ -496,13 +520,13 @@ def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
                 at = m.lastindex
                 if at == 3:
                     kind, label = m.group(1, 2)
-                    open_[-1][2].append(StageNode(KIND_BY_NAME[kind], label, pos, m.start(3)))
+                    body.append(StageNode(KIND_BY_NAME[kind], label, pos, m.start(3)))
                 elif at == 4:
-                    open_.append((pos, m[4], []))
+                    open_.append((pos, m[4], body := []))
                 else:
-                    start, name, body = open_.pop()
-                    node = ThimacNode(name, tuple(body), start, pos + 1)
-                    (open_[-1][2] if open_ else decls).append(node)
+                    start, name, items = open_.pop()
+                    body = open_[-1][2] if open_ else decls
+                    body.append(ThimacNode(name, tuple(items), start, pos + 1))
                 pos = m.end()
         elif at == 2:
             name, refs = m[2], []
@@ -574,30 +598,33 @@ def lower(ast: Ast) -> Document:
     thimacs: list[Thimac] = []
     stages: list[Stage] = []
 
-    # Depth first in document order; a stage is paired with its owner's path.
-    pending: list[tuple[ThimacNode | StageNode, str | None]] = [
-        (decl, None) for decl in reversed(ast.declarations) if isinstance(decl, ThimacNode)]
-    while pending:
-        node, parent = pending.pop()
-        if isinstance(node, StageNode):
-            sid = stage_ref_text(parent, node.kind, node.label)
-            stages.append(Stage(id=sid, kind=node.kind, owner=parent, label=node.label))
-            continue
-        path = node.name if parent is None else f"{parent}.{node.name}"
-        thimacs.append(Thimac(id=path, name=node.name, parent=parent))
-        pending.extend((item, path) for item in reversed(node.body))
+    # Depth first in document order: the path of each open thimac, innermost
+    # last, with the rest of its body.
+    open_: list[tuple[str | None, Iterator[ThimacNode | StageNode]]] = [
+        (None, (decl for decl in ast.declarations if isinstance(decl, ThimacNode)))]
+    while open_:
+        parent, body = open_[-1]
+        for node in body:
+            if isinstance(node, StageNode):
+                kind, label = node.kind, node.label
+                stages.append(Stage(stage_ref_text(parent, kind, label), kind, parent, label))
+            else:
+                path = node.name if parent is None else f"{parent}.{node.name}"
+                thimacs.append(Thimac(path, node.name, parent))
+                open_.append((path, iter(node.body)))
+                break
+        else:
+            open_.pop()
 
     # Each reference resolves to its stage's own id string, so the model
-    # and the events hold one string per stage, not one per reference.
+    # and the events hold one string per stage, not one per reference:
+    # ``stage_ids.get(ref.text) or unresolved(ref)``.
     stage_ids = {s.id: s.id for s in stages}
     diags: list[Diagnostic] = []
 
-    def resolve(ref: StageRef) -> str | None:
-        sid = stage_ids.get(ref.text)
-        if sid is None:
-            diags.append(error(REF_UNRESOLVED, f"unknown stage reference '{ref.text}'", ref.text,
-                               ast.span(ref.start, ref.end)))
-        return sid
+    def unresolved(ref: StageRef) -> None:
+        diags.append(error(REF_UNRESOLVED, f"unknown stage reference '{ref.text}'", ref.text,
+                           ast.span(ref.start, ref.end)))
 
     edges = EdgeSet()
     event_decls: list[EventDecl] = []
@@ -609,20 +636,24 @@ def lower(ast: Ast) -> Document:
     for decl in ast.declarations:
         make = lowered_edge.get(type(decl))
         if make is not None:
-            src, dst = resolve(decl.source), resolve(decl.target)
+            src = stage_ids.get(decl.source.text) or unresolved(decl.source)
+            dst = stage_ids.get(decl.target.text) or unresolved(decl.target)
             if src is not None and dst is not None and not edges.add(made := make(src, dst)):
                 diags.append(declared_twice(made.id, ast.span(decl.start, decl.end)))
         elif isinstance(decl, EventNode):
-            region = tuple(sid for sid in (resolve(ref) for ref in decl.refs) if sid is not None)
+            region = tuple([sid for ref in decl.refs
+                            if (sid := stage_ids.get(ref.text) or unresolved(ref)) is not None])
             event_decls.append(EventDecl(decl.name, region, ast.span(decl.start, decl.end)))
         elif isinstance(decl, BehaviorNode):
             saw_behavior = True
             for edge in decl.edges:
-                missing = [n for n in (edge.before, edge.after) if n not in declared_events]
+                before, after = edge.before, edge.after
+                if before in declared_events and after in declared_events:
+                    behavior_edges.append(BehaviorEdge(before, after, edge.repeat))
+                    continue
                 diags += (error(REF_UNRESOLVED, f"chronology names undeclared event '{name}'",
-                                name, ast.span(edge.start, edge.end)) for name in missing)
-                if not missing:
-                    behavior_edges.append(BehaviorEdge(edge.before, edge.after, edge.repeat))
+                                name, ast.span(edge.start, edge.end))
+                          for name in (before, after) if name not in declared_events)
 
     model, build_diags = try_build_model(thimacs, stages, edges.flows, edges.triggers)
     if build_diags or diags:

@@ -59,6 +59,8 @@ class Candidate:
 
 @dataclass(slots=True, unsafe_hash=True)
 class TraceRecord:
+    """One trace entry: the step, what happened, to which element, with which tokens."""
+
     step: int
     kind: str
     element: str

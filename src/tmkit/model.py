@@ -106,6 +106,8 @@ class Thimac:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Stage:
+    """One stage of a thimac: its kind and optional label, owned by a thimac id."""
+
     id: str
     kind: StageKind
     owner: str
@@ -139,20 +141,22 @@ class TriggerEdge:
 class EdgeSet:
     """The rule that an edge is declared once: keeps the first of each
     equal flow or trigger, in declaration order, sorted into ``flows`` and
-    ``triggers``. A flow and a trigger between the same stages are two
-    edges, since records of different classes never compare equal."""
+    ``triggers``. An edge is known by its class and its two ends, so a flow
+    and a trigger between the same stages are two edges."""
 
     def __init__(self) -> None:
         self.flows: list[FlowEdge] = []
         self.triggers: list[TriggerEdge] = []
-        self._seen: set[FlowEdge | TriggerEdge] = set()
+        # Plain tuples, which C hashes and compares, not the records.
+        self._seen: set[tuple[type, str, str]] = set()
 
     def add(self, edge: FlowEdge | TriggerEdge) -> bool:
         """Keep ``edge`` and return True, or return False for a repeat,
         which earns the DUP_NAME of :func:`declared_twice`."""
-        if edge in self._seen:
+        key = (type(edge), edge.source, edge.target)
+        if key in self._seen:
             return False
-        self._seen.add(edge)
+        self._seen.add(key)
         (self.flows if isinstance(edge, FlowEdge) else self.triggers).append(edge)
         return True
 
@@ -334,16 +338,15 @@ def try_build_model(
 
     # Containment must be a forest: follow each parent chain until it
     # meets a thimac an earlier chain visited. A chain that meets itself
-    # closes a cycle, reported once where it closed.
-    visited: set[str] = set()
+    # closes a cycle, reported once where it closed. Each visited thimac
+    # maps to the first thimac of the chain that visited it.
+    chain_of: dict[str, str] = {}
     for t in thimac_by_id.values():
-        chain: list[str] = []
         cur: str | None = t.id
-        while cur in thimac_by_id and cur not in visited:
-            visited.add(cur)
-            chain.append(cur)
+        while cur in thimac_by_id and cur not in chain_of:
+            chain_of[cur] = t.id
             cur = thimac_by_id[cur].parent
-        if cur in chain:
+        if chain_of.get(cur) == t.id:
             diags.append(error(NEST_CYCLE, f"thimac containment cycle through '{cur}'", cur))
 
     # Sibling names must be unique (the implicit grand-thimac root owns the
@@ -383,10 +386,9 @@ def try_build_model(
         stage_by_id[s.id] = s
 
     for edge in (*flows, *triggers):
-        for end in (edge.source, edge.target):
-            if end not in stage_by_id:
-                diags.append(error(
-                    REF_UNRESOLVED, f"edge endpoint '{end}' is not a declared stage", edge.id))
+        if edge.source not in stage_by_id or edge.target not in stage_by_id:
+            diags += (error(REF_UNRESOLVED, f"edge endpoint '{end}' is not a declared stage", edge.id)
+                      for end in (edge.source, edge.target) if end not in stage_by_id)
 
     if diags:
         return None, diags
@@ -401,29 +403,20 @@ def try_build_model(
             roots.append(t.id)
         else:
             children[t.parent].append(t.id)
-    ordered_ids: list[str] = []
-    pending = list(reversed(roots))
-    while pending:
-        tid = pending.pop()
-        ordered_ids.append(tid)
-        pending.extend(reversed(children[tid]))
-
     stages_by_owner: dict[str, list[Stage]] = {t.id: [] for t in thimacs}
     for s in stages:
         stages_by_owner[s.owner].append(s)
 
-    ordered_thimacs = tuple(
-        Thimac(
-            id=tid,
-            name=thimac_by_id[tid].name,
-            parent=thimac_by_id[tid].parent,
-            children=tuple(children[tid]),
-            stages=tuple(s.id for s in stages_by_owner[tid]),
-        )
-        for tid in ordered_ids
-    )
-    ordered_stages = tuple(s for tid in ordered_ids for s in stages_by_owner[tid])
-    return TmModel(ordered_thimacs, ordered_stages, flows, triggers), []
+    ordered: list[Thimac] = []
+    ordered_stages: list[Stage] = []
+    pending = roots[::-1]
+    while pending:
+        t = thimac_by_id[pending.pop()]
+        kids, owned = children[t.id], stages_by_owner[t.id]
+        ordered.append(Thimac(t.id, t.name, t.parent, tuple(kids), tuple([s.id for s in owned])))
+        ordered_stages += owned
+        pending += reversed(kids)
+    return TmModel(tuple(ordered), tuple(ordered_stages), flows, triggers), []
 
 
 def build_model(
@@ -510,6 +503,8 @@ class BehaviorEdge:
 
 @dataclass(frozen=True)
 class BehaviorGraph:
+    """A declared chronology: the event names and the edges between them."""
+
     nodes: tuple[str, ...]
     edges: tuple[BehaviorEdge, ...]
 

@@ -41,6 +41,8 @@ JSON = "json"
 
 @dataclass(frozen=True)
 class RenderOptions:
+    """How :func:`to_dot` draws a model: a cluster per thimac or flat, and an event overlay."""
+
     cluster_thimacs: bool = True
     overlay: Mapping[str, tuple[str, ...]] | None = None
 

@@ -34,6 +34,8 @@ REMOVED_KINDS = (
 
 @dataclass(frozen=True)
 class DroppedTrigger:
+    """A trigger that simplification could not keep, and why."""
+
     source: str
     target: str
     reason: str

@@ -85,6 +85,43 @@ def test_dangling_flow_endpoint_is_collected_not_raised_first():
     assert codes.count(REF_UNRESOLVED) == 2
 
 
+def test_a_flow_and_a_trigger_between_two_stages_are_two_edges(tmp_path):
+    """An edge is known by its kind and its two ends, through ``dsl.load``
+    and through ``render.from_json`` alike: a flow and a trigger between
+    the same two stages are two edges and earn no DUP_NAME, and a repeat of
+    either earns one DUP_NAME, at the repeat. In text, the unresolved
+    references of an edge come source first, in declaration order with
+    the repeats."""
+    both = "thimac A { create; process; }\nflow A.create -> A.process;\ntrigger A.create ~> A.process;\n"
+    path = tmp_path / "both.tm"
+    path.write_text(both, encoding="utf-8")
+    doc = dsl.load(path)
+    assert doc.model.flows == (FlowEdge("A.create", "A.process"),)
+    assert doc.model.triggers == (TriggerEdge("A.create", "A.process"),)
+    assert render.from_json(render.to_json(doc.model))[0] == doc.model
+    for section, repeat in (("flows", "flow A.create -> A.process;"),
+                            ("triggers", "trigger A.create ~> A.process;")):
+        edge_id = f"{repeat.split()[0]}:A.create{repeat.split()[2]}A.process"
+        path.write_text(f"{both}{repeat}\n", encoding="utf-8")
+        with pytest.raises(ModelError) as info:
+            dsl.load(path)
+        assert [(d.code, d.element, d.span.line) for d in info.value.diagnostics] == [
+            (DUP_NAME, edge_id, 4)]
+        data = json.loads(render.to_json(doc.model))
+        data[section].append({"source": "A.create", "target": "A.process"})
+        with pytest.raises(ModelError) as info:
+            render.from_json(json.dumps(data))
+        assert [(d.code, d.element) for d in info.value.diagnostics] == [(DUP_NAME, edge_id)]
+
+    path.write_text(both + "flow B.create -> C.process;\nflow A.create -> A.process;\n"
+                    "trigger A.create ~> D.create;\n", encoding="utf-8")
+    with pytest.raises(ModelError) as info:
+        dsl.load(path)
+    assert [(d.code, d.element, d.span.line) for d in info.value.diagnostics] == [
+        (REF_UNRESOLVED, "B.create", 4), (REF_UNRESOLVED, "C.process", 4),
+        (DUP_NAME, "flow:A.create->A.process", 5), (REF_UNRESOLVED, "D.create", 6)]
+
+
 def test_containment_cycle_is_reported_once():
     thimacs = [
         Thimac(id="A", name="A", parent="B"),
