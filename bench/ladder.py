@@ -1,6 +1,6 @@
 """Per-layer times and call counts of tmkit on a ladder of model sizes.
 
-    python bench/ladder.py [--sizes 125 250 ...] [--repeats 5] [--seed 1] [--output FILE]
+    python bench/ladder.py [--sizes 125 250 ...] [--repeats 7] [--seed 1] [--output FILE]
 
 Run from a source checkout; tmkit is imported from ``src/`` and the
 model generators from ``perfbench/shapes.py``, which is only read. For
@@ -19,7 +19,12 @@ would after ``validate``. Simulation uses the options that
 with the cyclic garbage collector paused, as ``tm`` pauses it:
 
 - ``--repeats`` timed passes, from which each layer gets the median and
-  the interquartile range of its seconds (0 with fewer than two passes);
+  the interquartile range of its seconds (0 with fewer than two passes).
+  As ``perfbench/run.py`` scales each command, each pass is scaled to the
+  reference machine speed by the reference seconds of run.py's fixed
+  calibration task over the mean of the calibrations just before and
+  after the pass: on a shared machine the speed of Python drifts by a
+  third within minutes, and the scale takes that drift out;
 - one pass under ``cProfile``, which counts each layer's function calls
   (``pstats.Stats.total_calls``). It runs apart from the timing, which
   it would slow about twofold;
@@ -30,10 +35,9 @@ with the cyclic garbage collector paused, as ``tm`` pauses it:
 The log-log slope of each layer's median time and of its call count
 against n is fitted by least squares over the top three rungs; a slope
 of 1 is linear growth. The run records the git revision, the SHA-256 of
-the ``src/tmkit`` sources, the Python version and the calibration scale
-of ``perfbench/run.py`` (reference seconds of its fixed task over the
-median measured before the rungs; above 1 means a machine faster than
-the reference). Times are wall seconds, not scaled. The run is appended
+the ``src/tmkit`` sources, the Python version and the median scale of
+its passes (``calibration_scale``; above 1 means a machine faster than
+the reference). The run is appended
 to the ``runs`` list of ``--output`` (default ``BENCH_ladder.json`` at
 the root of the checkout), so that one file can hold the runs of two
 revisions side by side. Standard library only.
@@ -168,15 +172,21 @@ def source_digest() -> str:
 
 
 def ladder(shape: str, sizes: list[int], repeats: int, seed: int,
-           calibrations: list[float], pool) -> dict:
+           scales: list[float], pool) -> dict:
     import run
     import shapes
 
     rungs = []
     for n in sizes:
-        calibrations.append(run.calibration())
         text = shapes.GENERATORS[shape](n, seed).text
-        passes = [timed_pass(text, shape, seed) for _ in range(repeats)]
+        passes = []
+        before = run.calibration()
+        for _ in range(repeats):
+            seconds = timed_pass(text, shape, seed)
+            after = run.calibration()
+            scales.append(2 * run.CALIBRATION_REF_S / (before + after))
+            passes.append({layer: value * scales[-1] for layer, value in seconds.items()})
+            before = after
         calls = counted_pass(text, shape, seed)
         rss = pool.apply(child_peak_rss_mb, (shape, n, seed))
         layers = {}
@@ -202,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES),
                         help="model sizes n, in increasing order (default 125 ... 4000)")
-    parser.add_argument("--repeats", type=int, default=5, help="timed passes per rung")
+    parser.add_argument("--repeats", type=int, default=7, help="timed passes per rung")
     parser.add_argument("--seed", type=int, default=1, help="seed of the generated models")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_ladder.json",
                         help="JSON file whose runs list the run is appended to")
@@ -223,10 +233,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"tmkit was imported from {tmkit.__file__}, not {ROOT / 'src'}",
                   file=sys.stderr)
             return 2
-        import run
-
-        calibrations: list[float] = []
-        results = {shape: ladder(shape, args.sizes, args.repeats, args.seed, calibrations, pool)
+        scales: list[float] = []
+        results = {shape: ladder(shape, args.sizes, args.repeats, args.seed, scales, pool)
                    for shape in shapes.GENERATORS}
     record = {
         "revision": git("rev-parse", "HEAD"),
@@ -235,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": multiprocessing.cpu_count(),
-        "calibration_scale": run.CALIBRATION_REF_S / statistics.median(calibrations),
+        "calibration_scale": statistics.median(scales),
         "seed": args.seed,
         "repeats": args.repeats,
         "sizes": args.sizes,
