@@ -1,6 +1,6 @@
 """Per-layer times and call counts of tmkit on a ladder of model sizes.
 
-    python bench/ladder.py [--sizes 125 250 ...] [--repeats 7] [--seed 1] [--output FILE]
+    python bench/ladder.py [--sizes 125 250 ...] [--repeats 21] [--seed 1] [--output FILE]
 
 Run from a source checkout; tmkit is imported from ``src/`` and the
 model generators from ``perfbench/shapes.py``, which is only read. For
@@ -212,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES),
                         help="model sizes n, in increasing order (default 125 ... 4000)")
-    parser.add_argument("--repeats", type=int, default=7, help="timed passes per rung")
+    parser.add_argument("--repeats", type=int, default=21, help="timed passes per rung")
     parser.add_argument("--seed", type=int, default=1, help="seed of the generated models")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_ladder.json",
                         help="JSON file whose runs list the run is appended to")
