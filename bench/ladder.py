@@ -1,12 +1,13 @@
 """Per-layer times and call counts of tmkit on a ladder of model sizes.
 
-    python bench/ladder.py [--sizes 125 250 ...] [--repeats 21] [--seed 1] [--output FILE]
+    python bench/ladder.py [--sizes 125 250 ...] [--output FILE]
 
 Run from a source checkout; tmkit is imported from ``src/`` and the
 model generators from ``perfbench/shapes.py``, which is only read. For
 each of the three benchmark shapes and each size n (by default
 125, 250, ..., 4000, doubling), the script generates the model text once
-and runs the pipeline of a ``tm`` command layer by layer, in this order:
+with seed 1 and runs the pipeline of a ``tm`` command layer by layer,
+in this order:
 
     parse, lower, validate (``validate`` and ``build_events``),
     check_behavior, events (``elementary_events``), simulate, trace_json
@@ -15,12 +16,16 @@ and runs the pipeline of a ``tm`` command layer by layer, in this order:
 
 A layer reads the model tables that earlier layers built, as one command
 would after ``validate``. Simulation uses the options that
-``perfbench/run.py`` gives the shape. Three passes run per rung, each
-with the cyclic garbage collector paused, as ``tm`` pauses it:
+``perfbench/run.py`` gives the shape, its step bound included, and that
+bound is fixed: ``sim-relay`` reaches its 2000 steps from n = 250 on and
+``authoring`` mints nothing, so on those two shapes ``trace_json``
+serializes a trace of one length at every rung, and ``sim-relay``'s
+``simulate`` grows only by its per-model setup. Their slopes show the
+bound, not how the model grows. Three passes run per rung, each with the
+cyclic garbage collector paused, as ``tm`` pauses it:
 
-- ``--repeats`` timed passes, from which each layer gets the median and
-  the interquartile range of its seconds (0 with fewer than two passes).
-  As ``perfbench/run.py`` scales each command, each pass is scaled to the
+- 21 timed passes, from which each layer gets the median and the
+  interquartile range of its seconds. As ``perfbench/run.py`` scales each command, each pass is scaled to the
   reference machine speed by the reference seconds of run.py's fixed
   calibration task over the mean of the calibrations just before and
   after the pass: on a shared machine the speed of Python drifts by a
@@ -64,9 +69,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (125, 250, 500, 1000, 2000, 4000)
 SLOPE_RUNGS = 3
+SEED = 1
+REPEATS = 21
 
 
-def pipeline(text: str, shape: str, seed: int, measure) -> None:
+def pipeline(text: str, shape: str, measure) -> None:
     """Run every layer once on ``text``; ``measure(layer, call)`` makes
     the call, measures it and returns its result."""
     import run
@@ -85,7 +92,7 @@ def pipeline(text: str, shape: str, seed: int, measure) -> None:
         raise RuntimeError(f"{shape}: the generated model has diagnostics")
     measure("events", lambda: validator.elementary_events(model))
     workload = run.WORKLOADS[shape]
-    options = dynamics.SimOptions(seed=seed, max_steps=workload.steps,
+    options = dynamics.SimOptions(seed=SEED, max_steps=workload.steps,
                                   creation_cap=workload.cap, policy=workload.policy)
     trace = measure("simulate", lambda: dynamics.run(model, events, options))
     measure("trace_json", trace.to_ndjson)
@@ -106,7 +113,7 @@ def paused_collector(fn, *args):
         gc.enable()
 
 
-def timed_pass(text: str, shape: str, seed: int) -> dict[str, float]:
+def timed_pass(text: str, shape: str) -> dict[str, float]:
     seconds: dict[str, float] = {}
 
     def measure(layer, call):
@@ -115,11 +122,11 @@ def timed_pass(text: str, shape: str, seed: int) -> dict[str, float]:
         seconds[layer] = time.perf_counter() - start
         return result
 
-    paused_collector(pipeline, text, shape, seed, measure)
+    paused_collector(pipeline, text, shape, measure)
     return seconds
 
 
-def counted_pass(text: str, shape: str, seed: int) -> dict[str, int]:
+def counted_pass(text: str, shape: str) -> dict[str, int]:
     calls: dict[str, int] = {}
 
     def measure(layer, call):
@@ -128,17 +135,17 @@ def counted_pass(text: str, shape: str, seed: int) -> dict[str, int]:
         calls[layer] = pstats.Stats(profile).total_calls
         return result
 
-    paused_collector(pipeline, text, shape, seed, measure)
+    paused_collector(pipeline, text, shape, measure)
     return calls
 
 
-def child_peak_rss_mb(shape: str, n: int, seed: int) -> float:
+def child_peak_rss_mb(shape: str, n: int) -> float:
     """Run in a fresh process: one pass of every layer, then the process's
     peak resident set size in MB."""
     import shapes
 
-    text = shapes.GENERATORS[shape](n, seed).text
-    paused_collector(pipeline, text, shape, seed, lambda layer, call: call())
+    text = shapes.GENERATORS[shape](n, SEED).text
+    paused_collector(pipeline, text, shape, lambda layer, call: call())
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
@@ -171,28 +178,27 @@ def source_digest() -> str:
     return digest.hexdigest()
 
 
-def ladder(shape: str, sizes: list[int], repeats: int, seed: int,
-           scales: list[float], pool) -> dict:
+def ladder(shape: str, sizes: list[int], scales: list[float], pool) -> dict:
     import run
     import shapes
 
     rungs = []
     for n in sizes:
-        text = shapes.GENERATORS[shape](n, seed).text
+        text = shapes.GENERATORS[shape](n, SEED).text
         passes = []
         before = run.calibration()
-        for _ in range(repeats):
-            seconds = timed_pass(text, shape, seed)
+        for _ in range(REPEATS):
+            seconds = timed_pass(text, shape)
             after = run.calibration()
             scales.append(2 * run.CALIBRATION_REF_S / (before + after))
             passes.append({layer: value * scales[-1] for layer, value in seconds.items()})
             before = after
-        calls = counted_pass(text, shape, seed)
-        rss = pool.apply(child_peak_rss_mb, (shape, n, seed))
+        calls = counted_pass(text, shape)
+        rss = pool.apply(child_peak_rss_mb, (shape, n))
         layers = {}
         for layer in calls:
             samples = [p[layer] for p in passes]
-            quartiles = statistics.quantiles(samples, n=4) if len(samples) > 1 else [0, 0, 0]
+            quartiles = statistics.quantiles(samples, n=4)
             layers[layer] = {"median_s": statistics.median(samples),
                              "iqr_s": quartiles[2] - quartiles[0], "calls": calls[layer]}
         rungs.append({"n": n, "peak_rss_mb": round(rss, 2), "layers": layers})
@@ -212,13 +218,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES),
                         help="model sizes n, in increasing order (default 125 ... 4000)")
-    parser.add_argument("--repeats", type=int, default=21, help="timed passes per rung")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the generated models")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_ladder.json",
                         help="JSON file whose runs list the run is appended to")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or sorted(set(args.sizes)) != args.sizes or args.sizes[0] < 1:
-        parser.error("--repeats must be positive and --sizes positive and increasing")
+    if sorted(set(args.sizes)) != args.sizes or args.sizes[0] < 1:
+        parser.error("--sizes must be positive and increasing")
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     # On Linux a process inherits the peak RSS of the process it was forked
@@ -234,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
         scales: list[float] = []
-        results = {shape: ladder(shape, args.sizes, args.repeats, args.seed, scales, pool)
+        results = {shape: ladder(shape, args.sizes, scales, pool)
                    for shape in shapes.GENERATORS}
     record = {
         "revision": git("rev-parse", "HEAD"),
@@ -244,8 +248,8 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": multiprocessing.cpu_count(),
         "calibration_scale": statistics.median(scales),
-        "seed": args.seed,
-        "repeats": args.repeats,
+        "seed": SEED,
+        "repeats": REPEATS,
         "sizes": args.sizes,
         "slope_rungs": SLOPE_RUNGS,
         "shapes": results,

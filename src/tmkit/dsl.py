@@ -487,13 +487,8 @@ def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
     offset of the first one the patterns above do not match, or ``len(scan)``."""
 
     def ref(m: re.Match, group: int) -> StageRef:
-        """The reference of ``_REF``'s group ``group``, without the
-        whitespace ``_REF`` admits."""
-        text = m[group]
-        if " " in text or "\t" in text or "\r" in text or "\n" in text:
-            text = "".join(text.split())
-        start, end = m.span(group)
-        return StageRef(text, start, end)
+        """The reference of ``_REF``'s group ``group``."""
+        return StageRef("".join(m[group].split()), *m.span(group))
 
     stop = len(scan)
     while pos < stop:
@@ -617,8 +612,7 @@ def lower(ast: Ast) -> Document:
             open_.pop()
 
     # Each reference resolves to its stage's own id string, so the model
-    # and the events hold one string per stage, not one per reference:
-    # ``stage_ids.get(ref.text) or unresolved(ref)``.
+    # and the events hold one string per stage, not one per reference.
     stage_ids = {s.id: s.id for s in stages}
     diags: list[Diagnostic] = []
 
