@@ -506,8 +506,7 @@ def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
         at, pos = m.lastindex, m.end()
         if at == 1:
             # The open thimacs, innermost last: first offset, name, body so far.
-            body: list = []  # that of the innermost open thimac
-            open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = [(first, m[1], body)]
+            open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = [(first, m[1], [])]
             while open_:
                 m = _THIMAC_ITEM.match(scan, pos)
                 if m is None:
@@ -515,13 +514,13 @@ def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
                 at = m.lastindex
                 if at == 3:
                     kind, label = m.group(1, 2)
-                    body.append(StageNode(KIND_BY_NAME[kind], label, pos, m.start(3)))
+                    open_[-1][2].append(StageNode(KIND_BY_NAME[kind], label, pos, m.start(3)))
                 elif at == 4:
-                    open_.append((pos, m[4], body := []))
+                    open_.append((pos, m[4], []))
                 else:
-                    start, name, items = open_.pop()
-                    body = open_[-1][2] if open_ else decls
-                    body.append(ThimacNode(name, tuple(items), start, pos + 1))
+                    start, name, body = open_.pop()
+                    node = ThimacNode(name, tuple(body), start, pos + 1)
+                    (open_[-1][2] if open_ else decls).append(node)
                 pos = m.end()
         elif at == 2:
             name, refs = m[2], []
