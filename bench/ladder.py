@@ -25,11 +25,12 @@ bound, not how the model grows. Three passes run per rung, each with the
 cyclic garbage collector paused, as ``tm`` pauses it:
 
 - 21 timed passes, from which each layer gets the median and the
-  interquartile range of its seconds. As ``perfbench/run.py`` scales each command, each pass is scaled to the
-  reference machine speed by the reference seconds of run.py's fixed
-  calibration task over the mean of the calibrations just before and
-  after the pass: on a shared machine the speed of Python drifts by a
-  third within minutes, and the scale takes that drift out;
+  interquartile range of its seconds. As ``perfbench/run.py`` scales
+  each command, each pass is scaled to the reference machine speed by
+  the reference seconds of run.py's fixed calibration task over the
+  mean of the calibrations just before and after the pass: on a shared
+  machine the speed of Python drifts by a third within minutes, and the
+  scale takes that drift out;
 - one pass under ``cProfile``, which counts each layer's function calls
   (``pstats.Stats.total_calls``). It runs apart from the timing, which
   it would slow about twofold;
