@@ -15,14 +15,14 @@ in this order:
     json (``to_json``) and fmt (``format_model``).
 
 A layer reads the model tables that earlier layers built, as one command
-would after ``validate``. Simulation uses the options that
-``perfbench/run.py`` gives the shape, its step bound included, and that
-bound is fixed: ``sim-relay`` reaches its 2000 steps from n = 250 on and
-``authoring`` mints nothing, so on those two shapes ``trace_json``
-serializes a trace of one length at every rung, and ``sim-relay``'s
-``simulate`` grows only by its per-model setup. Their slopes show the
-bound, not how the model grows. Three passes run per rung, each with the
-cyclic garbage collector paused, as ``tm`` pauses it:
+would after ``validate``. Simulation uses the policy and creation cap
+that ``perfbench/run.py`` gives the shape, and run.py's step bound
+scaled by n over the shape's benchmark size: 50 steps per pair on
+``sim-relay``, which reaches that bound at every rung, so that its
+``simulate`` and ``trace_json`` slopes show how a run grows with the
+model. A ``sim-fanout`` run ends before its bound, and ``authoring``
+mints nothing. Three passes run per rung, each with the cyclic garbage
+collector paused, as ``tm`` pauses it:
 
 - 21 timed passes, from which each layer gets the median and the
   interquartile range of its seconds. As ``perfbench/run.py`` scales
@@ -31,9 +31,12 @@ cyclic garbage collector paused, as ``tm`` pauses it:
   mean of the calibrations just before and after the pass: on a shared
   machine the speed of Python drifts by a third within minutes, and the
   scale takes that drift out;
-- one pass under ``cProfile``, which counts each layer's function calls
-  (``pstats.Stats.total_calls``). It runs apart from the timing, which
-  it would slow about twofold;
+- one pass under ``cProfile``, which counts each layer's function calls:
+  the ``callcount`` of every entry of ``Profile.getstats``. ``pstats``
+  would key each function by file, line and name, under which every
+  ``__init__`` that ``dataclasses`` writes is one, ``<string>:2``, and
+  keep the count of whichever comes last in memory. The pass runs apart
+  from the timing, which it would slow about twofold;
 - one pass in a fresh child process, forked from a server started
   before any model is built, whose peak resident set size
   (``resource.getrusage``) is the rung's ``peak_rss_mb``.
@@ -59,7 +62,6 @@ import json
 import math
 import multiprocessing
 import platform
-import pstats
 import resource
 import statistics
 import subprocess
@@ -74,9 +76,10 @@ SEED = 1
 REPEATS = 21
 
 
-def pipeline(text: str, shape: str, measure) -> None:
-    """Run every layer once on ``text``; ``measure(layer, call)`` makes
-    the call, measures it and returns its result."""
+def pipeline(text: str, shape: str, n: int, measure) -> None:
+    """Run every layer once on ``text``, the shape's model of size ``n``;
+    ``measure(layer, call)`` makes the call, measures it and returns its
+    result."""
     import run
     from tmkit import dsl, dynamics, render, transform, validator
 
@@ -93,7 +96,7 @@ def pipeline(text: str, shape: str, measure) -> None:
         raise RuntimeError(f"{shape}: the generated model has diagnostics")
     measure("events", lambda: validator.elementary_events(model))
     workload = run.WORKLOADS[shape]
-    options = dynamics.SimOptions(seed=SEED, max_steps=workload.steps,
+    options = dynamics.SimOptions(seed=SEED, max_steps=workload.steps * n // workload.size,
                                   creation_cap=workload.cap, policy=workload.policy)
     trace = measure("simulate", lambda: dynamics.run(model, events, options))
     measure("trace_json", trace.to_ndjson)
@@ -114,7 +117,7 @@ def paused_collector(fn, *args):
         gc.enable()
 
 
-def timed_pass(text: str, shape: str) -> dict[str, float]:
+def timed_pass(text: str, shape: str, n: int) -> dict[str, float]:
     seconds: dict[str, float] = {}
 
     def measure(layer, call):
@@ -123,20 +126,20 @@ def timed_pass(text: str, shape: str) -> dict[str, float]:
         seconds[layer] = time.perf_counter() - start
         return result
 
-    paused_collector(pipeline, text, shape, measure)
+    paused_collector(pipeline, text, shape, n, measure)
     return seconds
 
 
-def counted_pass(text: str, shape: str) -> dict[str, int]:
+def counted_pass(text: str, shape: str, n: int) -> dict[str, int]:
     calls: dict[str, int] = {}
 
     def measure(layer, call):
         profile = cProfile.Profile()
         result = profile.runcall(call)
-        calls[layer] = pstats.Stats(profile).total_calls
+        calls[layer] = sum(entry.callcount for entry in profile.getstats())
         return result
 
-    paused_collector(pipeline, text, shape, measure)
+    paused_collector(pipeline, text, shape, n, measure)
     return calls
 
 
@@ -146,7 +149,7 @@ def child_peak_rss_mb(shape: str, n: int) -> float:
     import shapes
 
     text = shapes.GENERATORS[shape](n, SEED).text
-    paused_collector(pipeline, text, shape, lambda layer, call: call())
+    paused_collector(pipeline, text, shape, n, lambda layer, call: call())
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
@@ -189,12 +192,12 @@ def ladder(shape: str, sizes: list[int], scales: list[float], pool) -> dict:
         passes = []
         before = run.calibration()
         for _ in range(REPEATS):
-            seconds = timed_pass(text, shape)
+            seconds = timed_pass(text, shape, n)
             after = run.calibration()
             scales.append(2 * run.CALIBRATION_REF_S / (before + after))
             passes.append({layer: value * scales[-1] for layer, value in seconds.items()})
             before = after
-        calls = counted_pass(text, shape)
+        calls = counted_pass(text, shape, n)
         rss = pool.apply(child_peak_rss_mb, (shape, n))
         layers = {}
         for layer in calls:

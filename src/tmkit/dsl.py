@@ -17,11 +17,11 @@ Grammar (whitespace is free; comments run from '#' to end of line):
 Solid arrows ("->") declare flows and dashed arrows ("~>") declare
 triggers, matching the two arrow styles of the diagrams. The two differ
 only in keyword and arrow, so they share one grammar rule and one table
-(``EDGES``) that the parser, the lowering and the formatter read. The
-optional "repeat" mark on a chronology edge declares a permitted loop
-back to an earlier event rather than a precedence constraint. Files use
-the ".tm" extension and hold one model each; a UTF-8 byte-order mark at
-the start of a file is ignored.
+(``EDGES``) that both readers, the lowering and the formatter read; the
+arrows are the model edges' own. The optional "repeat" mark on a
+chronology edge declares a permitted loop back to an earlier event rather
+than a precedence constraint. Files use the ".tm" extension and hold one
+model each; a UTF-8 byte-order mark at the start of a file is ignored.
 
 Text is read in one of two ways, to the same AST. A scanner
 matches whole declarations, stages and references with a few regexes,
@@ -183,9 +183,9 @@ class BehaviorNode:
 
 Declaration = Union[ThimacNode, FlowNode, TriggerNode, EventNode, BehaviorNode]
 
-# Edge keyword -> the AST node it declares, the arrow it is written with
-# and the model edge it lowers to.
-EDGES = {"flow": (FlowNode, "->", FlowEdge), "trigger": (TriggerNode, "~>", TriggerEdge)}
+# Edge keyword -> the AST node it declares and the model edge it lowers
+# to, whose ``arrow`` it is written with.
+EDGES = {"flow": (FlowNode, FlowEdge), "trigger": (TriggerNode, TriggerEdge)}
 
 
 @dataclass(frozen=True)
@@ -202,22 +202,24 @@ class Ast:
         return Span(*_position(self.newlines, start), start, end)
 
 
-# -- tokenizer ----------------------------------------------------------------
+# -- lexical rules and tokenizer ------------------------------------------------
 
-# Only the declarations that the scanner declines are tokenized, one regex
-# match per token: each match is the whitespace and comments before a
-# token, then the token, a single character that starts none, or the end
-# of the input. '\f' and '\v' are not whitespace, so each is such a
-# character. A name starts with a letter or '_': ``[^\W\d]`` also admits
-# numerals that are not decimal digits (such as '²'), so each leading
-# character of a word that cannot start a name is reported and the rest
-# of the word kept, as a scan starting there would find. A comment ending
-# the input leaves the end-of-input position at its '#'.
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*(->|~>|[{}();.]|[^\W\d]\w*|.|\Z)", re.DOTALL)
+# Each lexical rule is stated once; both readers build their patterns from it.
+_S = r"[ \t\r\n]"  # whitespace; '\f' and '\v' are characters that start no token
 _COMMENT = re.compile(r"#[^\n]*")
-_WHITESPACE = " \t\r\n"
-_TYPES = {**{p: p for p in ("->", "~>", "{", "}", "(", ")", ";", ".")},
-          **{word: word for word in KEYWORDS}, **dict.fromkeys(KIND_BY_NAME, "kind")}
+# A word is a name unless it is a keyword or a stage kind. ``[^\W\d]``
+# also admits numerals that are not decimal digits (such as '²'), so each
+# reader refuses a word led by one.
+_WORD = r"[^\W\d]\w*"
+_ARROWS = tuple(edge.arrow for _, edge in EDGES.values())
+# The tokens that are their own type, a chronology edge's '->' among them.
+_MARKS = {mark: mark for mark in (*_ARROWS, "->", *"{}();.")}
+# Only the declarations that the scanner declines are tokenized, one match
+# per token: the whitespace and comments before a token, then the token,
+# a single character that starts none, or the end of the input.
+_TOKEN = re.compile(
+    rf"(?:{_S}+|{_COMMENT.pattern})*({'|'.join(map(re.escape, _MARKS))}|{_WORD}|.|\Z)", re.DOTALL)
+_TYPES = {**_MARKS, **{word: word for word in KEYWORDS}, **dict.fromkeys(KIND_BY_NAME, "kind")}
 
 # A token: its type, its text, and its start and end offsets.
 _Token = tuple[str, str, int, int]
@@ -228,8 +230,9 @@ def _blank(comment: re.Match) -> str:
 
 
 def _tokens(text: str, start: int, bad: list[int]) -> Iterator[_Token]:
-    """The tokens of ``text`` from offset ``start`` on, ending in "eof";
-    the offset of each character that starts no token is appended to ``bad``."""
+    """The tokens of ``text`` from offset ``start`` on, then "eof" (at the '#'
+    of a comment ending the input); ``bad`` gets the offset of each character
+    that starts no token or is a numeral leading a word, whose rest is kept."""
     for m in _TOKEN.finditer(text, start):
         word = m[1]
         ttype = _TYPES.get(word)
@@ -397,9 +400,9 @@ class _Parser:
 
     def edge(self) -> FlowNode | TriggerNode:
         ttype, _, start, _ = self.take(self.token[0])
-        node, arrow, _ = EDGES[ttype]
+        node, made = EDGES[ttype]
         source = self.stage_ref()
-        self.take(arrow, f"'{arrow}'")
+        self.take(made.arrow, f"'{made.arrow}'")
         target = self.stage_ref()
         return node(source, target, start, self.take(";", "';'")[3])
 
@@ -444,13 +447,10 @@ class _Parser:
 # a keyword or a stage kind, and no match ends where a word character
 # follows, so each match holds exactly the tokens that the tokenizer
 # finds there. A stage reference without its whitespace is its stage id.
-# Only an error matches nothing: a character other than ' \t\r\n'
-# between tokens, a keyword or kind where a name belongs, or a word led
-# by a character outside ASCII that is not a letter, which ``parse``
-# replaces with '\0' in the scanned text. The token parser then reads
-# that declaration.
-_S = f"[{_WHITESPACE}]"
-_NAME = rf"(?!(?:{'|'.join((*KEYWORDS, *KIND_BY_NAME))})\b)[^\W\d]\w*"
+# Only an error, as the module docstring lists them, matches nothing (a
+# character outside ASCII that is not a letter, because ``parse`` puts
+# '\0' in its place); the token parser then reads that declaration.
+_NAME = rf"(?!(?:{'|'.join((*KEYWORDS, *KIND_BY_NAME))})\b){_WORD}"
 _KINDS = "|".join(KIND_BY_NAME)
 _LABEL = rf"(?:{_S}*\({_S}*({_NAME}){_S}*\))?"
 # Group: a stage reference, with whitespace allowed around each '.' and
@@ -458,7 +458,8 @@ _LABEL = rf"(?:{_S}*\({_S}*({_NAME}){_S}*\))?"
 _REF = rf"({_NAME}(?:{_S}*\.{_S}*{_NAME})*{_S}*\.{_S}*(?:{_KINDS})(?:{_S}*\({_S}*{_NAME}{_S}*\))?)"
 _SPACES = re.compile(f"{_S}*")
 # Groups: 1 the keyword, 2 the source, 3 the arrow, 4 the target, 5 the end.
-_EDGE = re.compile(rf"(flow|trigger){_S}+{_REF}{_S}*(->|~>){_S}*{_REF}{_S}*;(){_S}*")
+_EDGE = re.compile(rf"({'|'.join(EDGES)}){_S}+{_REF}{_S}*({'|'.join(map(re.escape, _ARROWS))})"
+                   rf"{_S}*{_REF}{_S}*;(){_S}*")
 # Groups: 1 a thimac name, 2 an event name, 3 "behavior".
 _DECLARATION = re.compile(
     rf"(?:thimac{_S}+({_NAME}){_S}*\{{|event{_S}+({_NAME}){_S}*\{{|(behavior){_S}*\{{){_S}*")
@@ -494,8 +495,8 @@ def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
     while pos < stop:
         first = pos
         if (m := _EDGE.match(scan, pos)) is not None:
-            node, arrow, _ = EDGES[m[1]]
-            if m[3] != arrow:
+            node, edge = EDGES[m[1]]
+            if m[3] != edge.arrow:
                 return first
             decls.append(node(ref(m, 2), ref(m, 4), first, m.start(5)))
             pos = m.end()
@@ -625,7 +626,7 @@ def lower(ast: Ast) -> Document:
     saw_behavior = False
     declared_events = {d.name for d in ast.declarations if isinstance(d, EventNode)}
 
-    lowered_edge = {node: model_edge for node, _, model_edge in EDGES.values()}
+    lowered_edge = dict(EDGES.values())
     for decl in ast.declarations:
         make = lowered_edge.get(type(decl))
         if make is not None:
@@ -697,7 +698,7 @@ def format_model(
             block.append(f"{pad}{_INDENT}{NAME_BY_KIND[stage.kind]}{label};")
 
     for keyword, edges in (("flow", model.flows), ("trigger", model.triggers)):
-        arrow = EDGES[keyword][1]
+        arrow = EDGES[keyword][1].arrow
         if edges:
             sections.append([
                 f"{keyword} {refs[e.source]} {arrow} {refs[e.target]};"

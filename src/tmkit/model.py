@@ -118,24 +118,26 @@ class Stage:
 class FlowEdge:
     """Solid arrow: conceptual movement of a thing between stages."""
 
+    arrow = "->"  # a class attribute: the arrow of the id and of the text syntax
     source: str
     target: str
 
     @property
     def id(self) -> str:
-        return f"flow:{self.source}->{self.target}"
+        return f"flow:{self.source}{self.arrow}{self.target}"
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TriggerEdge:
     """Dashed arrow: activation that is not an input/output flow."""
 
+    arrow = "~>"
     source: str
     target: str
 
     @property
     def id(self) -> str:
-        return f"trigger:{self.source}~>{self.target}"
+        return f"trigger:{self.source}{self.arrow}{self.target}"
 
 
 class EdgeSet:

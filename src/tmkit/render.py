@@ -265,8 +265,8 @@ def from_json(text: str) -> tuple[TmModel, tuple[Event, ...], BehaviorGraph]:
         if kind is not None and kind not in KIND_BY_NAME:
             r.bad(f"{w}.kind", f"a stage kind, not '{kind}'")
         sid = r.text(w, s, "id")
-        if sid is not None and ("->" in sid or "~>" in sid):
-            r.bad(f"{w}.id", "a stage id without '->' or '~>'")
+        if sid is not None and (FlowEdge.arrow in sid or TriggerEdge.arrow in sid):
+            r.bad(f"{w}.id", f"a stage id without '{FlowEdge.arrow}' or '{TriggerEdge.arrow}'")
         stages.append(Stage(id=sid, kind=KIND_BY_NAME.get(kind),
                             owner=r.text(w, s, "owner"), label=r.text(w, s, "label", optional=True)))
     edges, repeated = EdgeSet(), []

@@ -15,7 +15,7 @@ model. Nothing here runs the model: that is the simulator's job.
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 from .diagnostics import (
     BEHAVIOR_INCONSISTENT,
@@ -137,19 +137,19 @@ def validate(model: TmModel) -> ValidationReport:
 
 # -- events -------------------------------------------------------------------
 
-def _touched_stages(model: TmModel, region: Iterable[str]) -> set[str]:
-    """Stage ids a region touches: stage elements plus edge endpoints.
+def _touched_stages(model: TmModel, region: Iterable[str]) -> KeysView[str]:
+    """Stage ids a region touches, in region order: stage elements plus edge endpoints.
 
     Used for connectivity and path questions, where an edge in the region
     stands for its two ends.
     """
-    out: set[str] = set()
+    out: dict[str, None] = {}
     for element in region:
         if element in model.stage_by_id:
-            out.add(element)
+            out[element] = None
         elif (edge := model.edge_by_id.get(element)) is not None:
-            out.update((edge.source, edge.target))
-    return out
+            out[edge.source] = out[edge.target] = None
+    return out.keys()
 
 
 def elementary_events(model: TmModel) -> list[Event]:
@@ -293,8 +293,10 @@ def check_behavior(
     def targets(stage: str) -> tuple[str, ...]:
         return (*model.flow_targets.get(stage, ()), *model.trigger_targets.get(stage, ()))
 
+    # A region is written in flow order, so a path out of it most often
+    # leaves from its last stages: the search from it starts there.
     touched = {name: _touched_stages(model, by_id[name].region)
-               for name in {n for e in plain for n in (e.before, e.after)}}
+               for name in dict.fromkeys([n for e in plain for n in (e.before, e.after)])}
     for edge in resolved:
         if edge.repeat:
             if not cyclic and edge.before not in walk(succ.__getitem__, [edge.after]):
@@ -303,7 +305,7 @@ def check_behavior(
                     f"repeat edge {edge.before} -> {edge.after} does not loop back over the chronology",
                     f"{edge.before}->{edge.after}",
                 ))
-        elif touched[edge.after].isdisjoint(walk(targets, touched[edge.before])):
+        elif touched[edge.after].isdisjoint(walk(targets, reversed(touched[edge.before]))):
             diags.append(error(
                 BEHAVIOR_INCONSISTENT,
                 f"no flow or trigger path from event '{edge.before}' to event '{edge.after}'",

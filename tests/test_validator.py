@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-from conftest import FIXTURES, pipeline_diagnostics, random_model
+from conftest import FIXTURES, SHAPES_PY, pipeline_diagnostics, random_model
 from tmkit.diagnostics import (
     DUP_NAME,
     ERROR,
@@ -20,6 +24,7 @@ from tmkit.diagnostics import (
     BEHAVIOR_INCONSISTENT,
     ModelError,
 )
+from tmkit import validator
 from tmkit.dsl import lower, parse
 from tmkit.model import (
     BehaviorGraph,
@@ -311,3 +316,38 @@ def test_chronology_over_failed_events_makes_no_scan_of_the_nodes():
     assert {d.code for d in report.diagnostics} == {DUP_NAME}
     assert nodes.lookups == 0
     assert report == validate_document(doc.model, doc.events, plain)[0]
+
+
+# Counts the calls of check_behavior on sim-relay at n = 125, after the
+# validation that builds the model's tables, as bench/ladder.py does.
+_COUNT_CHECK_BEHAVIOR = """
+import cProfile, importlib.util, sys
+from tmkit.dsl import lower, parse
+from tmkit.validator import build_events, check_behavior, validate
+spec = importlib.util.spec_from_file_location("shapes", sys.argv[1])
+shapes = importlib.util.module_from_spec(spec)
+sys.modules["shapes"] = shapes
+spec.loader.exec_module(shapes)
+doc = lower(parse(shapes.sim_relay(125, 1).text))
+validate(doc.model)
+events, _ = build_events(doc.model, doc.events)
+profile = cProfile.Profile()
+profile.runcall(check_behavior, doc.model, events, doc.behavior)
+print(sum(entry.callcount for entry in profile.getstats()))
+"""
+
+
+def test_chronology_checks_make_the_same_calls_under_every_hash_seed():
+    """Each path search of ``check_behavior`` starts from its event's
+    stages in region order and stops at the first stage it finds, so its
+    call count does not depend on the order in which a set of strings
+    happens to iterate: two child processes with different hash seeds
+    count the same calls."""
+    src = str(Path(validator.__file__).resolve().parents[1])
+    counts = set()
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _COUNT_CHECK_BEHAVIOR, str(SHAPES_PY)], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+        counts.add(int(done.stdout))
+    assert len(counts) == 1

@@ -20,6 +20,7 @@ nothing into either checkout.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import io
@@ -85,8 +86,14 @@ def run(main, argv: list[str]) -> tuple[str, str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    checkout = Path(args[0] if args else Path(__file__).resolve().parents[1]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", metavar="CHECKOUT", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1],
+                        help="the checkout whose src/tmkit runs (default: the one holding this script)")
+    checkout = parser.parse_args(argv).checkout.resolve()
+    if not (checkout / "src" / "tmkit").is_dir():
+        print(f"{checkout} holds no src/tmkit", file=sys.stderr)
+        return 2
     sys.path.insert(0, str(checkout / "src"))
     import tmkit.cli
 
