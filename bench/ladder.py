@@ -35,8 +35,8 @@ collector paused, as ``tm`` pauses it:
   the ``callcount`` of every entry of ``Profile.getstats``. ``pstats``
   would key each function by file, line and name, under which every
   ``__init__`` that ``dataclasses`` writes is one, ``<string>:2``, and
-  keep the count of whichever comes last in memory. The pass runs apart
-  from the timing, which it would slow about twofold;
+  keep the count of one of them, chosen by memory address. The pass
+  runs apart from the timing, which it would slow about twofold;
 - one pass in a fresh child process, forked from a server started
   before any model is built, whose peak resident set size
   (``resource.getrusage``) is the rung's ``peak_rss_mb``.

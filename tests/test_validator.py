@@ -339,7 +339,7 @@ print(sum(entry.callcount for entry in profile.getstats()))
 
 def test_chronology_checks_make_the_same_calls_under_every_hash_seed():
     """Each path search of ``check_behavior`` starts from its event's
-    stages in region order and stops at the first stage it finds, so its
+    stages in a fixed order and stops at the first stage it finds, so its
     call count does not depend on the order in which a set of strings
     happens to iterate: two child processes with different hash seeds
     count the same calls."""
