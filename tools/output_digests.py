@@ -15,7 +15,8 @@ where ``exit`` is the exit code, or ``!`` and the exception's name if one
 escaped ``main``. Run it once against each of two checkouts and diff the
 two outputs: equal lines mean equal exit codes and byte-identical output.
 Standard library only; it writes the shapes to a temporary directory and
-nothing into either checkout.
+nothing into either checkout. :func:`digest_lines` returns the lines, for
+a caller that has imported tmkit itself.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Callable
 
 VARIANTS = (
     ("validate",),
@@ -51,11 +53,14 @@ def _sha256(text: str) -> str:
 
 def _load_shapes(checkout: Path):
     """``perfbench/shapes.py`` as a module, read without writing a bytecode cache."""
-    sys.dont_write_bytecode = True
     spec = importlib.util.spec_from_file_location("shapes", checkout / "perfbench" / "shapes.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look the module up while it runs
-    spec.loader.exec_module(module)
+    writing, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writing
     return module
 
 
@@ -85,6 +90,18 @@ def run(main, argv: list[str]) -> tuple[str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def digest_lines(checkout: Path, tm: Callable[[list[str]], int]) -> list[str]:
+    """The 190 lines, in order, of ``tm`` (a ``tmkit.cli.main``) run on the
+    inputs of ``checkout``."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, path in inputs(checkout, Path(tmp)):
+            for variant in VARIANTS:
+                code, out, err = run(tm, [*variant, str(path)])
+                lines.append(f"{name} {','.join(variant)} {code} {_sha256(out)} {_sha256(err)}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", metavar="CHECKOUT", nargs="?", type=Path,
@@ -101,13 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"tmkit was imported from {tmkit.cli.__file__}, not {checkout / 'src'}",
               file=sys.stderr)
         return 2
-    tm = tmkit.cli.main
-
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, path in inputs(checkout, Path(tmp)):
-            for variant in VARIANTS:
-                code, out, err = run(tm, [*variant, str(path)])
-                print(name, ",".join(variant), code, _sha256(out), _sha256(err))
+    for line in digest_lines(checkout, tmkit.cli.main):
+        print(line)
     return 0
 
 
