@@ -25,7 +25,6 @@ from pathlib import Path
 from . import dynamics, render
 from .dsl import Document, ParseFailure, format_model, load
 from .diagnostics import ModelError, ValidationReport
-from .model import model_to_dict
 from .transform import make_overlay, simplify
 from .validator import elementary_events, validate_document
 
@@ -48,19 +47,12 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _json(payload: dict) -> str:
-    return render.indented_json(payload) + "\n"
-
-
 def _validate(args, doc, report, events) -> str:
-    return _json(report.to_json_dict())
+    return render.report_json(report)
 
 
 def _events(args, doc, report, events) -> str:
-    return _json({
-        "elementary": [e.to_json_dict() for e in elementary_events(doc.model)],
-        "declared": [e.to_json_dict() for e in events],
-    })
+    return render.events_json(elementary_events(doc.model), events)
 
 
 def _simulate(args, doc, report, events) -> str:
@@ -70,8 +62,7 @@ def _simulate(args, doc, report, events) -> str:
 
 
 def _simplify(args, doc, report, events) -> str:
-    simplified, sreport = simplify(doc.model)
-    return _json({"model": model_to_dict(simplified), "report": sreport.to_json_dict()})
+    return render.simplified_json(*simplify(doc.model))
 
 
 def _render(args, doc, report, events) -> str:
@@ -137,7 +128,7 @@ def _command(args: argparse.Namespace, doc: Document) -> tuple[str, int]:
         return format_model(doc.model, doc.events, doc.behavior), 0
     report, events = validate_document(doc.model, doc.events, doc.behavior)
     if not report.ok:
-        return _json(report.to_json_dict()), 1
+        return render.report_json(report), 1
     return args.work(args, doc, report, events), 0
 
 
@@ -172,12 +163,9 @@ def _main(argv: list[str] | None) -> int:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     except ParseFailure as exc:
-        text, code = _json({
-            "ok": False,
-            "parse_errors": [e.to_json_dict() for e in exc.errors],
-        }), 2
+        text, code = render.parse_errors_json(exc.errors), 2
     except ModelError as exc:
-        text, code = _json(ValidationReport(exc.diagnostics).to_json_dict()), 1
+        text, code = render.report_json(ValidationReport(exc.diagnostics)), 1
     else:
         text, code = _command(args, doc)
 

@@ -49,6 +49,7 @@ class Diagnostic:
     element: str | None = None
     span: Span | None = None
 
+    # The oracle that tests hold render's JSON writers to, as is ValidationReport's.
     def to_json_dict(self) -> dict:
         return {
             "code": self.code,

@@ -518,8 +518,7 @@ class BehaviorGraph:
 
 
 # -- canonical JSON ------------------------------------------------------
-# Stable key order and declaration-order element lists; ids serialized as
-# plain strings. Shared with the render module.
+# The oracle that tests hold render's JSON writers to, as are the to_json_dict methods.
 
 def model_to_dict(model: TmModel) -> dict:
     return {

@@ -4,20 +4,27 @@ The dot output follows the diagram conventions of the modeling language:
 one cluster per thimac (nested for subthimacs), one box per stage, solid
 edges for flows, dashed edges for triggers, and optional node fills from
 an overlay that maps element ids to colors (``transform.make_overlay``
-builds one from event regions). The JSON output is the canonical
-document schema shared with the core model, stable down to the byte;
-``indented_json`` writes it and every other JSON document of ``tm``.
+builds one from event regions).
+
+Every JSON document of ``tm`` is written here, by the same code on every
+Python: byte for byte ``json.dumps(payload, indent=2)`` plus a newline,
+the payload being what ``model_to_dict`` and the ``to_json_dict`` methods
+build. Each record of a model, its events, chronology, diagnostics and
+simplify report has a writer: one f-string nested at ``pad``, the indent
+of its braces, that quotes strings with the C ``encode_basestring_ascii``
+of ``json.dumps``. Writers are module-level functions, not closures that
+call themselves, so they make no reference cycle while ``tm`` pauses the
+collector. Only parse errors go through ``json.dumps`` itself.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Mapping
+from json.encoder import encode_basestring_ascii as _q
+from typing import Iterable, Mapping
 
-from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, error
+from .diagnostics import REF_UNRESOLVED, Diagnostic, ModelError, ValidationReport, error
 from .model import (
     KIND_BY_NAME,
     NAME_BY_KIND,
@@ -31,7 +38,6 @@ from .model import (
     TmModel,
     TriggerEdge,
     declared_twice,
-    model_to_dict,
     try_build_model,
 )
 
@@ -90,103 +96,105 @@ def to_dot(model: TmModel, options: RenderOptions = RenderOptions()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _float_text(value: float) -> str:
-    """A float as ``json.dumps`` writes it."""
-    if value != value:
-        return "NaN"
-    if value == float("inf"):
-        return "Infinity"
-    if value == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(value)
+def _nullable(text: str | None) -> str:
+    return "null" if text is None else _q(text)
 
 
-def _indented(value: object) -> str:
-    """``json.dumps(value, indent=2)``, written by one recursive walk that
-    joins its pieces once.
-
-    On Python 3.10-3.12 an ``indent`` makes ``json.dumps`` skip its C
-    encoder for generators in pure Python; this walk takes about half their
-    time. Values dispatch on their exact type: dicts with string keys,
-    lists and tuples, strings, ints, floats, booleans and ``None``; any
-    other type raises :class:`TypeError`. Strings and keys are quoted by the
-    C ``encode_basestring_ascii`` that ``json.dumps`` uses. Each nesting
-    level costs one Python frame; the payloads of ``tm`` are at most four
-    levels deep whatever the model's nesting, since ``model_to_dict`` is
-    flat.
-    """
-    parts: list[str] = []
-    _write_indented(value, "\n", parts.append)
-    return "".join(parts)
+def _list(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    """Written items, none of them empty, in ``brackets`` whose closing one is at ``pad``."""
+    inner = "\n" + pad + "  "
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}\n{pad}{brackets[1]}" if body else brackets
 
 
-def _write_indented(value: object, newline: str, append: Callable[[str], None]) -> None:
-    """Append the pieces of ``value``, nested at the indent that follows
-    ``newline``. A module-level function rather than a closure: a closure
-    that calls itself is a reference cycle, which would keep every piece
-    alive while ``tm`` runs with the cyclic collector paused."""
-    kind = type(value)
-    if kind is str:
-        append(encode_basestring_ascii(value))
-    elif kind is dict:
-        if not value:
-            append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            append(sep)
-            append(encode_basestring_ascii(key))
-            append(": ")
-            _write_indented(item, inner, append)
-            sep = "," + inner
-        append(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            append(sep)
-            _write_indented(item, inner, append)
-            sep = "," + inner
-        append(newline + "]")
-    elif kind is int:
-        append(int.__repr__(value))
-    elif value is True:
-        append("true")
-    elif value is False:
-        append("false")
-    elif value is None:
-        append("null")
-    elif kind is float:
-        append(_float_text(value))
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+def _thimac(t: Thimac, pad: str) -> str:
+    p = pad + "  "
+    return (f'{{\n{p}"id": {_q(t.id)},\n{p}"name": {_q(t.name)},\n{p}"parent": {_nullable(t.parent)},\n'
+            f'{p}"children": {_list(map(_q, t.children), p)},\n'
+            f'{p}"stages": {_list(map(_q, t.stages), p)}\n{pad}}}')
 
 
-def _stdlib_indented(value: object) -> str:
-    return json.dumps(value, indent=2)
+def _stage(s: Stage, pad: str) -> str:
+    p = pad + "  "
+    return (f'{{\n{p}"id": {_q(s.id)},\n{p}"kind": {_q(NAME_BY_KIND[s.kind])},\n'
+            f'{p}"owner": {_q(s.owner)},\n{p}"label": {_nullable(s.label)}\n{pad}}}')
 
 
-# Every JSON document that tm prints is indented_json(payload): exactly
-# json.dumps(payload, indent=2). Python 3.13 indents in C, about twice as
-# fast as _indented; delete this check and the writer above once Python
-# 3.12 support is dropped.
-indented_json = _stdlib_indented if sys.version_info >= (3, 13) else _indented
+def _edge(e: FlowEdge | TriggerEdge, pad: str) -> str:
+    p = pad + "  "
+    return f'{{\n{p}"source": {_q(e.source)},\n{p}"target": {_q(e.target)}\n{pad}}}'
 
 
-def to_json(
-    model: TmModel,
-    events: Iterable[Event] = (),
-    behavior: BehaviorGraph | None = None,
-) -> str:
+def _event(e: Event, pad: str) -> str:
+    p = pad + "  "
+    return (f'{{\n{p}"id": {_q(e.id)},\n{p}"name": {_q(e.name)},\n{p}"level": {_q(e.level)},\n'
+            f'{p}"region": {_list(map(_q, e.region), p)},\n'
+            f'{p}"constituents": {_list(map(_q, e.constituents), p)}\n{pad}}}')
+
+
+def _behavior_edge(e: BehaviorEdge, pad: str) -> str:
+    p = pad + "  "
+    return (f'{{\n{p}"before": {_q(e.before)},\n{p}"after": {_q(e.after)},\n'
+            f'{p}"repeat": {"true" if e.repeat else "false"}\n{pad}}}')
+
+
+def _diagnostic(d: Diagnostic, pad: str) -> str:
+    p, s = pad + "  ", d.span
+    span = "null" if s is None else (f'{{\n{p}  "line": {s.line},\n{p}  "column": {s.column},\n'
+                                     f'{p}  "start": {s.start},\n{p}  "end": {s.end}\n{p}}}')
+    return (f'{{\n{p}"code": {_q(d.code)},\n{p}"severity": {_q(d.severity)},\n'
+            f'{p}"message": {_q(d.message)},\n{p}"element": {_nullable(d.element)},\n'
+            f'{p}"span": {span}\n{pad}}}')
+
+
+def _dropped_trigger(d, pad: str) -> str:
+    p = pad + "  "
+    return (f'{{\n{p}"source": {_q(d.source)},\n{p}"target": {_q(d.target)},\n'
+            f'{p}"reason": {_q(d.reason)}\n{pad}}}')
+
+
+def _model(model: TmModel, pad: str) -> str:
+    """The fields of ``model_to_dict(model)`` in an object whose braces are at ``pad``."""
+    p, q = pad + "  ", pad + "    "
+    return (f'{p}"thimacs": {_list([_thimac(t, q) for t in model.thimacs], p)},\n'
+            f'{p}"stages": {_list([_stage(s, q) for s in model.stages], p)},\n'
+            f'{p}"flows": {_list([_edge(f, q) for f in model.flows], p)},\n'
+            f'{p}"triggers": {_list([_edge(t, q) for t in model.triggers], p)}')
+
+
+def to_json(model: TmModel, events: Iterable[Event] = (), behavior: BehaviorGraph | None = None) -> str:
     """Canonical JSON: fixed key order, declaration-order element lists."""
-    data = model_to_dict(model)
-    data["events"] = [e.to_json_dict() for e in events]
-    data["behavior"] = behavior.to_json_list() if behavior is not None else []
-    return indented_json(data) + "\n"
+    events = [_event(e, "    ") for e in events]
+    edges = [_behavior_edge(e, "    ") for e in behavior.edges] if behavior is not None else []
+    return (f'{{\n{_model(model, "")},\n  "events": {_list(events, "  ")},\n'
+            f'  "behavior": {_list(edges, "  ")}\n}}\n')
+
+
+def events_json(elementary: Iterable[Event], declared: Iterable[Event]) -> str:
+    """The document of ``tm events``."""
+    return (f'{{\n  "elementary": {_list([_event(e, "    ") for e in elementary], "  ")},\n'
+            f'  "declared": {_list([_event(e, "    ") for e in declared], "  ")}\n}}\n')
+
+
+def simplified_json(model: TmModel, report) -> str:
+    """The document of ``tm simplify``: the simplified model and its ``transform.SimplifyReport``."""
+    removed = [f"{_q(kind)}: {count}" for kind, count in report.removed.items()]
+    dropped = [_dropped_trigger(d, "      ") for d in report.dropped_triggers]
+    return (f'{{\n  "model": {{\n{_model(model, "  ")}\n  }},\n  "report": {{\n'
+            f'    "removed": {_list(removed, "    ", "{}")},\n    "rewired": {report.rewired},\n'
+            f'    "dropped_triggers": {_list(dropped, "    ")}\n  }}\n}}\n')
+
+
+def report_json(report: ValidationReport) -> str:
+    """The document of ``tm validate``, and of any command on a model that is not valid."""
+    diagnostics = [_diagnostic(d, "    ") for d in report.diagnostics]
+    ok = "true" if report.ok else "false"
+    return f'{{\n  "ok": {ok},\n  "diagnostics": {_list(diagnostics, "  ")}\n}}\n'
+
+
+def parse_errors_json(errors: Iterable) -> str:
+    """The document of a text that does not parse, from its ``dsl.ParseError`` records."""
+    return json.dumps({"ok": False, "parse_errors": [e.to_json_dict() for e in errors]}, indent=2) + "\n"
 
 
 class _Reader:

@@ -26,10 +26,12 @@ declined.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
 makes of the record's JSON dict, whatever strings and integers the record
-holds. The indented-JSON writer of Python 3.10-3.12 writes what
-``json.dumps(value, indent=2)`` writes for any JSON value; it is called
-directly, so it is checked on every Python. The settings are
-derandomized and bounded so every run draws the same examples.
+holds. Each JSON document writer writes what ``json.dumps(payload,
+indent=2)`` writes of the payload that the dict builders make, on drawn
+models and on models whose every string is drawn text, and a value
+dumped apart and nested by re-indenting is the value dumped in place.
+The settings are derandomized and bounded so every run draws the same
+examples.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ import io
 import itertools
 import json
 import math
+import random
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -50,16 +52,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_NAMES, FIXTURES, ReadSpy, load_shapes, scanned, token_parse
+from conftest import (CORPUS_NAMES, FIXTURES, ReadSpy, arbitrary_model, load_shapes, random_model, scanned,
+                      token_parse)
 from test_golden_parse import BASES, _variants
 from tmkit import dsl, render
 from tmkit.cli import corpus, main
-from tmkit.diagnostics import Diagnostic, ModelError, Span
+from tmkit.diagnostics import Diagnostic, ModelError, Span, ValidationReport
 from tmkit.dsl import (KEYWORDS, Ast, Document, ParseError, ParseFailure, ThimacNode, format_model,
                        lower, parse)
 from tmkit.dynamics import Trace, TraceRecord
-from tmkit.model import KIND_BY_NAME
-from tmkit.validator import validate_document
+from tmkit.model import KIND_BY_NAME, BehaviorEdge, BehaviorGraph, model_to_dict
+from tmkit.transform import simplify
+from tmkit.validator import elementary_events, validate_document
 
 
 def fixed(examples: int) -> settings:
@@ -674,42 +678,143 @@ json_values = st.recursive(
 )
 
 
-@fixed(400)
-@given(json_values)
-@example([True, False, 1, 0, None])
-@example({"": {}, "a": [], "b": (), "c": [[{}]], "d": {"e": {"f": ()}}})
-@example([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
-@example({"\ud800 \"\\\x00\u2028\U0001f600": "\udfff\x1f\x7f\u00e9"})
-def test_indented_writer_is_json_dumps_indent_2(value):
-    assert render._indented(value) == json.dumps(value, indent=2)
+def under_keys(text: str, depth: int) -> str:
+    """``text`` as the value of ``depth`` nested one-key objects, written
+    as ``json.dumps(indent=2)`` writes the keys and braces around it."""
+    for level in reversed(range(depth)):
+        pad = "  " * level
+        text = "{\n" + pad + '  "k": ' + text + "\n" + pad + "}"
+    return text
 
 
-def test_indented_writer_rejects_what_json_dumps_rejects():
-    for value in ({1, 2}, {"a": [frozenset()]}, b"bytes", object()):
-        with pytest.raises(TypeError):
-            json.dumps(value, indent=2)
-        with pytest.raises(TypeError):
-            render._indented(value)
+def written(value: list | dict, pad: str) -> str:
+    """A list or object as the writers write one at ``pad``: each item
+    dumped apart and nested by re-indenting its newlines, joined by
+    ``render._list``."""
+    def nested(item) -> str:
+        return json.dumps(item, indent=2).replace("\n", "\n" + pad + "  ")
+
+    if isinstance(value, dict):
+        return render._list([f"{json.dumps(key)}: {nested(item)}" for key, item in value.items()], pad, "{}")
+    return render._list([nested(item) for item in value], pad)
 
 
-def test_indented_writer_leaves_no_cyclic_garbage():
+@fixed(200)
+@given(st.one_of(st.lists(json_values, max_size=4), st.dictionaries(texts, json_values, max_size=4)),
+       st.integers(0, 4))
+@example([True, False, 1, 0, None], 1)
+@example({"": {}, "a": [], "b": (), "c": [[{}]], "d": {"e": {"f": ()}}}, 3)
+@example([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324], 2)
+@example({"\ud800 \"\\\x00\u2028\U0001f600": "\udfff\x1f\x7f\u00e9\n"}, 4)
+@example([], 0)
+@example({}, 2)
+def test_indented_writer_is_json_dumps_indent_2(value, depth):
+    """Nesting ``json.dumps(item, indent=2)`` under a key or in a list at
+    any depth is exact when its newlines are re-indented, because an
+    indented dump has a newline only between tokens; ``render._list`` puts
+    the brackets and separators where ``json.dumps`` puts them."""
+    nested = value
+    for _ in range(depth):
+        nested = {"k": nested}
+    assert under_keys(written(value, "  " * depth), depth) == json.dumps(nested, indent=2)
+
+
+def dumped(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def assert_writers_are_json_dumps(model, events, behavior, diagnostics, parse_errors=()) -> None:
+    """Each document writer against ``json.dumps`` of the payload that the
+    dict builders, the writers' oracle, make of the same records."""
+    events = list(events)
+    assert render.to_json(model, events, behavior) == dumped({
+        **model_to_dict(model),
+        "events": [e.to_json_dict() for e in events],
+        "behavior": behavior.to_json_list() if behavior is not None else [],
+    })
+    assert render.events_json(events, events[::-1]) == dumped({
+        "elementary": [e.to_json_dict() for e in events],
+        "declared": [e.to_json_dict() for e in events[::-1]],
+    })
+    simplified, report = simplify(model)
+    assert render.simplified_json(simplified, report) == dumped(
+        {"model": model_to_dict(simplified), "report": report.to_json_dict()})
+    report = ValidationReport(tuple(diagnostics))
+    assert render.report_json(report) == dumped(report.to_json_dict())
+    assert render.parse_errors_json(parse_errors) == dumped(
+        {"ok": False, "parse_errors": [e.to_json_dict() for e in parse_errors]})
+
+
+@fixed(200)
+@given(st.integers(0, 2**32), st.sampled_from((random_model, arbitrary_model)))
+def test_json_writers_are_json_dumps_on_drawn_models(seed, make):
+    rng = random.Random(seed)
+    model = make(rng)
+    events = elementary_events(model)
+    names = [e.name for e in events]
+    behavior = rng.choice((None, BehaviorGraph(tuple(names), tuple(
+        BehaviorEdge(rng.choice(names), rng.choice(names), rng.random() < 0.3)
+        for _ in range(rng.randint(0, 4)) if names))))
+    assert_writers_are_json_dumps(model, events, behavior, validate_document(model, (), None)[0].diagnostics)
+
+
+spans = st.builds(Span, integers, integers, integers, integers)
+diagnostics = st.builds(Diagnostic, texts, texts, texts, st.none() | texts, st.none() | spans)
+parse_errors = st.builds(ParseError, integers, integers, st.lists(texts, max_size=3).map(tuple), texts)
+
+
+@st.composite
+def texts_documents(draw) -> str:
+    """A canonical JSON document whose ids, names, labels and event texts
+    are drawn from ``texts``, and that ``from_json`` reads."""
+    ids = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(texts, min_size=len(ids), max_size=len(ids), unique=True))
+    thimacs = [{"id": tid, "name": name, "parent": draw(st.none() | st.sampled_from(ids[:i] or [None]))}
+               for i, (tid, name) in enumerate(zip(ids, names))]
+    stage_ids = texts.filter(lambda sid: "->" not in sid and "~>" not in sid)
+    stages = draw(st.lists(
+        st.fixed_dictionaries({"id": stage_ids, "kind": st.sampled_from(sorted(KIND_BY_NAME)),
+                               "owner": st.sampled_from(ids), "label": st.none() | texts}),
+        max_size=6, unique_by=(lambda s: s["id"], lambda s: (s["owner"], s["kind"], s["label"] or None))))
+    ends = st.sampled_from([s["id"] for s in stages]) if stages else st.nothing()
+    edges = st.lists(st.fixed_dictionaries({"source": ends, "target": ends}), max_size=6,
+                     unique_by=lambda e: (e["source"], e["target"])) if stages else st.just([])
+    events = draw(st.lists(st.fixed_dictionaries({
+        "id": texts, "name": texts, "level": texts,
+        "region": st.lists(texts, max_size=3), "constituents": st.lists(texts, max_size=3)}), max_size=3))
+    behavior = draw(st.lists(st.fixed_dictionaries(
+        {"before": texts, "after": texts, "repeat": st.booleans()}), max_size=3))
+    return json.dumps({"thimacs": thimacs, "stages": stages, "flows": draw(edges),
+                       "triggers": draw(edges), "events": events, "behavior": behavior})
+
+
+@fixed(100)
+@given(texts_documents(), st.lists(diagnostics, max_size=4), st.lists(parse_errors, max_size=3))
+@example('{"thimacs": [{"id": "\\ud800\\"", "name": "\\u00e9\\\\", "parent": null}]}', [], [])
+def test_json_writers_are_json_dumps_on_any_text(document, diagnostics, parse_errors):
+    """Quotes, backslashes, control characters, lone surrogates and text
+    outside ASCII in every string field, read back through ``from_json``."""
+    model, events, behavior = render.from_json(document)
+    assert_writers_are_json_dumps(model, events, behavior, diagnostics, parse_errors)
+
+
+def test_indented_writer_leaves_no_cyclic_garbage(corpus_docs):
     """tm pauses the cyclic collector, so garbage in a cycle would hold
-    every piece of the output until the command ends."""
+    every piece of the output until the command ends. No writer of a
+    command on a valid model makes any. (Parse errors go through
+    ``json.dumps``, whose indenting encoder leaves one cycle of fixed size
+    on Python 3.10-3.12.)"""
+    doc = corpus_docs["heating_water"]
+    report, events = validate_document(doc.model, doc.events, doc.behavior)
+    diagnostic = Diagnostic("CODE", "error", "message", "element", Span(1, 2, 3, 4))
+    simplified = simplify(doc.model)
     gc.collect()
     gc.disable()
     try:
-        render._indented({"a": [1, {"b": ("c", None)}], "d": {}})
+        render.to_json(doc.model, events, doc.behavior)
+        render.events_json(events, events)
+        render.simplified_json(*simplified)
+        render.report_json(ValidationReport((*report.diagnostics, diagnostic)))
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_tm_indents_through_the_stdlib_from_python_3_13(monkeypatch, capsys):
-    expected = render._stdlib_indented if sys.version_info >= (3, 13) else render._indented
-    assert render.indented_json is expected
-    written = []
-    monkeypatch.setattr(render, "indented_json", lambda value: written.append(value) or "{}")
-    path = str(corpus()["dough_cookie"])
-    for command in (["validate"], ["events"], ["simplify"], ["render", "--format", "json"]):
-        assert main([*command, path]) == 0
-    assert capsys.readouterr().out == "{}\n" * 4 and len(written) == 4
