@@ -164,10 +164,10 @@ def _model(model: TmModel, pad: str) -> str:
 
 def to_json(model: TmModel, events: Iterable[Event] = (), behavior: BehaviorGraph | None = None) -> str:
     """Canonical JSON: fixed key order, declaration-order element lists."""
-    events = [_event(e, "    ") for e in events]
-    edges = [_behavior_edge(e, "    ") for e in behavior.edges] if behavior is not None else []
-    return (f'{{\n{_model(model, "")},\n  "events": {_list(events, "  ")},\n'
-            f'  "behavior": {_list(edges, "  ")}\n}}\n')
+    written = [_event(e, "    ") for e in events]
+    chronology = [_behavior_edge(e, "    ") for e in behavior.edges] if behavior is not None else []
+    return (f'{{\n{_model(model, "")},\n  "events": {_list(written, "  ")},\n'
+            f'  "behavior": {_list(chronology, "  ")}\n}}\n')
 
 
 def events_json(elementary: Iterable[Event], declared: Iterable[Event]) -> str:

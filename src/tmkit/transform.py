@@ -53,6 +53,7 @@ class SimplifyReport:
     rewired: int
     dropped_triggers: tuple[DroppedTrigger, ...]
 
+    # The oracle that tests hold render.simplified_json to.
     def to_json_dict(self) -> dict:
         return {
             "removed": dict(self.removed),
