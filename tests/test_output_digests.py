@@ -12,7 +12,6 @@ its diff then names exactly the runs that moved.
 from __future__ import annotations
 
 import importlib.util
-import sys
 from pathlib import Path
 
 from conftest import FIXTURES
@@ -25,7 +24,6 @@ RECORDED = FIXTURES / "output_digests.txt"
 def load_tool():
     spec = importlib.util.spec_from_file_location("output_digests", ROOT / "tools" / "output_digests.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
