@@ -6,10 +6,12 @@ Run from a source checkout; tmkit is imported from ``src/`` and the
 model generators from ``perfbench/shapes.py``, which is only read. For
 each of the three benchmark shapes and each size n (by default
 125, 250, ..., 4000, doubling), the script generates the model text once
-with seed 1 and runs the pipeline of a ``tm`` command layer by layer,
-in this order:
+with seed 1, writes it to a temporary file, and runs the pipeline of a
+``tm`` command layer by layer, in this order:
 
-    parse, lower, validate (``validate`` and ``build_events``),
+    load (``dsl.load`` of the file, the route of every command, whose
+    document is then dropped), parse and lower (the route of a text that
+    the scanner declines), validate (``validate`` and ``build_events``),
     check_behavior, events (``elementary_events``), simulate, trace_json
     (``Trace.to_ndjson``), simplify, dot (``make_overlay`` and ``to_dot``),
     json (``to_json``) and fmt (``format_model``).
@@ -66,6 +68,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -76,13 +79,14 @@ SEED = 1
 REPEATS = 21
 
 
-def pipeline(text: str, shape: str, n: int, measure) -> None:
-    """Run every layer once on ``text``, the shape's model of size ``n``;
-    ``measure(layer, call)`` makes the call, measures it and returns its
-    result."""
+def pipeline(text: str, path: Path, shape: str, n: int, measure) -> None:
+    """Run every layer once on ``text``, the shape's model of size ``n``,
+    which the file at ``path`` holds; ``measure(layer, call)`` makes the
+    call, measures it and returns its result."""
     import run
     from tmkit import dsl, dynamics, render, transform, validator
 
+    measure("load", lambda: dsl.load(path))
     ast = measure("parse", lambda: dsl.parse(text))
     doc = measure("lower", lambda: dsl.lower(ast))
     model = doc.model
@@ -117,7 +121,7 @@ def paused_collector(fn, *args):
         gc.enable()
 
 
-def timed_pass(text: str, shape: str, n: int) -> dict[str, float]:
+def timed_pass(text: str, path: Path, shape: str, n: int) -> dict[str, float]:
     seconds: dict[str, float] = {}
 
     def measure(layer, call):
@@ -126,11 +130,11 @@ def timed_pass(text: str, shape: str, n: int) -> dict[str, float]:
         seconds[layer] = time.perf_counter() - start
         return result
 
-    paused_collector(pipeline, text, shape, n, measure)
+    paused_collector(pipeline, text, path, shape, n, measure)
     return seconds
 
 
-def counted_pass(text: str, shape: str, n: int) -> dict[str, int]:
+def counted_pass(text: str, path: Path, shape: str, n: int) -> dict[str, int]:
     calls: dict[str, int] = {}
 
     def measure(layer, call):
@@ -139,17 +143,17 @@ def counted_pass(text: str, shape: str, n: int) -> dict[str, int]:
         calls[layer] = sum(entry.callcount for entry in profile.getstats())
         return result
 
-    paused_collector(pipeline, text, shape, n, measure)
+    paused_collector(pipeline, text, path, shape, n, measure)
     return calls
 
 
-def child_peak_rss_mb(shape: str, n: int) -> float:
+def child_peak_rss_mb(shape: str, n: int, path: Path) -> float:
     """Run in a fresh process: one pass of every layer, then the process's
     peak resident set size in MB."""
     import shapes
 
     text = shapes.GENERATORS[shape](n, SEED).text
-    paused_collector(pipeline, text, shape, n, lambda layer, call: call())
+    paused_collector(pipeline, text, path, shape, n, lambda layer, call: call())
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
@@ -182,23 +186,25 @@ def source_digest() -> str:
     return digest.hexdigest()
 
 
-def ladder(shape: str, sizes: list[int], scales: list[float], pool) -> dict:
+def ladder(shape: str, sizes: list[int], scales: list[float], pool, tmp: Path) -> dict:
     import run
     import shapes
 
     rungs = []
     for n in sizes:
         text = shapes.GENERATORS[shape](n, SEED).text
+        path = tmp / f"{shape}-{n}.tm"
+        path.write_text(text, encoding="utf-8")
         passes = []
         before = run.calibration()
         for _ in range(REPEATS):
-            seconds = timed_pass(text, shape, n)
+            seconds = timed_pass(text, path, shape, n)
             after = run.calibration()
             scales.append(2 * run.CALIBRATION_REF_S / (before + after))
             passes.append({layer: value * scales[-1] for layer, value in seconds.items()})
             before = after
-        calls = counted_pass(text, shape, n)
-        rss = pool.apply(child_peak_rss_mb, (shape, n))
+        calls = counted_pass(text, path, shape, n)
+        rss = pool.apply(child_peak_rss_mb, (shape, n, path))
         layers = {}
         for layer in calls:
             samples = [p[layer] for p in passes]
@@ -242,8 +248,9 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
         scales: list[float] = []
-        results = {shape: ladder(shape, args.sizes, scales, pool)
-                   for shape in shapes.GENERATORS}
+        with tempfile.TemporaryDirectory() as tmp:
+            results = {shape: ladder(shape, args.sizes, scales, pool, Path(tmp))
+                       for shape in shapes.GENERATORS}
     record = {
         "revision": git("rev-parse", "HEAD"),
         "uncommitted_source_changes": bool(git("status", "--porcelain", "--", "src")),

@@ -23,17 +23,20 @@ chronology edge declares a permitted loop back to an earlier event rather
 than a precedence constraint. Files use the ".tm" extension and hold one
 model each; a UTF-8 byte-order mark at the start of a file is ignored.
 
-Text is read in one of two ways, to the same AST. A scanner
-matches whole declarations, stages and references with a few regexes,
-without making a token list, and reads every well-formed declaration.
-It declines only a declaration that holds an error: a character other
-than space, tab, CR or LF between tokens (form feed and vertical tab
-included), a keyword or stage kind where a name belongs, or a word led
-by a character outside ASCII that is not a letter. The token parser
-reads each declaration that the scanner declines, one token ahead, and
-it alone reports syntax errors. Each declaration is read once, and only
-the declarations the scanner declines are tokenized: a run of them is
-one stream of tokens. AST nodes carry offsets, which become a
+A scanner matches whole declarations, stages and references with a few
+regexes, without making a token list, and reads every well-formed
+declaration. It declines only a declaration that holds an error: a
+character other than space, tab, CR or LF between tokens (form feed and
+vertical tab included), a keyword or stage kind where a name belongs, or
+a word led by a character outside ASCII that is not a letter. The scanner
+reports what it reads to a builder. For :func:`parse` that builds the
+AST; the token parser reads each declaration that the scanner declines,
+one token ahead, and it alone reports syntax errors. Each declaration is
+read once, and only the declarations the scanner declines are tokenized:
+a run of them is one stream of tokens. For :func:`load` the builder is
+the lowering itself, so a text the scanner reads whole becomes a
+:class:`Document` with no AST; a text it declines is parsed and lowered.
+:func:`lower` feeds the same lowering from AST nodes. Offsets become a
 :class:`Span` only where a diagnostic or an event needs one.
 """
 
@@ -448,8 +451,8 @@ class _Parser:
 # follows, so each match holds exactly the tokens that the tokenizer
 # finds there. A stage reference without its whitespace is its stage id.
 # Only an error, as the module docstring lists them, matches nothing (a
-# character outside ASCII that is not a letter, because ``parse`` puts
-# '\0' in its place); the token parser then reads that declaration.
+# character outside ASCII that is not a letter, because ``_scannable``
+# puts '\0' in its place); the token parser then reads that declaration.
 _NAME = rf"(?!(?:{'|'.join((*KEYWORDS, *KIND_BY_NAME))})\b){_WORD}"
 _KINDS = "|".join(KIND_BY_NAME)
 _LABEL = rf"(?:{_S}*\({_S}*({_NAME}){_S}*\))?"
@@ -476,29 +479,32 @@ _CHRONOLOGY_ITEM = re.compile(
 _LEAD = re.compile(r"[^\x00-\x7f](?<!\w.)")
 
 
-def _may_lead_with_numerals(scan: str) -> bool:
-    """Whether a word of ``scan`` may start with a numeral outside ASCII:
-    whether a character that ``_LEAD`` finds is not a letter."""
-    return not scan.isascii() and not all(map(str.isalpha, _LEAD.findall(scan)))
+def _scannable(text: str) -> str:
+    """``text`` as the scanner reads it: comments blanked, and a '\\0',
+    which no scanner pattern matches, for each character that ``_LEAD``
+    finds and that is not a letter."""
+    scan = _COMMENT.sub(_blank, text) if "#" in text else text
+    if not scan.isascii() and not all(map(str.isalpha, _LEAD.findall(scan))):
+        scan = _LEAD.sub(lambda lead: lead[0] if lead[0].isalpha() else "\0", scan)
+    return scan
 
 
-def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
-    """Append the declarations of the comment-blanked ``scan`` from the
-    token at ``pos`` on to ``decls``, as :class:`_Parser` builds them; the
-    offset of the first one the patterns above do not match, or ``len(scan)``."""
-
-    def ref(m: re.Match, group: int) -> StageRef:
-        """The reference of ``_REF``'s group ``group``."""
-        return StageRef("".join(m[group].split()), *m.span(group))
-
+def _scan(scan: str, pos: int, out: _AstBuilder | _Lowering) -> int:
+    """Report the declarations of the comment-blanked ``scan`` from the
+    token at ``pos`` on to ``out``; the offset of the first one the
+    patterns above do not match, or ``len(scan)``. A thimac is reported as
+    it opens, each of its stages and as it closes; a stage reference as
+    ``(text as written, start, end)``."""
+    thimac, stage = out.thimac, out.stage
     stop = len(scan)
     while pos < stop:
         first = pos
         if (m := _EDGE.match(scan, pos)) is not None:
-            node, edge = EDGES[m[1]]
-            if m[3] != edge.arrow:
+            classes = EDGES[m[1]]
+            if m[3] != classes[1].arrow:
                 return first
-            decls.append(node(ref(m, 2), ref(m, 4), first, m.start(5)))
+            out.edge(classes, (m[2], m.start(2), m.end(2)), (m[4], m.start(4), m.end(4)),
+                     first, m.start(5))
             pos = m.end()
             continue
         m = _DECLARATION.match(scan, pos)
@@ -506,43 +512,69 @@ def _scan(scan: str, pos: int, decls: list[Declaration]) -> int:
             return first
         at, pos = m.lastindex, m.end()
         if at == 1:
-            # The open thimacs, innermost last: first offset, name, body so far.
-            open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = [(first, m[1], [])]
+            open_ = [thimac(None, m[1], first)]  # the open thimacs, innermost last
             while open_:
                 m = _THIMAC_ITEM.match(scan, pos)
                 if m is None:
                     return first
                 at = m.lastindex
                 if at == 3:
-                    kind, label = m.group(1, 2)
-                    open_[-1][2].append(StageNode(KIND_BY_NAME[kind], label, pos, m.start(3)))
+                    stage(open_[-1], KIND_BY_NAME[m[1]], m[2], pos, m.start(3))
                 elif at == 4:
-                    open_.append((pos, m[4], []))
+                    open_.append(thimac(open_[-1], m[4], pos))
                 else:
-                    start, name, body = open_.pop()
-                    node = ThimacNode(name, tuple(body), start, pos + 1)
-                    (open_[-1][2] if open_ else decls).append(node)
+                    frame = open_.pop()
+                    out.close(frame, open_[-1] if open_ else None, pos + 1)
                 pos = m.end()
         elif at == 2:
             name, refs = m[2], []
             while (m := _REF_ITEM.match(scan, pos)) is not None and m.lastindex:
-                refs.append(ref(m, 1))
+                refs.append((m[1], m.start(1), m.end(1)))
                 pos = m.end()
             if m is None or not refs:
                 return first
-            decls.append(EventNode(name, tuple(refs), first, pos + 1))
+            out.event(name, refs, first, pos + 1)
             pos = m.end()
         else:
-            edges: list[BehaviorEdgeNode] = []
+            edges = []
             while (m := _CHRONOLOGY_ITEM.match(scan, pos)) is not None and m.lastindex:
                 before, after, repeat = m.group(1, 2, 3)
-                edges.append(BehaviorEdgeNode(before, after, repeat is not None, pos, m.start(4)))
+                edges.append((before, after, repeat is not None, pos, m.start(4)))
                 pos = m.end()
             if m is None:
                 return first
-            decls.append(BehaviorNode(tuple(edges), first, pos + 1))
+            out.behavior(edges, first, pos + 1)
             pos = m.end()
     return stop
+
+
+def _refs(refs: Iterable[tuple[str, int, int]]) -> tuple[StageRef, ...]:
+    """The AST nodes of references as written: a stage id is a text without its whitespace."""
+    return tuple([StageRef("".join(text.split()), start, end) for text, start, end in refs])
+
+
+class _AstBuilder(list):
+    """The declarations read so far, to which the scanner's reports append
+    AST nodes as :class:`_Parser` builds them; a thimac once it closes."""
+
+    def thimac(self, parent: tuple | None, name: str, start: int) -> tuple[int, str, list]:
+        return start, name, []
+
+    def stage(self, owner: tuple, kind: StageKind, label: str | None, start: int, end: int) -> None:
+        owner[2].append(StageNode(kind, label, start, end))
+
+    def close(self, frame: tuple, parent: tuple | None, end: int) -> None:
+        start, name, body = frame
+        (self if parent is None else parent[2]).append(ThimacNode(name, tuple(body), start, end))
+
+    def edge(self, classes: tuple, source: tuple, target: tuple, start: int, end: int) -> None:
+        self.append(classes[0](*_refs((source, target)), start, end))
+
+    def event(self, name: str, refs: list, start: int, end: int) -> None:
+        self.append(EventNode(name, _refs(refs), start, end))
+
+    def behavior(self, edges: list, start: int, end: int) -> None:
+        self.append(BehaviorNode(tuple([BehaviorEdgeNode(*e) for e in edges]), start, end))
 
 
 def parse(text: str) -> Ast:
@@ -554,12 +586,7 @@ def parse(text: str) -> Ast:
     so one bad declaration does not hide later ones; if anything failed, a
     :class:`ParseFailure` carrying every error is raised at the end.
     """
-    scan = _COMMENT.sub(_blank, text) if "#" in text else text
-    if _may_lead_with_numerals(scan):
-        # '\0', which no scanner pattern matches, for each non-letter.
-        scan = _LEAD.sub(lambda lead: lead[0] if lead[0].isalpha() else "\0", scan)
-    newlines = _newlines(text)
-    decls: list[Declaration] = []
+    scan, newlines, decls = _scannable(text), _newlines(text), _AstBuilder()
     pos, parser = _SPACES.match(scan).end(), None
     while True:
         pos = _scan(scan, pos, decls)
@@ -583,6 +610,90 @@ class Document:
     behavior: BehaviorGraph | None
 
 
+class _Lowering:
+    """The one lowering to a :class:`Document`, fed the calls of
+    :class:`_AstBuilder` by the scanner (:func:`load`) or from an AST
+    (:func:`lower`). Thimacs and stages become records as they are read;
+    edge, event and chronology declarations wait as plain values, and
+    :meth:`document` resolves them in declaration order."""
+
+    def __init__(self, newlines: Sequence[int]):
+        self.newlines = newlines
+        self.thimacs: list[Thimac] = []
+        self.stages: list[Stage] = []
+        self.pending: list[tuple] = []
+
+    def span(self, start: int, end: int) -> Span:
+        return Span(*_position(self.newlines, start), start, end)
+
+    def thimac(self, parent: str | None, name: str, start: int) -> str:
+        path = name if parent is None else f"{parent}.{name}"
+        self.thimacs.append(Thimac(path, name, parent))
+        return path
+
+    def stage(self, owner: str, kind: StageKind, label: str | None, start: int, end: int) -> None:
+        self.stages.append(Stage(stage_ref_text(owner, kind, label), kind, owner, label))
+
+    def close(self, frame: str, parent: str | None, end: int) -> None:
+        pass
+
+    def edge(self, classes: tuple, source: tuple, target: tuple, start: int, end: int) -> None:
+        self.pending.append((classes[1], source, target, start, end))
+
+    def event(self, name: str, refs: list, start: int, end: int) -> None:
+        self.pending.append((EventDecl, name, refs, start, end))
+
+    def behavior(self, edges: list, start: int, end: int) -> None:
+        self.pending.append((BehaviorEdge, edges))
+
+    def document(self) -> Document:
+        # Each reference resolves to its stage's own id string, so the model
+        # and the events hold one string per stage, not one per reference.
+        stage_ids = {s.id: s.id for s in self.stages}
+        diags: list[Diagnostic] = []
+
+        def resolved(ref: tuple[str, int, int]) -> str | None:
+            """The stage id of a reference not written as one, or None and a REF_UNRESOLVED."""
+            text, start, end = ref
+            sid = stage_ids.get(text := "".join(text.split()))
+            if sid is None:
+                diags.append(error(REF_UNRESOLVED, f"unknown stage reference '{text}'", text,
+                                   self.span(start, end)))
+            return sid
+
+        edges, events, chronology = EdgeSet(), [], None
+        declared = {decl[1] for decl in self.pending if decl[0] is EventDecl}
+        for decl in self.pending:
+            made = decl[0]
+            if made is EventDecl:
+                _, name, refs, start, end = decl
+                region = tuple([sid for ref in refs
+                                if (sid := stage_ids.get(ref[0]) or resolved(ref)) is not None])
+                events.append(EventDecl(name, region, self.span(start, end)))
+            elif made is BehaviorEdge:
+                chronology = chronology or []
+                for before, after, repeat, start, end in decl[1]:
+                    if before in declared and after in declared:
+                        chronology.append(BehaviorEdge(before, after, repeat))
+                        continue
+                    diags += (error(REF_UNRESOLVED, f"chronology names undeclared event '{name}'",
+                                    name, self.span(start, end))
+                              for name in (before, after) if name not in declared)
+            else:
+                _, source, target, start, end = decl
+                src = stage_ids.get(source[0]) or resolved(source)
+                dst = stage_ids.get(target[0]) or resolved(target)
+                if src is not None and dst is not None and not edges.add(edge := made(src, dst)):
+                    diags.append(declared_twice(edge.id, self.span(start, end)))
+
+        model, build_diags = try_build_model(self.thimacs, self.stages, edges.flows, edges.triggers)
+        if build_diags or diags:
+            raise ModelError(build_diags + diags)
+        behavior = (None if chronology is None
+                    else BehaviorGraph(tuple(e.name for e in events), tuple(chronology)))
+        return Document(model, tuple(events), behavior)
+
+
 def lower(ast: Ast) -> Document:
     """Resolve references and build the model; carries event and chronology
     declarations through for the dynamics layer.
@@ -590,77 +701,43 @@ def lower(ast: Ast) -> Document:
     Raises :class:`ModelError` with the full diagnostic list when any
     reference fails to resolve or the declarations are structurally bad.
     """
-    thimacs: list[Thimac] = []
-    stages: list[Stage] = []
-
-    # Depth first in document order: the path of each open thimac, innermost
-    # last, with the rest of its body.
-    open_: list[tuple[str | None, Iterator[ThimacNode | StageNode]]] = [
-        (None, (decl for decl in ast.declarations if isinstance(decl, ThimacNode)))]
+    out = _Lowering(ast.newlines)
+    edge_classes = {classes[0]: classes for classes in EDGES.values()}
+    # Depth first: the path of each open thimac, innermost last, with the
+    # rest of its body; the declarations are the body of none.
+    open_: list[tuple[str | None, Iterator]] = [(None, iter(ast.declarations))]
     while open_:
         parent, body = open_[-1]
         for node in body:
-            if isinstance(node, StageNode):
-                kind, label = node.kind, node.label
-                stages.append(Stage(stage_ref_text(parent, kind, label), kind, parent, label))
-            else:
-                path = node.name if parent is None else f"{parent}.{node.name}"
-                thimacs.append(Thimac(path, node.name, parent))
-                open_.append((path, iter(node.body)))
+            if isinstance(node, ThimacNode):
+                open_.append((out.thimac(parent, node.name, node.start), iter(node.body)))
                 break
+            if isinstance(node, StageNode):
+                out.stage(parent, node.kind, node.label, node.start, node.end)
+            elif isinstance(node, EventNode):
+                out.event(node.name, [(r.text, r.start, r.end) for r in node.refs], node.start, node.end)
+            elif isinstance(node, BehaviorNode):
+                out.behavior([(e.before, e.after, e.repeat, e.start, e.end) for e in node.edges],
+                             node.start, node.end)
+            else:
+                source, target = node.source, node.target
+                out.edge(edge_classes[type(node)], (source.text, source.start, source.end),
+                         (target.text, target.start, target.end), node.start, node.end)
         else:
             open_.pop()
-
-    # Each reference resolves to its stage's own id string, so the model
-    # and the events hold one string per stage, not one per reference.
-    stage_ids = {s.id: s.id for s in stages}
-    diags: list[Diagnostic] = []
-
-    def unresolved(ref: StageRef) -> None:
-        diags.append(error(REF_UNRESOLVED, f"unknown stage reference '{ref.text}'", ref.text,
-                           ast.span(ref.start, ref.end)))
-
-    edges = EdgeSet()
-    event_decls: list[EventDecl] = []
-    behavior_edges: list[BehaviorEdge] = []
-    saw_behavior = False
-    declared_events = {d.name for d in ast.declarations if isinstance(d, EventNode)}
-
-    lowered_edge = dict(EDGES.values())
-    for decl in ast.declarations:
-        make = lowered_edge.get(type(decl))
-        if make is not None:
-            src = stage_ids.get(decl.source.text) or unresolved(decl.source)
-            dst = stage_ids.get(decl.target.text) or unresolved(decl.target)
-            if src is not None and dst is not None and not edges.add(made := make(src, dst)):
-                diags.append(declared_twice(made.id, ast.span(decl.start, decl.end)))
-        elif isinstance(decl, EventNode):
-            region = tuple([sid for ref in decl.refs
-                            if (sid := stage_ids.get(ref.text) or unresolved(ref)) is not None])
-            event_decls.append(EventDecl(decl.name, region, ast.span(decl.start, decl.end)))
-        elif isinstance(decl, BehaviorNode):
-            saw_behavior = True
-            for edge in decl.edges:
-                before, after = edge.before, edge.after
-                if before in declared_events and after in declared_events:
-                    behavior_edges.append(BehaviorEdge(before, after, edge.repeat))
-                    continue
-                diags += (error(REF_UNRESOLVED, f"chronology names undeclared event '{name}'",
-                                name, ast.span(edge.start, edge.end))
-                          for name in (before, after) if name not in declared_events)
-
-    model, build_diags = try_build_model(thimacs, stages, edges.flows, edges.triggers)
-    if build_diags or diags:
-        raise ModelError(build_diags + diags)
-    assert model is not None
-    behavior = (BehaviorGraph(nodes=tuple(e.name for e in event_decls), edges=tuple(behavior_edges))
-                if saw_behavior else None)
-    return Document(model, tuple(event_decls), behavior)
+    return out.document()
 
 
 def load(path: str | Path) -> Document:
-    """Read, parse, and lower one ``.tm`` file."""
-    return lower(parse(Path(path).read_text(encoding="utf-8-sig")))
+    """Read and lower one ``.tm`` file, as ``lower(parse(text))`` does, but
+    with no AST: the scanner reports to the lowering. Where it declines a
+    declaration, which then holds an error, ``lower(parse(text))`` runs."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    scan = _scannable(text)
+    out = _Lowering(_newlines(text))
+    if _scan(scan, _SPACES.match(scan).end(), out) < len(scan):
+        return lower(parse(text))
+    return out.document()
 
 
 # -- formatter ----------------------------------------------------------------

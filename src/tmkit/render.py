@@ -9,12 +9,12 @@ builds one from event regions).
 Every JSON document of ``tm`` is written here, by the same code on every
 Python: byte for byte ``json.dumps(payload, indent=2)`` plus a newline,
 the payload being what ``model_to_dict`` and the ``to_json_dict`` methods
-build. Each record of a model, its events, chronology, diagnostics and
-simplify report has a writer: one f-string nested at ``pad``, the indent
-of its braces, that quotes strings with the C ``encode_basestring_ascii``
-of ``json.dumps``. Writers are module-level functions, not closures that
-call themselves, so they make no reference cycle while ``tm`` pauses the
-collector. Only parse errors go through ``json.dumps`` itself.
+build. Each record of a model, its events, chronology, diagnostics,
+simplify report and parse errors has a writer: one f-string nested at
+``pad``, the indent of its braces, that quotes strings with the C
+``encode_basestring_ascii`` of ``json.dumps``. Writers are module-level
+functions, not closures that call themselves, so they make no reference
+cycle while ``tm`` pauses the collector.
 """
 
 from __future__ import annotations
@@ -192,9 +192,16 @@ def report_json(report: ValidationReport) -> str:
     return f'{{\n  "ok": {ok},\n  "diagnostics": {_list(diagnostics, "  ")}\n}}\n'
 
 
+def _parse_error(e, pad: str) -> str:
+    p = pad + "  "
+    return (f'{{\n{p}"line": {e.line},\n{p}"column": {e.column},\n'
+            f'{p}"expected": {_list(map(_q, e.expected), p)},\n{p}"found": {_q(e.found)}\n{pad}}}')
+
+
 def parse_errors_json(errors: Iterable) -> str:
     """The document of a text that does not parse, from its ``dsl.ParseError`` records."""
-    return json.dumps({"ok": False, "parse_errors": [e.to_json_dict() for e in errors]}, indent=2) + "\n"
+    written = [_parse_error(e, "    ") for e in errors]
+    return f'{{\n  "ok": false,\n  "parse_errors": {_list(written, "  ")}\n}}\n'
 
 
 class _Reader:

@@ -17,9 +17,9 @@ from .model import (
     Event,
     FlowEdge,
     StageKind,
+    Thimac,
     TmModel,
     TriggerEdge,
-    build_model,
     walk,
 )
 
@@ -133,9 +133,14 @@ def simplify(model: TmModel) -> tuple[TmModel, SimplifyReport]:
             continue
         new_triggers.setdefault(TriggerEdge(source, target))
 
-    # build_model derives children and stages of each thimac afresh, so
-    # the input's thimacs and retained stages pass through as they are.
-    simplified = build_model(model.thimacs, retained, new_flows, new_triggers.keys())
+    # Built as build_model would build it from these parts, with no check
+    # that could fail: the input is already in containment pre-order with
+    # stages grouped by owner, so each thimac keeps its children and its
+    # kept stages.
+    thimacs = tuple([Thimac(t.id, t.name, t.parent, t.children,
+                            tuple([sid for sid in t.stages if sid in retained_ids]))
+                     for t in model.thimacs])
+    simplified = TmModel(thimacs, tuple(retained), tuple(new_flows), tuple(new_triggers))
     removed_counts = {NAME_BY_KIND[kind]: 0 for kind in REMOVED_KINDS}
     for sid in removable:
         removed_counts[NAME_BY_KIND[model.stage_by_id[sid].kind]] += 1

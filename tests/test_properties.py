@@ -47,6 +47,7 @@ import random
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,7 +62,7 @@ from tmkit.diagnostics import Diagnostic, ModelError, Span, ValidationReport
 from tmkit.dsl import (KEYWORDS, Ast, Document, ParseError, ParseFailure, ThimacNode, format_model,
                        lower, parse)
 from tmkit.dynamics import Trace, TraceRecord
-from tmkit.model import KIND_BY_NAME, BehaviorEdge, BehaviorGraph, model_to_dict
+from tmkit.model import KIND_BY_NAME, BehaviorEdge, BehaviorGraph, build_model, model_to_dict
 from tmkit.transform import simplify
 from tmkit.validator import elementary_events, validate_document
 
@@ -500,6 +501,106 @@ def test_parse_tokenizes_only_the_declaration_whose_name_a_numeral_leads(monkeyp
     assert [start for start, _ in spy.streams] == [at]
 
 
+def loaded(call) -> tuple:
+    """What ``call`` gives: the document with every event's span, or the
+    class of what it raised with the parse errors or the diagnostics, in
+    order."""
+    try:
+        doc = call()
+    except ParseFailure as exc:
+        return ParseFailure, exc.errors
+    except ModelError as exc:
+        return ModelError, exc.diagnostics
+    return doc, [event.span for event in doc.events]
+
+
+def assert_load_is_lower_of_parse(text: str) -> None:
+    """``load`` of a file holding ``text`` gives what ``lower(parse(...))``
+    gives of the text it reads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.tm"
+        path.write_text(text, encoding="utf-8")
+        read = path.read_text(encoding="utf-8-sig")
+        assert loaded(lambda: dsl.load(path)) == loaded(lambda: lower(parse(read)))
+
+
+# Each thing that load resolves or refuses, with its declarations out of
+# order: edges, events and a chronology before the thimacs they name;
+# whitespace and comments inside references; an unresolved reference and
+# a repeated edge; a chronology naming an undeclared event; duplicate
+# sibling thimacs; a parse error after good declarations; a word led by
+# a numeral outside ASCII.
+LOAD_CASES = (
+    "flow A.create -> A.process;\nevent E { A.process; }\nbehavior { E -> E repeat; }\n"
+    "trigger A.process ~> A.create;\nthimac A { create; process; }\n",
+    "thimac A { thimac b { create(x); process(x); } }\n"
+    "flow A . b . create ( x ) -> A # c\n . b\t.process(  x  );\nevent E { A . b . process ( x ) ; }\n",
+    "thimac A { create; process; }\nflow A.create -> A.nope;\nflow A.create -> A.process;\n"
+    "event E { Nope.create; A.create; }\nflow A.create -> A.process;\ntrigger A.process ~> Z.create;\n",
+    "behavior { E -> F; G -> E repeat; }\nthimac A { create; }\nevent E { A.create; }\n",
+    "thimac A { create; }\nthimac A { process; }\nthimac B { thimac C { } thimac C { create; } }\n",
+    "thimac A { create; process; }\nflow A.create -> A.process;\nevent E { A.create; }\nflow -> ;\n",
+    "thimac ²x { create; }\nthimac A { create; }\nflow A.create -> ²x.create;\n",
+)
+EXTRA_DECLARATIONS = (
+    "flow T0.nope -> T0.create;", "event Lost { Nope.process; }", "behavior { E0 -> Missing; }",
+    "thimac T0 { process; }", "thimac ²x { create; }", "flow ->;", "event E0 { }",
+)
+
+
+@st.composite
+def reordered_texts(draw) -> str:
+    """The declarations of a drawn document in any order, with some of
+    :data:`EXTRA_DECLARATIONS` and repeated edges among them, and maybe
+    spaces and comments inside every reference."""
+    doc = lower(parse(draw(documents())))
+    decls = [decl for section in format_model(doc.model, doc.events, doc.behavior).split("\n\n")
+             for decl in (section.splitlines() if section.startswith(("flow", "trigger")) else [section])]
+    edges = [decl for decl in decls if decl.startswith(("flow", "trigger"))]
+    decls += draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else []
+    decls += draw(st.lists(st.sampled_from(EXTRA_DECLARATIONS), max_size=2))
+    text = "\n".join(draw(st.permutations(decls))) + "\n"
+    if draw(st.booleans()):
+        text = re.sub(r"[.()]", lambda m: f" # c\n {m[0]} " if m[0] == "." else f" {m[0]} ", text)
+    return text
+
+
+def test_load_is_lower_of_parse_on_bundled_and_golden_texts():
+    texts = [text for base in BASES for text in _variants(base).values()] + written_texts()
+    texts += [make(n, seed).text for make, n in zip(load_shapes().GENERATORS.values(), (40, 40, 35))
+              for seed in (0, 1)]
+    texts += [layout for text in LOAD_CASES for layout in layouts(text)]
+    for text in texts:
+        assert_load_is_lower_of_parse(text)
+
+
+@fixed(300)
+@given(st.one_of(reordered_texts(), fragment_texts, documents()))
+def test_load_is_lower_of_parse_on_drawn_texts(text):
+    assert_load_is_lower_of_parse(text)
+
+
+def test_a_clean_load_builds_no_ast(tmp_path):
+    """Where the scanner reads the whole text, ``load`` neither parses nor
+    lowers an AST, and builds no AST node."""
+    def refuse(*args):
+        raise AssertionError("an AST was built")
+
+    names = ("parse", "lower", "_Parser", "_AstBuilder", "StageRef", "StageNode", "ThimacNode",
+             "FlowNode", "TriggerNode", "EventNode", "BehaviorEdgeNode", "BehaviorNode")
+    texts = written_texts() + [make(n, 1).text for make, n in
+                               zip(load_shapes().GENERATORS.values(), (40, 40, 35))]
+    texts += [LOAD_CASES[0], LOAD_CASES[1]]
+    path = tmp_path / "model.tm"
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        expected = loaded(lambda: lower(parse(text)))
+        with contextlib.ExitStack() as patches:
+            for name in names:
+                patches.enter_context(mock.patch.object(dsl, name, refuse))
+            assert loaded(lambda: dsl.load(path)) == expected
+
+
 def spanned_nodes(ast: Ast):
     """Every AST node; each carries the offsets of its text."""
     pending = list(ast.declarations)
@@ -798,12 +899,42 @@ def test_json_writers_are_json_dumps_on_any_text(document, diagnostics, parse_er
     assert_writers_are_json_dumps(model, events, behavior, diagnostics, parse_errors)
 
 
+drawn_models = st.builds(lambda seed, make: make(random.Random(seed)),
+                         st.integers(0, 2**32), st.sampled_from((random_model, arbitrary_model)))
+
+
+@fixed(200)
+@given(st.one_of(drawn_models, texts_documents().map(lambda document: render.from_json(document)[0])))
+def test_simplify_builds_what_build_model_builds_from_the_same_parts(model):
+    """``simplify`` builds its skeleton directly; ``build_model`` builds the
+    same model from the input's thimacs and the skeleton's stages and
+    edges, on drawn models and on JSON documents of any text, whose
+    thimacs need not be declared in containment pre-order."""
+    simplified, _ = simplify(model)
+    assert simplified == build_model(model.thimacs, simplified.stages, simplified.flows,
+                                     simplified.triggers)
+
+
+# Found texts as the token parser writes them: the repr of a character
+# outside ASCII, or of one that starts no token; end of input; a word.
+found_texts = st.one_of(st.characters().map(repr), st.just("end of input"),
+                        texts.map(lambda word: f"'{word}'"), texts)
+
+
+@fixed(200)
+@given(st.lists(st.builds(ParseError, integers, integers, st.lists(texts, max_size=3).map(tuple),
+                          found_texts), max_size=6))
+@example([ParseError(1, 1, ("a declaration",), "'²'"), ParseError(2, 3, (), "'\\u2028'")])
+@example([])
+def test_parse_errors_writer_is_json_dumps(errors):
+    assert render.parse_errors_json(errors) == dumped(
+        {"ok": False, "parse_errors": [e.to_json_dict() for e in errors]})
+
+
 def test_indented_writer_leaves_no_cyclic_garbage(corpus_docs):
     """tm pauses the cyclic collector, so garbage in a cycle would hold
-    every piece of the output until the command ends. No writer of a
-    command on a valid model makes any. (Parse errors go through
-    ``json.dumps``, whose indenting encoder leaves one cycle of fixed size
-    on Python 3.10-3.12.)"""
+    every piece of the output until the command ends. No writer makes
+    any, that of parse errors included."""
     doc = corpus_docs["heating_water"]
     report, events = validate_document(doc.model, doc.events, doc.behavior)
     diagnostic = Diagnostic("CODE", "error", "message", "element", Span(1, 2, 3, 4))
@@ -815,6 +946,7 @@ def test_indented_writer_leaves_no_cyclic_garbage(corpus_docs):
         render.events_json(events, events)
         render.simplified_json(*simplified)
         render.report_json(ValidationReport((*report.diagnostics, diagnostic)))
+        render.parse_errors_json([ParseError(1, 2, ("a declaration", "'}'"), "'²'")])
         assert gc.collect() == 0
     finally:
         gc.enable()
