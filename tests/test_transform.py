@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 
-from conftest import arbitrary_model, closure_pairs, load_shapes, random_model
+from conftest import arbitrary_model, closure_pairs, random_model
 from tmkit.dsl import lower, parse
 from tmkit.dynamics import build_events, define_event, elementary_events
-from tmkit.model import Event, StageKind, build_model
+from tmkit.model import Event, StageKind
 from tmkit.transform import PALETTE, REMOVED_KINDS, make_overlay, simplify
 from tmkit.validator import validate_document
 
@@ -220,14 +220,3 @@ def test_overlay_leaves_the_model_alone(corpus_docs):
     make_overlay(doc.model, events)
     assert doc.model == before
     assert doc.model.flows == before.flows
-
-
-def test_simplify_builds_what_build_model_builds_on_corpus_and_shapes(corpus_docs):
-    """The direct skeleton of ``simplify`` against ``build_model`` of the
-    same parts; drawn models are in ``test_properties.py``."""
-    models = [doc.model for doc in corpus_docs.values()]
-    models += [model_of(make(n, 1).text) for make in load_shapes().GENERATORS.values() for n in (3, 40)]
-    for model in models:
-        simplified, _ = simplify(model)
-        assert simplified == build_model(model.thimacs, simplified.stages, simplified.flows,
-                                         simplified.triggers)
