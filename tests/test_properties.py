@@ -22,14 +22,20 @@ bound. Where the scanner hands declarations to the token parser
 and takes them back, the result is the token parser's from the start:
 the same AST or the same errors, and the text is tokenized once, from
 the first declined declaration, in streams that start where the scanner
-declined.
+declined. ``load`` of a file gives what ``lower(parse(text))`` gives of
+the text it reads: the same document and event spans, or the same parse
+errors or diagnostics in order, also where declarations name what is
+declared after them; and where the scanner reads the whole text, it
+builds no AST node.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
 makes of the record's JSON dict, whatever strings and integers the record
 holds. Each JSON document writer writes what ``json.dumps(payload,
 indent=2)`` writes of the payload that the dict builders make, on drawn
-models and on models whose every string is drawn text, and a value
-dumped apart and nested by re-indenting is the value dumped in place.
+models and on models whose every string is drawn text, parse errors
+included, and a value dumped apart and nested by re-indenting is the
+value dumped in place. ``simplify`` builds the model that
+``build_model`` builds from the same parts.
 The settings are derandomized and bounded so every run draws the same
 examples.
 """
