@@ -1,8 +1,8 @@
 """Byte-identical output: every run of ``tools/output_digests.py`` (ten
-command variants on the corpus, the ``.tm`` fixtures and the benchmark
-shapes at three sizes) exits with the recorded code and writes the
-recorded bytes, pinned as SHA-256 digests in
-``fixtures/output_digests.txt``.
+command variants on the corpus, the ``.tm`` fixtures, the benchmark
+shapes at three sizes and two texts that fail to parse) exits with the
+recorded code and writes the recorded bytes, pinned as SHA-256 digests
+in ``fixtures/output_digests.txt``.
 
 A change that means to change output records the file again with
 ``python tools/output_digests.py > tests/fixtures/output_digests.txt``;
@@ -33,4 +33,4 @@ def test_every_run_writes_the_recorded_bytes():
     lines = load_tool().digest_lines(ROOT, main)
     moved = [" ".join(line.split()[:2]) for line, old in zip(lines, recorded) if line != old]
     assert not moved, f"runs whose exit code or output changed: {moved}"
-    assert len(lines) == len(recorded) == 190
+    assert len(lines) == len(recorded) == 210

@@ -3,11 +3,13 @@
     python tools/output_digests.py [CHECKOUT] > digests.txt
 
 Imports tmkit from ``CHECKOUT/src`` (by default the checkout that holds
-this script) and runs ``tmkit.cli.main`` in process on 19 inputs: the four
+this script) and runs ``tmkit.cli.main`` in process on 21 inputs: the four
 bundled corpus models, the six ``.tm`` fixtures under ``tests/fixtures``,
-and the three benchmark shapes of ``CHECKOUT/perfbench/shapes.py`` at
-n = 3, 12 and 40 (seed 1), each under the ten command variants below, 190
-runs in all. It prints one line per run:
+the three benchmark shapes of ``CHECKOUT/perfbench/shapes.py`` at
+n = 3, 12 and 40 (seed 1), and two texts that fail to parse (the
+tendering corpus model without its last ';', the authoring shape at
+n = 40 without its first), each under the ten command variants below,
+210 runs in all. It prints one line per run:
 
     input argv exit sha256(stdout) sha256(stderr)
 
@@ -76,6 +78,16 @@ def inputs(checkout: Path, tmp: Path) -> list[tuple[str, Path]]:
             path = tmp / f"{shape}-{n}.tm"
             path.write_text(shapes.GENERATORS[shape](n, SEED).text, encoding="utf-8")
             found.append((f"shapes/{path.name}", path))
+    # Texts with a syntax error, which a reader declines.
+    tendering = (checkout / "src" / "tmkit" / "corpus" / "tendering.tm").read_text(encoding="utf-8")
+    last = tendering.rindex(";")
+    authoring = shapes.GENERATORS["authoring"](40, SEED).text
+    first = authoring.index(";")
+    for name, text in (("tendering-no-last-semicolon.tm", tendering[:last] + tendering[last + 1:]),
+                       ("authoring-40-no-first-semicolon.tm", authoring[:first] + authoring[first + 1:])):
+        path = tmp / name
+        path.write_text(text, encoding="utf-8")
+        found.append((f"broken/{name}", path))
     return found
 
 
@@ -91,7 +103,7 @@ def run(main, argv: list[str]) -> tuple[str, str, str]:
 
 
 def digest_lines(checkout: Path, tm: Callable[[list[str]], int]) -> list[str]:
-    """The 190 lines, in order, of ``tm`` (a ``tmkit.cli.main``) run on the
+    """The 210 lines, in order, of ``tm`` (a ``tmkit.cli.main``) run on the
     inputs of ``checkout``."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
