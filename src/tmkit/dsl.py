@@ -28,16 +28,16 @@ regexes, without making a token list, and reads every well-formed
 declaration. It declines only a declaration that holds an error: a
 character other than space, tab, CR or LF between tokens (form feed and
 vertical tab included), a keyword or stage kind where a name belongs, or
-a word led by a character outside ASCII that is not a letter. The scanner
-reports what it reads to a builder. For :func:`parse` that builds the
-AST; the token parser reads each declaration that the scanner declines,
-one token ahead, and it alone reports syntax errors. Each declaration is
-read once, and only the declarations the scanner declines are tokenized:
-a run of them is one stream of tokens. For :func:`load` the builder is
-the lowering itself, so a text the scanner reads whole becomes a
-:class:`Document` with no AST; a text it declines is parsed and lowered.
-:func:`lower` feeds the same lowering from AST nodes. Offsets become a
-:class:`Span` only where a diagnostic or an event needs one.
+a word led by a character outside ASCII that is not a letter. The token
+parser reads each declaration that the scanner declines, one token
+ahead, and it alone reports syntax errors; only the declined
+declarations are tokenized, a run of them as one stream of tokens. One
+read loop drives both readers, and each declaration is read once and
+reported to one builder: for :func:`parse` the builder of the AST, for
+:func:`load` the lowering itself, so a text becomes a :class:`Document`
+or a :class:`ParseFailure` with no AST and no fallback. :func:`lower`
+feeds the same lowering from AST nodes. Offsets become a :class:`Span`
+only where a diagnostic or an event needs one.
 """
 
 from __future__ import annotations
@@ -280,12 +280,13 @@ class _Syntax(Exception):
 
 
 class _Parser:
-    """Reads a stream of tokens one token ahead. Each rule starts at its
-    first token and returns its node, having taken every token of it; line
-    and column are derived only for errors."""
+    """Reads a stream of tokens one token ahead and reports each declaration
+    to ``out`` through the calls that :func:`_scan` makes, a stage reference
+    as ``(stage id, start, end)``. A declaration with an error may have been
+    reported in part, as by the scanner; :func:`_read` then raises."""
 
-    def __init__(self, text: str, newlines: list[int]):
-        self.text, self.newlines = text, newlines
+    def __init__(self, text: str, newlines: list[int], out: _AstBuilder | _Lowering):
+        self.text, self.newlines, self.out = text, newlines, out
         self.bad: list[int] = []
         self.syntax: list[ParseError] = []
         self.stop = -1  # where the last declaration() stopped: the current token
@@ -331,11 +332,11 @@ class _Parser:
                 break
         self.token = token
 
-    def declaration(self, offset: int, decls: list[Declaration]) -> int:
-        """Read the declaration at character ``offset`` into ``decls``, or
-        record its error and recover; the offset of the next token, or the
-        length of the text at the end of the input. Tokens are read on from
-        the last call's stop, or afresh where ``offset`` is elsewhere."""
+    def declaration(self, offset: int) -> int:
+        """Read the declaration at character ``offset``, or record its error
+        and recover; the offset of the next token, or the length of the text
+        at the end of the input. Tokens are read on from the last call's
+        stop, or afresh where ``offset`` is elsewhere."""
         if offset != self.stop:
             self.tokens = _tokens(self.text, offset, self.bad)
             self.token = next(self.tokens)
@@ -345,36 +346,33 @@ class _Parser:
                 rule = self.RULES.get(ttype)
                 if rule is None:
                     raise self.fail("a declaration")
-                decls.append(rule(self))
+                rule(self)
             except _Syntax as exc:
                 self.syntax.append(exc.args[0])
                 self.recover()
         ttype, _, self.stop, _ = self.token
         return len(self.text) if ttype == "eof" else self.stop
 
-    def thimac(self) -> ThimacNode:
-        take = self.take
-        # The open thimacs, innermost last: start, name, body so far.
-        open_: list[tuple[int, str, list[ThimacNode | StageNode]]] = []
+    def thimac(self) -> None:
+        take, out = self.take, self.out
+        open_: list = []  # the builder's frames of the open thimacs, innermost last
         while True:
             ttype, word, start, end = self.token
             if ttype == "kind":
                 take("kind")
                 label, _ = self.optional_label(end)
-                end = take(";", "';'")[3]
-                open_[-1][2].append(StageNode(KIND_BY_NAME[word], label, start, end))
+                out.stage(open_[-1], KIND_BY_NAME[word], label, start, take(";", "';'")[3])
             elif ttype == "thimac":
                 take("thimac")
                 name = take("name", "a thimac name")[1]
                 take("{", "'{'")
-                open_.append((start, name, []))
+                open_.append(out.thimac(open_[-1] if open_ else None, name, start))
             elif ttype == "}":
                 take("}")
-                first, name, body = open_.pop()
-                node = ThimacNode(name, tuple(body), first, end)
+                frame = open_.pop()
+                out.close(frame, open_[-1] if open_ else None, end)
                 if not open_:
-                    return node
-                open_[-1][2].append(node)
+                    return
             else:
                 raise self.fail("a stage", "'thimac'", "'}'")
 
@@ -387,7 +385,7 @@ class _Parser:
         label = self.take("name", "a label")[1]
         return label, self.take(")", "')'")[3]
 
-    def stage_ref(self) -> StageRef:
+    def stage_ref(self) -> tuple[str, int, int]:
         take = self.take
         _, word, start, _ = take("name", "a stage reference")
         path = [word]
@@ -399,32 +397,32 @@ class _Parser:
                 break
             path.append(take("name", "a thimac name", "a stage kind")[1])
         label, end = self.optional_label(end)
-        return StageRef(stage_ref_text(".".join(path), KIND_BY_NAME[word], label), start, end)
+        return stage_ref_text(".".join(path), KIND_BY_NAME[word], label), start, end
 
-    def edge(self) -> FlowNode | TriggerNode:
+    def edge(self) -> None:
         ttype, _, start, _ = self.take(self.token[0])
-        node, made = EDGES[ttype]
+        classes = EDGES[ttype]
         source = self.stage_ref()
-        self.take(made.arrow, f"'{made.arrow}'")
+        self.take(classes[1].arrow, f"'{classes[1].arrow}'")
         target = self.stage_ref()
-        return node(source, target, start, self.take(";", "';'")[3])
+        self.out.edge(classes, source, target, start, self.take(";", "';'")[3])
 
-    def event(self) -> EventNode:
+    def event(self) -> None:
         take = self.take
         start = take("event")[2]
         name = take("name", "an event name")[1]
         take("{", "'{'")
-        refs: list[StageRef] = []
+        refs: list[tuple[str, int, int]] = []
         while not refs or self.token[0] != "}":
             refs.append(self.stage_ref())
             take(";", "';'")
-        return EventNode(name, tuple(refs), start, take("}")[3])
+        self.out.event(name, refs, start, take("}")[3])
 
-    def behavior(self) -> BehaviorNode:
+    def behavior(self) -> None:
         take = self.take
         start = take("behavior")[2]
         take("{", "'{'")
-        edges: list[BehaviorEdgeNode] = []
+        edges: list[tuple[str, str, bool, int, int]] = []
         while self.token[0] != "}":
             _, before, first, _ = take("name", "an event name")
             take("->", "'->'")
@@ -432,8 +430,8 @@ class _Parser:
             repeat = self.token[0] == "repeat"
             if repeat:
                 take("repeat")
-            edges.append(BehaviorEdgeNode(before, after, repeat, first, take(";", "';'")[3]))
-        return BehaviorNode(tuple(edges), start, take("}")[3])
+            edges.append((before, after, repeat, first, take(";", "';'")[3]))
+        self.out.behavior(edges, start, take("}")[3])
 
     # Declaration keyword -> rule; recover() also stops at each keyword.
     # Plain functions, not bound methods: a table of bound methods on the
@@ -548,14 +546,15 @@ def _scan(scan: str, pos: int, out: _AstBuilder | _Lowering) -> int:
     return stop
 
 
-def _refs(refs: Iterable[tuple[str, int, int]]) -> tuple[StageRef, ...]:
-    """The AST nodes of references as written: a stage id is a text without its whitespace."""
-    return tuple([StageRef("".join(text.split()), start, end) for text, start, end in refs])
-
-
 class _AstBuilder(list):
-    """The declarations read so far, to which the scanner's reports append
-    AST nodes as :class:`_Parser` builds them; a thimac once it closes."""
+    """The declarations read so far, to which the reports of both readers
+    append AST nodes, a thimac once it closes: the one place that builds
+    AST nodes."""
+
+    @staticmethod
+    def refs(refs: Iterable[tuple[str, int, int]]) -> tuple[StageRef, ...]:
+        """The nodes of references as written: a stage id is a text without its whitespace."""
+        return tuple([StageRef("".join(text.split()), start, end) for text, start, end in refs])
 
     def thimac(self, parent: tuple | None, name: str, start: int) -> tuple[int, str, list]:
         return start, name, []
@@ -568,34 +567,37 @@ class _AstBuilder(list):
         (self if parent is None else parent[2]).append(ThimacNode(name, tuple(body), start, end))
 
     def edge(self, classes: tuple, source: tuple, target: tuple, start: int, end: int) -> None:
-        self.append(classes[0](*_refs((source, target)), start, end))
+        self.append(classes[0](*self.refs((source, target)), start, end))
 
     def event(self, name: str, refs: list, start: int, end: int) -> None:
-        self.append(EventNode(name, _refs(refs), start, end))
+        self.append(EventNode(name, self.refs(refs), start, end))
 
     def behavior(self, edges: list, start: int, end: int) -> None:
         self.append(BehaviorNode(tuple([BehaviorEdgeNode(*e) for e in edges]), start, end))
 
 
-def parse(text: str) -> Ast:
-    """Parse model text into an AST.
-
-    Each declaration is read once, by the scanner (:func:`_scan`) or, where
-    it declines one that holds an error, by the token parser, which hands
-    the next declaration back. Parsing recovers at declaration boundaries
-    so one bad declaration does not hide later ones; if anything failed, a
-    :class:`ParseFailure` carrying every error is raised at the end.
-    """
-    scan, newlines, decls = _scannable(text), _newlines(text), _AstBuilder()
+def _read(text: str, newlines: list[int], out: _AstBuilder | _Lowering) -> None:
+    """Report each declaration of ``text`` to ``out`` once: the scanner
+    reads it or, where it declines one that holds an error, the token
+    parser, which hands the next declaration back. Reading recovers at
+    declaration boundaries so one bad declaration does not hide later
+    ones; a :class:`ParseFailure` with every error is raised at the end."""
+    scan = _scannable(text)
     pos, parser = _SPACES.match(scan).end(), None
     while True:
-        pos = _scan(scan, pos, decls)
+        pos = _scan(scan, pos, out)
         if pos >= len(text):
             break
-        parser = parser or _Parser(text, newlines)
-        pos = parser.declaration(pos, decls)
+        parser = parser or _Parser(text, newlines, out)
+        pos = parser.declaration(pos)
     if parser is not None and (errors := parser.errors()):
         raise ParseFailure(errors)
+
+
+def parse(text: str) -> Ast:
+    """Parse model text into an AST, or raise :class:`ParseFailure` with every syntax error."""
+    newlines, decls = _newlines(text), _AstBuilder()
+    _read(text, newlines, decls)
     return Ast(tuple(decls), newlines)
 
 
@@ -612,7 +614,7 @@ class Document:
 
 class _Lowering:
     """The one lowering to a :class:`Document`, fed the calls of
-    :class:`_AstBuilder` by the scanner (:func:`load`) or from an AST
+    :class:`_AstBuilder` by the readers (:func:`load`) or from an AST
     (:func:`lower`). Thimacs and stages become records as they are read;
     edge, event and chronology declarations wait as plain values, and
     :meth:`document` resolves them in declaration order."""
@@ -623,8 +625,7 @@ class _Lowering:
         self.stages: list[Stage] = []
         self.pending: list[tuple] = []
 
-    def span(self, start: int, end: int) -> Span:
-        return Span(*_position(self.newlines, start), start, end)
+    span = Ast.span  # a Span from offsets, by the text's newlines
 
     def thimac(self, parent: str | None, name: str, start: int) -> str:
         path = name if parent is None else f"{parent}.{name}"
@@ -730,13 +731,10 @@ def lower(ast: Ast) -> Document:
 
 def load(path: str | Path) -> Document:
     """Read and lower one ``.tm`` file, as ``lower(parse(text))`` does, but
-    with no AST: the scanner reports to the lowering. Where it declines a
-    declaration, which then holds an error, ``lower(parse(text))`` runs."""
+    with no AST: both readers report to the lowering (see :func:`_read`)."""
     text = Path(path).read_text(encoding="utf-8-sig")
-    scan = _scannable(text)
     out = _Lowering(_newlines(text))
-    if _scan(scan, _SPACES.match(scan).end(), out) < len(scan):
-        return lower(parse(text))
+    _read(text, out.newlines, out)
     return out.document()
 
 

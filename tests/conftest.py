@@ -11,6 +11,7 @@ import importlib.util
 import itertools
 import random
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -169,15 +170,23 @@ def arbitrary_model(rng: random.Random, max_stages: int = 12) -> TmModel:
 
 def token_parse(text: str) -> tuple[Ast, list[ParseError]]:
     """The AST and the errors of the token parser reading every declaration
-    of ``text`` from its start, with no scanner: the reference that
-    ``parse``, scanner and token parser together, must reproduce."""
-    newlines = dsl._newlines(text)
-    parser = dsl._Parser(text, newlines)
-    decls: list = []
+    of ``text`` from its start into an AST builder, with no scanner: the
+    reference that ``parse``, scanner and token parser together, must
+    reproduce."""
+    newlines, decls = dsl._newlines(text), dsl._AstBuilder()
+    parser = dsl._Parser(text, newlines, decls)
     pos = 0
     while pos < len(text):
-        pos = parser.declaration(pos, decls)
+        pos = parser.declaration(pos)
     return Ast(tuple(decls), newlines), parser.errors()
+
+
+def load_text(text: str) -> Document:
+    """``load`` of a file that holds ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.tm"
+        path.write_text(text, encoding="utf-8")
+        return load(path)
 
 
 class _Declined(Exception):
@@ -198,7 +207,7 @@ def scanned(text: str) -> Ast | None:
 
 
 class ReadSpy:
-    """Records, while a text is parsed, each offset where the scanner stops
+    """Records, while a text is read, each offset where the scanner stops
     short of the end and each token stream: where it starts and the tokens
     it yields."""
 
@@ -223,12 +232,13 @@ class ReadSpy:
         monkeypatch.setattr(dsl, "_scan", scan_spy)
         monkeypatch.setattr(dsl, "_tokens", tokens_spy)
 
-    def failures(self, text: str) -> tuple[ParseError, ...]:
-        """The parse errors of ``text``, read afresh."""
+    def failures(self, text: str, read=parse) -> tuple[ParseError, ...]:
+        """The parse errors of ``text``, read afresh by ``read``: ``parse``
+        or :func:`load_text`."""
         self.declined.clear()
         self.streams.clear()
         with pytest.raises(ParseFailure) as exc:
-            parse(text)
+            read(text)
         return exc.value.errors
 
 

@@ -25,8 +25,8 @@ the first declined declaration, in streams that start where the scanner
 declined. ``load`` of a file gives what ``lower(parse(text))`` gives of
 the text it reads: the same document and event spans, or the same parse
 errors or diagnostics in order, also where declarations name what is
-declared after them; and where the scanner reads the whole text, it
-builds no AST node.
+declared after them; it builds no AST node, whether the scanner reads
+the whole text or declines some of it.
 ``tm`` under fuzzed arguments and file contents ends with exit code 0, 1
 or 2 and never raises. Each line of a trace's NDJSON is what ``json.dumps``
 makes of the record's JSON dict, whatever strings and integers the record
@@ -59,8 +59,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS_NAMES, FIXTURES, ReadSpy, arbitrary_model, load_shapes, random_model, scanned,
-                      token_parse)
+from conftest import (CORPUS_NAMES, FIXTURES, ReadSpy, arbitrary_model, load_shapes, load_text, random_model,
+                      scanned, token_parse)
 from test_golden_parse import BASES, _variants
 from tmkit import dsl, render
 from tmkit.cli import corpus, main
@@ -321,15 +321,22 @@ def test_parse_is_the_token_parse_on_stray_characters_and_spliced_texts():
             assert_scan_is_the_token_parse(broken)
 
 
+# Each reader of a text: ``parse``, and ``load`` of a file that holds it.
+READERS = (parse, load_text)
+
+
 def test_parse_tokenizes_once_from_the_first_declined_declaration(monkeypatch):
     """One missing ';' at the end of a large model costs the scanner plus
-    the tokens of the chronology, not a second parse of the whole text."""
+    the tokens of the chronology, not a second parse of the whole text,
+    whether it is parsed or loaded."""
     text = without_last_semicolon(load_shapes().authoring(200, 0).text)
     spy = ReadSpy(monkeypatch)
-    spy.failures(text)
     at = text.rindex("behavior")
-    assert [start for start, _ in spy.streams] == [at]
-    assert spy.streams[0][1] == list(dsl._tokens(text, at, []))
+    for read in READERS:
+        spy.failures(text, read)
+        assert spy.declined == [at]
+        assert [start for start, _ in spy.streams] == [at]
+        assert spy.streams[0][1] == list(dsl._tokens(text, at, []))
 
 
 def test_parse_reads_a_declined_run_once_and_the_rest_with_the_scanner(monkeypatch):
@@ -337,34 +344,41 @@ def test_parse_reads_a_declined_run_once_and_the_rest_with_the_scanner(monkeypat
     the declarations the scanner declines, one token ahead, not a
     tokenization of the rest of the text: each token stream starts where
     the scanner declined, no token is yielded twice, and the streams yield
-    as many tokens at n = 200 as at n = 400."""
+    as many tokens at n = 200 as at n = 400, whether it is parsed or
+    loaded; the scanner declines no offset twice."""
     texts = {n: without_first_semicolon(load_shapes().authoring(n, 0).text) for n in (200, 400)}
-    spy, read = ReadSpy(monkeypatch), {}
-    for n, text in texts.items():
-        assert [str(e) for e in spy.failures(text)] == [
-            "2:17: expected ';', found 'process'",
-            "2:31: expected a declaration, found 'release'",
-            "2:45: expected a declaration, found 'transfer'",
-            "9:1: expected a declaration, found '}'",
-        ]
-        assert spy.streams and all(start in spy.declined for start, _ in spy.streams)
-        starts = [token[2] for _, tokens in spy.streams for token in tokens]
-        assert len(starts) == len(set(starts))
-        read[n] = len(starts)
-    assert read[200] == read[400]
+    spy = ReadSpy(monkeypatch)
+    for read in READERS:
+        tokens_read = {}
+        for n, text in texts.items():
+            assert [str(e) for e in spy.failures(text, read)] == [
+                "2:17: expected ';', found 'process'",
+                "2:31: expected a declaration, found 'release'",
+                "2:45: expected a declaration, found 'transfer'",
+                "9:1: expected a declaration, found '}'",
+            ]
+            assert spy.streams and all(start in spy.declined for start, _ in spy.streams)
+            assert len(spy.declined) == len(set(spy.declined))
+            starts = [token[2] for _, tokens in spy.streams for token in tokens]
+            assert len(starts) == len(set(starts))
+            tokens_read[n] = len(starts)
+        assert tokens_read[200] == tokens_read[400]
 
 
 def test_token_streams_start_where_the_scanner_declined_on_spliced_texts(monkeypatch):
     """Each token stream of a bundled text with its middle declaration
     broken starts at an offset where the scanner declined, and no token
-    is yielded twice."""
+    is yielded twice and no offset declined twice, whether the text is
+    parsed or loaded."""
     spy = ReadSpy(monkeypatch)
-    for text in bundled_texts():
-        for each in spliced(text):
-            spy.failures(each)
-            assert spy.streams and all(start in spy.declined for start, _ in spy.streams)
-            starts = [token[2] for _, tokens in spy.streams for token in tokens]
-            assert len(starts) == len(set(starts))
+    for read in READERS:
+        for text in bundled_texts():
+            for each in spliced(text):
+                spy.failures(each, read)
+                assert spy.streams and all(start in spy.declined for start, _ in spy.streams)
+                assert len(spy.declined) == len(set(spy.declined))
+                starts = [token[2] for _, tokens in spy.streams for token in tokens]
+                assert len(starts) == len(set(starts))
 
 
 stages = st.lists(
@@ -605,6 +619,28 @@ def test_a_clean_load_builds_no_ast(tmp_path):
             for name in names:
                 patches.enter_context(mock.patch.object(dsl, name, refuse))
             assert loaded(lambda: dsl.load(path)) == expected
+
+
+def test_a_declined_load_builds_no_ast():
+    """Where the scanner declines a declaration, ``load`` hands it to the
+    token parser, which reports to the lowering: it neither parses nor
+    lowers an AST, builds no AST node, and raises the ``ParseFailure``
+    that ``lower(parse(text))`` raises."""
+    def refuse(*args):
+        raise AssertionError("an AST was built")
+
+    names = ("parse", "lower", "_AstBuilder", "StageRef", "StageNode", "ThimacNode",
+             "FlowNode", "TriggerNode", "EventNode", "BehaviorEdgeNode", "BehaviorNode")
+    texts = [each for text in bundled_texts() for each in spliced(text)]
+    failing = [text for text in LOAD_CASES if loaded(lambda: lower(parse(text)))[0] is ParseFailure]
+    assert len(failing) == 3
+    for text in texts + failing:
+        expected = loaded(lambda: lower(parse(text)))
+        assert expected[0] is ParseFailure
+        with contextlib.ExitStack() as patches:
+            for name in names:
+                patches.enter_context(mock.patch.object(dsl, name, refuse))
+            assert loaded(lambda: load_text(text)) == expected
 
 
 def spanned_nodes(ast: Ast):
