@@ -10,11 +10,12 @@ with seed 1, writes it to a temporary file, and runs the pipeline of a
 ``tm`` command layer by layer, in this order:
 
     load (``dsl.load`` of the file, the route of every command, whose
-    document is then dropped), parse and lower (the route of a text that
-    the scanner declines), validate (``validate`` and ``build_events``),
-    check_behavior, events (``elementary_events``), simulate, trace_json
-    (``Trace.to_ndjson``), simplify, dot (``make_overlay`` and ``to_dot``),
-    json (``to_json``) and fmt (``format_model``).
+    document is then dropped), parse and lower (the library route through
+    an AST, which no ``tm`` command takes), validate (``validate`` and
+    ``build_events``), check_behavior, events (``elementary_events``),
+    simulate, trace_json (``Trace.to_ndjson``), simplify, dot
+    (``make_overlay`` and ``to_dot``), json (``to_json``) and fmt
+    (``format_model``).
 
 A layer reads the model tables that earlier layers built, as one command
 would after ``validate``. Simulation uses the policy and creation cap
